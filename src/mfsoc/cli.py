@@ -25,7 +25,6 @@ from .model import ProblemSpec, validate
 from .riccati import (
     SolverError,
     check_ranges,
-    meanfield_path,
     solve_are,
     solve_finite_N,
     solve_finite_limit,

@@ -223,10 +223,15 @@ def _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N):
     return worst
 
 
-def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None) -> RiccatiFiniteSolution:
+def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
+                  require_convex: bool = True) -> RiccatiFiniteSolution:
+    """Backward triple; with require_convex False a negative Upsilon
+    eigenvalue is only recorded in min_upsilon_eig instead of raising."""
     require_valid(spec)
     if spec.infinite_horizon:
         raise SolverError("finite-horizon solver called on an infinite-horizon problem")
+    if N is not None and N < 1:
+        raise SolverError("population size must be >= 1")
     dw = derive_weights(spec)
     n = spec.n
     T = spec.horizon
@@ -259,7 +264,7 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None) -> RiccatiFi
     Ms = Ps + Ks / N if N is not None else Ps
     Ups = R[None, :, :] + np.einsum("kr,tkl,ls->trs", D, Ms, D)
     min_eig = float(min(np.linalg.eigvalsh(U).min() for U in Ups))
-    if min_eig < -tol.residual_tol:
+    if require_convex and min_eig < -tol.residual_tol:
         raise SolverError(
             f"Upsilon has a negative eigenvalue ({min_eig:.3g}) somewhere on the "
             f"grid; the convexity sign condition fails"
@@ -278,10 +283,7 @@ def solve_finite_limit(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> Ricca
 
 def solve_finite_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, N: int | None = None) -> RiccatiFiniteSolution:
     """Population-N backward triple (the centralized benchmark's gains)."""
-    N = spec.N if N is None else int(N)
-    if N < 1:
-        raise SolverError("population size must be >= 1")
-    return _solve_finite(spec, tol, N)
+    return _solve_finite(spec, tol, spec.N if N is None else int(N))
 
 
 def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance = DEFAULT_TOL):

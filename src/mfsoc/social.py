@@ -4,7 +4,9 @@ The centralized cost simulates the population under the population-N
 feedback (which requires the live empirical average, i.e. centralized
 information).  Gap curves pair decentralized and centralized runs under
 common random numbers, so the per-replication cost differences are the
-variance-reduced estimator of the gap.  The asymptotic per-agent optimum
+variance-reduced estimator of the gap.  Exact gap curves instead evaluate
+each cost from the exchangeable moment closure of the N-agent closed loop,
+whose size does not depend on N.  The asymptotic per-agent optimum
 is evaluated in closed form from the two constant Riccati matrices, the
 offset, and a quadrature term m; the initial-state expectation reduces to
 a trace against the initial covariance.
@@ -102,7 +104,11 @@ def gap_curve(spec: ProblemSpec, N_values, cfg: SimConfig,
     return GapCurve(N_values, dec, cen, dec_se, cen_se, eps, eps_se)
 
 
-_MAX_STACK = 120   # largest N*n the moment propagation will attempt
+def _moment2(P1, P2, c, m, S, Y):
+    """E z z' for z = P1 x_i + P2 x^(N) + c, from the exchangeable moments."""
+    cross = P1 @ Y @ P2.T
+    mc = np.outer((P1 + P2) @ m, c)
+    return P1 @ S @ P1.T + cross + cross.T + P2 @ Y @ P2.T + mc + mc.T + np.outer(c, c)
 
 
 def expected_social_cost(spec: ProblemSpec, law, N: int,
@@ -110,106 +116,60 @@ def expected_social_cost(spec: ProblemSpec, law, N: int,
                          tol: Tolerance = DEFAULT_TOL) -> float:
     """Exact per-agent social cost of the N-population under a law.
 
-    Propagates the mean and second moment of the stacked nN-dimensional
-    closed loop by an ODE (the cost is a quadratic functional, so the
-    first two moments determine it), which removes all Monte Carlo error.
-    Finite horizon only; the law may feed back on the live empirical
-    average or on its stored mean-field trajectory.
+    The agents start i.i.d. and share one symmetric law, so the closed loop
+    is exchangeable: its first two moments are m = E x_i, S = E x_i x_i'
+    and O = E x_i x_j' (i != j), and Y = S/N + (1 - 1/N) O is both
+    E x_i x^(N)' and E x^(N) x^(N)'.  With drift A_cl x_i + mix x^(N) + b
+    and diffusion a x_i + d x^(N) + s0, RK4 propagates
+        dm = (A_cl + mix) m + b,
+        dO = A_cl O + O A_cl' + mix Y + Y mix' + b m' + m b',
+        dS = (the same drift with S for O) + E (a x_i + d x^(N) + s0)(...)',
+    a state of 2n^2 + n entries whatever N is.  Every cost term is the
+    second moment of an affine function of (x_i, x^(N)), so the cost has no
+    Monte Carlo error.  Finite horizon only; the law may feed back on the
+    live empirical average or on its stored mean-field trajectory.
     """
     if spec.infinite_horizon:
         raise SolverError("moment propagation needs a finite horizon")
-    n, T = spec.n, float(spec.horizon)
-    if N * n > _MAX_STACK:
-        raise SolverError(
-            f"stacked dimension N*n = {N * n} exceeds {_MAX_STACK}; "
-            "use the Monte Carlo evaluator for large populations"
-        )
-    A, B, C, D, G = spec.A, spec.B, spec.C, spec.D, spec.G
-    Q, R, Gam = spec.Q, spec.R, spec.Gamma
-    emp = law.mf_source == "empirical"
-    I_N = np.eye(N)
-    E_N = np.full((N, N), 1.0 / N)
-    ones = np.ones(N)
+    T = float(spec.horizon)
     steps = max(1, int(round(T / step)))
     h = T / steps
+    ts = np.linspace(0.0, T, 2 * steps + 1)   # RK4 stage times
+    B, D = spec.B, spec.D
+    Fs, Fm, g, xb = law.F_self_at(ts), law.F_mf_at(ts), law.g_at(ts), law.xbar_at(ts)
+    if law.mf_source == "empirical":
+        Fe, u_off = Fm, g
+    else:
+        Fe, u_off = np.zeros_like(Fm), g + np.einsum("trn,tn->tr", Fm, xb)
+    A_cl, mix = spec.A + B @ Fs, B @ Fe + spec.G
+    a, d = spec.C + D @ Fs, D @ Fe
+    b = u_off @ B.T + spec.f(ts)
+    s0 = u_off @ D.T + spec.sigma(ts)
+    eta = spec.eta(ts)
+    I_n = np.eye(spec.n)
 
-    def rates(t, mu, S):
-        Fs = law.F_self_at(t)
-        Fm = law.F_mf_at(t)
-        g = law.g_at(t)
-        f = spec.f(float(t))
-        sig = spec.sigma(float(t))
-        eta = spec.eta(float(t))
-        if emp:
-            u_off = g
-            mix = B @ Fm + G
-            d = D @ Fm
-        else:
-            u_off = Fm @ law.xbar_at(t) + g
-            mix = G
-            d = np.zeros((n, n))
-        a = C + D @ Fs
-        s0 = D @ u_off + sig
-        Acl = np.kron(I_N, A + B @ Fs) + np.kron(E_N, mix)
-        b = np.kron(ones, B @ u_off + f)
-        dmu = Acl @ mu + b
-        dS = Acl @ S + S @ Acl.T + np.outer(b, mu) + np.outer(mu, b)
-        # per-agent scalar noise loads only that agent's block row
-        Sb = S.reshape(N, n, N, n)
-        mub = mu.reshape(N, n)
-        S_row = Sb.mean(axis=2)                      # (N, n, n): (1/N) sum_j S_ij
-        S_avg = S_row.mean(axis=0)                   # (n, n)
-        mu_avg = mub.mean(axis=0)
-        w = mub @ a.T + mu_avg @ d.T                 # (N, n)
-        blk = (
-            np.einsum("pq,iqs,rs->ipr", a, Sb[np.arange(N), :, np.arange(N)], a)
-            + np.einsum("pq,iqs,rs->ipr", a, S_row, d)
-            + np.einsum("pq,isq,rs->ipr", d, S_row, a)
-            + (d @ S_avg @ d.T)[None]
-            + w[:, :, None] * s0[None, None, :]
-            + s0[None, :, None] * w[:, None, :]
-            + np.outer(s0, s0)[None]
-        )
-        diff = np.zeros((N * n, N * n))
-        for i in range(N):
-            diff[i * n:(i + 1) * n, i * n:(i + 1) * n] = blk[i]
-        dS = dS + diff
-        # cost rate, summed over agents
-        Md = np.kron(I_N, np.eye(n)) - np.kron(E_N, Gam)
-        Sy = Md @ S @ Md.T
-        my = (Md @ mu).reshape(N, n)
-        Syb = Sy.reshape(N, n, N, n)[np.arange(N), :, np.arange(N)]
-        qsum = float(np.einsum("ipq,pq->", Syb, Q)
-                     - 2.0 * (my.sum(axis=0) @ Q @ eta) + N * (eta @ Q @ eta))
-        Ku = np.kron(I_N, Fs) + (np.kron(E_N, Fm) if emp else 0.0)
-        Su = Ku @ S @ Ku.T
-        mu_u = (Ku @ mu).reshape(N, spec.r)
-        Sub = Su.reshape(N, spec.r, N, spec.r)[np.arange(N), :, np.arange(N)]
-        rsum = float(np.einsum("ipq,pq->", Sub, R)
-                     + 2.0 * (mu_u.sum(axis=0) @ R @ u_off)
-                     + N * (u_off @ R @ u_off))
-        return dmu, dS, (qsum + rsum) / N
+    def rates(k, m, S, O):
+        Y = S / N + (1.0 - 1.0 / N) * O
+        mY, bm = mix[k] @ Y, np.outer(b[k], m)
+        common = mY + mY.T + bm + bm.T
+        dm = (A_cl[k] + mix[k]) @ m + b[k]
+        dS = A_cl[k] @ S + S @ A_cl[k].T + common + _moment2(a[k], d[k], s0[k], m, S, Y)
+        dO = A_cl[k] @ O + O @ A_cl[k].T + common
+        cost = (np.vdot(spec.Q, _moment2(I_n, -spec.Gamma, -eta[k], m, S, Y))
+                + np.vdot(spec.R, _moment2(Fs[k], Fe[k], u_off[k], m, S, Y)))
+        return dm, dS, dO, cost
 
-    mu = np.kron(ones, spec.x0_mean)
-    S = np.outer(mu, mu) + np.kron(I_N, spec.x0_cov)
-    cost = 0.0
-    t = 0.0
-    for _ in range(steps):
-        k1 = rates(t, mu, S)
-        k2 = rates(t + h / 2, mu + h / 2 * k1[0], S + h / 2 * k1[1])
-        k3 = rates(t + h / 2, mu + h / 2 * k2[0], S + h / 2 * k2[1])
-        k4 = rates(t + h, mu + h * k3[0], S + h * k3[1])
-        mu = mu + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        S = S + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        cost += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        t += h
-    M0 = np.kron(I_N, np.eye(n)) - np.kron(E_N, spec.Gamma0)
-    Sy = (M0 @ S @ M0.T).reshape(N, n, N, n)[np.arange(N), :, np.arange(N)]
-    my = (M0 @ mu).reshape(N, n)
-    term = float(np.einsum("ipq,pq->", Sy, spec.H)
-                 - 2.0 * (my.sum(axis=0) @ spec.H @ spec.eta0)
-                 + N * (spec.eta0 @ spec.H @ spec.eta0))
-    return cost + term / N
+    m, O, cost = spec.x0_mean, np.outer(spec.x0_mean, spec.x0_mean), 0.0
+    S = O + spec.x0_cov
+    for j in range(steps):
+        k1 = rates(2 * j, m, S, O)
+        k2 = rates(2 * j + 1, m + h / 2 * k1[0], S + h / 2 * k1[1], O + h / 2 * k1[2])
+        k3 = rates(2 * j + 1, m + h / 2 * k2[0], S + h / 2 * k2[1], O + h / 2 * k2[2])
+        k4 = rates(2 * j + 2, m + h * k3[0], S + h * k3[1], O + h * k3[2])
+        m, S, O, cost = (x + h / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
+                         for x, r1, r2, r3, r4 in zip((m, S, O, cost), k1, k2, k3, k4))
+    Y = S / N + (1.0 - 1.0 / N) * O
+    return float(cost + np.vdot(spec.H, _moment2(I_n, -spec.Gamma0, -spec.eta0, m, S, Y)))
 
 
 def gap_curve_exact(spec: ProblemSpec, N_values, step: float = 2e-4,

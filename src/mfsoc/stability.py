@@ -7,8 +7,9 @@ detectability of a state-dependent-noise pair is decided by a spectral
 surrogate on the adjoint lifted operator (eigenvectors with non-negative
 real part must be visible through the output map); for zero diffusion it
 reduces to the deterministic PBH test.  Uniform convexity of the social
-cost is certified at small populations by integrating the monolithic
-Riccati equation in the stacked state.
+cost is certified at any population size from the population-N Riccati
+pair, whose control weight is the block of the stacked N*n-dimensional
+equation's symmetric solution.
 """
 
 from __future__ import annotations
@@ -17,19 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    BlowUpError,
-    DEFAULT_TOL,
-    Tolerance,
-    integrate_ode,
-    is_hurwitz,
-    lift_msq,
-    pinv,
-    sym_sqrt_psd,
-    symmetrize,
-)
+from .linalg import DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, pinv, sym_sqrt_psd, symmetrize
 from .model import ProblemSpec, derive_weights
-from .riccati import SolverError, solve_are, solve_stochastic_are, check_ranges
+from .riccati import SolverError, _solve_finite, check_ranges, solve_are, solve_stochastic_are
 
 
 def check_ms_stable(A, C, tol: Tolerance = DEFAULT_TOL):
@@ -208,59 +199,74 @@ def check_detectability_suite(spec: ProblemSpec, P_candidate=None, Pi_candidate=
 
 def check_uniform_convexity(spec: ProblemSpec, N_small: int = 2,
                             tol: Tolerance = DEFAULT_TOL):
-    """Convexity verdict via the monolithic stacked Riccati equation.
+    """Convexity verdict of the N_small-agent social cost.
 
-    Integrates the N_small*n-dimensional equation backward over [0, T] and
-    inspects the stacked control weight.  Returns (verdict, witness) with
+    The stacked N_small*n-dimensional Riccati equation of the population
+    has the symmetric solution I (x) P + (11'/N) (x) K, with (P, K) the
+    population-N pair, so its control weight is block-diagonal with blocks
+    Upsilon = R + D'(P + K/N)D.  The verdict therefore reads the pair from
+    the population-N solve, at any N.  Returns (verdict, witness) with
     verdict in {"uniformly_convex", "convex", "indeterminate"}; witness is
-    the min stacked-weight eigenvalue, or the escape time on blow-up.
+    the min Upsilon eigenvalue over the grid, or the escape time on blow-up.
     """
     if spec.infinite_horizon:
         raise SolverError("uniform-convexity check requires a finite horizon")
-    if not 1 <= N_small <= 4:
-        raise SolverError("monolithic convexity check supports 1 <= N <= 4")
-    dw = derive_weights(spec)
-    n, r, Nn = spec.n, spec.r, N_small * spec.n
-    ones = np.ones((N_small, N_small))
-    A_big = np.kron(np.eye(N_small), spec.A) + np.kron(ones / N_small, spec.G)
-    B_big = np.kron(np.eye(N_small), spec.B)
-    Q_big = np.kron(np.eye(N_small), spec.Q) - np.kron(ones / N_small, dw.Q_Gamma)
-    H_big = np.kron(np.eye(N_small), spec.H) - np.kron(ones / N_small, dw.H_Gamma0)
-    R_big = np.kron(np.eye(N_small), spec.R)
-    C_blocks = []
-    D_blocks = []
-    for i in range(N_small):
-        sel = np.zeros((N_small, N_small))
-        sel[i, i] = 1.0
-        C_blocks.append(np.kron(sel, spec.C))
-        D_blocks.append(np.kron(sel, spec.D))
-
-    min_ups = [np.inf]
-
-    def rhs(t, y):
-        P = y.reshape(Nn, Nn)
-        Ups = R_big + sum(Di.T @ P @ Di for Di in D_blocks)
-        min_ups[0] = min(min_ups[0], float(np.linalg.eigvalsh(symmetrize(Ups)).min()))
-        Psi = B_big.T @ P + sum(
-            Di.T @ P @ Ci for Di, Ci in zip(D_blocks, C_blocks)
-        )
-        quad = sum(Ci.T @ P @ Ci for Ci in C_blocks)
-        return -(
-            A_big.T @ P + P @ A_big + quad + Q_big - Psi.T @ pinv(Ups, tol) @ Psi
-        ).ravel()
-
-    def project(y):
-        return symmetrize(y.reshape(Nn, Nn)).ravel()
-
     try:
-        integrate_ode(rhs, spec.horizon, 0.0, H_big.ravel(), tol.ode_step, project=project)
-    except BlowUpError as exc:
-        return "indeterminate", exc.time
-    if min_ups[0] > tol.residual_tol:
-        return "uniformly_convex", min_ups[0]
-    if min_ups[0] >= -tol.residual_tol:
-        return "convex", min_ups[0]
-    return "indeterminate", min_ups[0]
+        sol = _solve_finite(spec, tol, int(N_small), require_convex=False)
+    except SolverError as exc:
+        if exc.escape_time is None:
+            raise
+        return "indeterminate", exc.escape_time
+    min_ups = sol.min_upsilon_eig
+    if min_ups > tol.residual_tol:
+        return "uniformly_convex", min_ups
+    if min_ups >= -tol.residual_tol:
+        return "convex", min_ups
+    return "indeterminate", min_ups
+
+
+def _aggregate_hurwitz(spec: ProblemSpec, sol, tol: Tolerance):
+    """Hurwitz test of the individual closed-loop matrix plus the coupling G."""
+    A, B, C, D = spec.A, spec.B, spec.C, spec.D
+    Ui = pinv(sol.Upsilon, tol)
+    Abar = A - B @ Ui @ (B.T @ sol.P + D.T @ sol.P @ C)
+    return is_hurwitz(Abar + spec.G, tol)
+
+
+def _try_solve_are(spec: ProblemSpec, tol: Tolerance, t_sim: float):
+    """(solution, None) or (None, the SolverError)."""
+    try:
+        return solve_are(spec, tol, t_sim), None
+    except SolverError as exc:
+        return None, exc
+
+
+def _theorem_verdicts(spec: ProblemSpec, sol, err, stab, pair, tol: Tolerance):
+    """Verdicts from an ARE outcome, a check_stabilizable result and a
+    pbh_stabilizable result computed once by the caller."""
+    if sol is None:
+        verdict_ii = (False, f"solver: {err}")
+    else:
+        rep = check_ranges(sol, spec, tol)
+        hur, absc = _aggregate_hurwitz(spec, sol, tol)
+        if not rep.all_ok:
+            verdict_ii = (False, f"range inclusions fail: {rep.failing()}")
+        elif not hur:
+            verdict_ii = (False, f"aggregate matrix abscissa {absc:.3g}")
+        else:
+            verdict_ii = (True, f"residuals ({sol.residual_P:.2g}, {sol.residual_Pi:.2g}), abscissa {absc:.3g}")
+
+    stab_ok, _, diag = stab
+    pair_ok, wit = pair
+    if not stab_ok:
+        verdict_iii = (False, f"noisy pair not stabilizable: {diag}")
+    elif not pair_ok:
+        verdict_iii = (False, f"averaged pair not stabilizable (witness {wit})")
+    elif sol is None:
+        verdict_iii = (False, "Hurwitz condition unevaluable: no Riccati solution")
+    else:
+        verdict_iii = (hur, f"abscissa {absc:.3g}")
+    return verdict_ii, verdict_iii
 
 
 def theorem_verdicts(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20.0):
@@ -274,38 +280,10 @@ def theorem_verdicts(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: flo
     library bug or an assumption violation worth surfacing.
     Returns ((ok_ii, detail_ii), (ok_iii, detail_iii)).
     """
-    A, B, C, D, G = spec.A, spec.B, spec.C, spec.D, spec.G
-    sol = None
-    try:
-        sol = solve_are(spec, tol, t_sim)
-    except SolverError as exc:
-        verdict_ii = (False, f"solver: {exc}")
-    else:
-        rep = check_ranges(sol, spec, tol)
-        Ui = pinv(sol.Upsilon, tol)
-        Abar = A - B @ Ui @ (B.T @ sol.P + D.T @ sol.P @ C)
-        hur, absc = is_hurwitz(Abar + G, tol)
-        if not rep.all_ok:
-            verdict_ii = (False, f"range inclusions fail: {rep.failing()}")
-        elif not hur:
-            verdict_ii = (False, f"aggregate matrix abscissa {absc:.3g}")
-        else:
-            verdict_ii = (True, f"residuals ({sol.residual_P:.2g}, {sol.residual_Pi:.2g}), abscissa {absc:.3g}")
-
-    stab, _, diag = check_stabilizable(A, B, C, D, tol)
-    pair_ok, wit = pbh_stabilizable(A + G, B, tol)
-    if not stab:
-        verdict_iii = (False, f"noisy pair not stabilizable: {diag}")
-    elif not pair_ok:
-        verdict_iii = (False, f"averaged pair not stabilizable (witness {wit})")
-    elif sol is None:
-        verdict_iii = (False, "Hurwitz condition unevaluable: no Riccati solution")
-    else:
-        Ui = pinv(sol.Upsilon, tol)
-        Abar = A - B @ Ui @ (B.T @ sol.P + D.T @ sol.P @ C)
-        hur, absc = is_hurwitz(Abar + G, tol)
-        verdict_iii = (hur, f"abscissa {absc:.3g}")
-    return verdict_ii, verdict_iii
+    sol, err = _try_solve_are(spec, tol, t_sim)
+    stab = check_stabilizable(spec.A, spec.B, spec.C, spec.D, tol)
+    pair = pbh_stabilizable(spec.A + spec.G, spec.B, tol)
+    return _theorem_verdicts(spec, sol, err, stab, pair, tol)
 
 
 def stability_report(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
@@ -313,24 +291,23 @@ def stability_report(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
     """Full battery behind the check subcommand."""
     rep = StabilityReport()
     rep.ms_stable = check_ms_stable(spec.A, spec.C, tol)
-    ok, _, diag = check_stabilizable(spec.A, spec.B, spec.C, spec.D, tol)
-    rep.stabilizable = (ok, diag)
-    rep.pair_AG_B_stabilizable = pbh_stabilizable(spec.A + spec.G, spec.B, tol)
+    stab = check_stabilizable(spec.A, spec.B, spec.C, spec.D, tol)
+    rep.stabilizable = (stab[0], stab[2])
+    pair = pbh_stabilizable(spec.A + spec.G, spec.B, tol)
+    rep.pair_AG_B_stabilizable = pair
 
     P_cand = Pi_cand = None
     if spec.infinite_horizon:
-        try:
-            sol = solve_are(spec, tol, t_sim)
+        sol, err = _try_solve_are(spec, tol, t_sim)
+        if sol is None:
+            rep.A6_holds = (False, f"unevaluable: {err}")
+        else:
             P_cand, Pi_cand = sol.P, sol.Pi
-            Ui = pinv(sol.Upsilon, tol)
-            Abar = spec.A - spec.B @ Ui @ (spec.B.T @ sol.P + spec.D.T @ sol.P @ spec.C)
-            rep.A6_holds = is_hurwitz(Abar + spec.G, tol)
-        except SolverError as exc:
-            rep.A6_holds = (False, f"unevaluable: {exc}")
-        rep.theorem_ii, rep.theorem_iii = theorem_verdicts(spec, tol, t_sim)
+            rep.A6_holds = _aggregate_hurwitz(spec, sol, tol)
+        rep.theorem_ii, rep.theorem_iii = _theorem_verdicts(spec, sol, err, stab, pair, tol)
     else:
         try:
-            rep.convexity = check_uniform_convexity(spec, min(2, 4), tol)
+            rep.convexity = check_uniform_convexity(spec, 2, tol)
         except SolverError as exc:
             rep.convexity = ("indeterminate", str(exc))
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mfsoc.riccati import SolverError, solve_are
+from mfsoc.linalg import Tolerance
+from mfsoc.model import ProblemSpec, constant_signal
+from mfsoc.riccati import SolverError, solve_are, solve_finite_limit, solve_finite_N
 from mfsoc.simulator import SimConfig, simulate_meanfield_type, simulate_population
 from mfsoc.social import (
     asymptotic_value,
@@ -10,7 +13,78 @@ from mfsoc.social import (
     gap_curve,
     gap_curve_exact,
 )
-from mfsoc.synthesis import build_law
+from mfsoc.synthesis import build_centralized_law, build_law
+
+
+def kronecker_cost(spec, law, N, step):
+    """Oracle: per-agent cost from the moments of the stacked nN-dim loop.
+
+    Propagates the full mean mu and second moment S of (x_1, ..., x_N) with
+    the same RK4 stages as expected_social_cost, so the two agree to
+    rounding; its cost grows like (nN)^3 per step.
+    """
+    n, T = spec.n, float(spec.horizon)
+    A, B, C, D, G = spec.A, spec.B, spec.C, spec.D, spec.G
+    emp = law.mf_source == "empirical"
+    I_N, E_N, ones = np.eye(N), np.full((N, N), 1.0 / N), np.ones(N)
+    steps = max(1, int(round(T / step)))
+    h = T / steps
+
+    def rates(t, mu, S):
+        Fs, Fm, g = law.F_self_at(t), law.F_mf_at(t), law.g_at(t)
+        if emp:
+            u_off, mix, d = g, B @ Fm + G, D @ Fm
+        else:
+            u_off, mix, d = Fm @ law.xbar_at(t) + g, G, np.zeros((n, n))
+        a = C + D @ Fs
+        s0 = D @ u_off + spec.sigma(float(t))
+        Acl = np.kron(I_N, A + B @ Fs) + np.kron(E_N, mix)
+        b = np.kron(ones, B @ u_off + spec.f(float(t)))
+        dS = Acl @ S + S @ Acl.T + np.outer(b, mu) + np.outer(mu, b)
+        # agent i's noise a x_i + d x^(N) + s0 loads only its diagonal block
+        Ld = np.kron(I_N, a) + np.kron(E_N, d)
+        mu_d = Ld @ mu
+        for i in range(N):
+            blk = slice(i * n, (i + 1) * n)
+            Li = Ld[blk]
+            mi = mu_d[blk]
+            dS[blk, blk] += (Li @ S @ Li.T + np.outer(mi, s0) + np.outer(s0, mi)
+                             + np.outer(s0, s0))
+        Md = np.kron(I_N, np.eye(n)) - np.kron(E_N, spec.Gamma)
+        Ku = np.kron(I_N, Fs) + (np.kron(E_N, Fm) if emp else 0.0)
+        return Acl @ mu + b, dS, (
+            _stacked_quad(Md, spec.Q, spec.eta(float(t)), mu, S, N)
+            + _stacked_quad(Ku, spec.R, -u_off, mu, S, N)) / N
+
+    mu = np.kron(ones, spec.x0_mean)
+    S = np.outer(mu, mu) + np.kron(I_N, spec.x0_cov)
+    cost, t = 0.0, 0.0
+    for _ in range(steps):
+        k1 = rates(t, mu, S)
+        k2 = rates(t + h / 2, mu + h / 2 * k1[0], S + h / 2 * k1[1])
+        k3 = rates(t + h / 2, mu + h / 2 * k2[0], S + h / 2 * k2[1])
+        k4 = rates(t + h, mu + h * k3[0], S + h * k3[1])
+        mu = mu + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        S = S + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        cost += h / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        t += h
+    M0 = np.kron(I_N, np.eye(n)) - np.kron(E_N, spec.Gamma0)
+    return cost + _stacked_quad(M0, spec.H, spec.eta0, mu, S, N) / N
+
+
+def _stacked_quad(M, W, ref, mu, S, N):
+    """sum_i E (z_i - ref)' W (z_i - ref) for the stacked z = M x."""
+    k = W.shape[0]
+    Sz = (M @ S @ M.T).reshape(N, k, N, k)[np.arange(N), :, np.arange(N)]
+    mz = (M @ mu).reshape(N, k)
+    return float(np.einsum("ipq,pq->", Sz, W) - 2.0 * mz.sum(axis=0) @ W @ ref
+                 + N * (ref @ W @ ref))
+
+
+def _laws(spec, N, tol=Tolerance()):
+    dec = build_law(solve_finite_limit(spec, tol), spec, tol)
+    cen = build_centralized_law(solve_finite_N(spec, tol, N=N), spec, tol)
+    return dec, cen
 
 
 def test_value_components(spec_wellposed, sol_wellposed):
@@ -63,20 +137,62 @@ def test_gap_curve_pairing(spec_sec6_finite):
 def test_expected_cost_matches_monte_carlo(spec_sec6_finite):
     # the moment-ODE evaluation is the exact expectation of the simulated
     # cost, so a moderate Monte Carlo run must straddle it
-    from mfsoc.riccati import solve_finite_limit
     law = build_law(solve_finite_limit(spec_sec6_finite), spec_sec6_finite)
-    exact = expected_social_cost(spec_sec6_finite, law, N=3, step=5e-4)
-    out = simulate_population(spec_sec6_finite, law,
-                              SimConfig(dt=5e-4, replications=600, seed=7), N=3)
-    assert abs(out.social_cost / 3 - exact) < 3.0 * out.social_se / 3 + 1e-4
+    for N in (3, 200):
+        exact = expected_social_cost(spec_sec6_finite, law, N=N, step=5e-4)
+        out = simulate_population(spec_sec6_finite, law,
+                                  SimConfig(dt=5e-4, replications=600, seed=7), N=N)
+        assert abs(out.social_cost / N - exact) < 3.0 * out.social_se / N + 1e-4, N
 
 
 def test_expected_cost_guards(spec_sec6_finite, spec_sec6, sol_sec6_finite):
     law = build_law(sol_sec6_finite, spec_sec6_finite)
     with pytest.raises(Exception):
         expected_social_cost(spec_sec6, law, N=3)        # infinite horizon
-    with pytest.raises(Exception):
-        expected_social_cost(spec_sec6_finite, law, N=10 ** 6)  # too wide
+    # no population cap: the exact gap at N = 10^6 sits on eps ~ 3.9e-3 / N
+    N = 10 ** 6
+    _, cen = _laws(spec_sec6_finite, N)
+    eps = (expected_social_cost(spec_sec6_finite, law, N)
+           - expected_social_cost(spec_sec6_finite, cen, N))
+    assert np.isfinite(eps)
+    assert eps * N == pytest.approx(3.9e-3, rel=2e-3)
+
+
+@pytest.mark.parametrize("problem", ["sec6_finite", "example1"])
+def test_closure_matches_kronecker_oracle(request, problem):
+    spec = request.getfixturevalue(f"spec_{problem}")
+    for N in (1, 2, 3, 10):
+        for law in _laws(spec, N):
+            want = kronecker_cost(spec, law, N, step=2e-3)
+            got = expected_social_cost(spec, law, N, step=2e-3)
+            assert abs(got - want) <= 1e-12 * abs(want), (N, law.mf_source)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), r=st.integers(1, 2), N=st.integers(1, 6),
+       T=st.floats(0.05, 0.3), seed=st.integers(0, 2 ** 32 - 1))
+def test_closure_matches_oracle_on_random_definite_specs(n, r, N, T, seed):
+    rng = np.random.default_rng(seed)
+
+    def mat(rows, cols):
+        return 0.5 * rng.standard_normal((rows, cols))
+
+    def pd(k):
+        M = mat(k, k)
+        return M @ M.T + 0.1 * np.eye(k)
+
+    spec = ProblemSpec(
+        n=n, r=r, A=mat(n, n), B=mat(n, r), C=mat(n, n), D=mat(n, r),
+        G=mat(n, n), Q=pd(n), R=pd(r), Gamma=mat(n, n),
+        f=constant_signal(mat(n, 1)[:, 0]), sigma=constant_signal(mat(n, 1)[:, 0]),
+        eta=constant_signal(mat(n, 1)[:, 0]), x0_mean=mat(n, 1)[:, 0],
+        x0_cov=pd(n), N=N, horizon=T, H=pd(n), Gamma0=mat(n, n),
+        eta0=mat(n, 1)[:, 0],
+    )
+    for law in _laws(spec, N, Tolerance(ode_step=T / 40)):
+        want = kronecker_cost(spec, law, N, step=T / 20)
+        got = expected_social_cost(spec, law, N, step=T / 20)
+        assert abs(got - want) <= 1e-12 * abs(want), law.mf_source
 
 
 def test_gap_curve_exact_is_noiseless_and_decreasing(spec_sec6_finite):

@@ -3,6 +3,7 @@ import pytest
 
 from mfsoc.linalg import Tolerance, is_hurwitz, lift_msq
 from mfsoc.model import ProblemSpec, constant_signal, zero_signal
+from mfsoc.riccati import solve_finite_N
 from mfsoc.stability import (
     check_detectability_suite,
     check_ms_stable,
@@ -106,6 +107,30 @@ def test_uniform_convexity_indefinite_benchmark(spec_sec6_finite):
     verdict, _ = check_uniform_convexity(spec_sec6_finite, N_small=2)
     # indefinite R with a short horizon: still convex thanks to the noise
     assert verdict in ("uniformly_convex", "convex")
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_uniform_convexity_witness_is_population_upsilon(spec_sec6_finite, N):
+    # the stacked equation's control weight is block-diagonal in Upsilon_N
+    _, witness = check_uniform_convexity(spec_sec6_finite, N_small=N)
+    assert witness == solve_finite_N(spec_sec6_finite, N=N).min_upsilon_eig
+
+
+def test_uniform_convexity_any_population(spec_sec6_finite):
+    verdict, witness = check_uniform_convexity(spec_sec6_finite, N_small=10)
+    assert verdict == "uniformly_convex" and witness > 0.0
+
+
+def test_uniform_convexity_negative_weight():
+    # Upsilon = R + D'HD = -1 at the horizon: no convexity certificate
+    spec = ProblemSpec(
+        n=1, r=1, A=0.1, B=1.0, C=1.0, D=1.0, G=-0.1, Q=1.0, R=-2.0,
+        Gamma=-0.2, f=zero_signal(1), sigma=zero_signal(1), eta=zero_signal(1),
+        x0_mean=[0.0], x0_cov=[[1.0]], N=4, horizon=0.5, H=[[1.0]],
+    )
+    verdict, witness = check_uniform_convexity(spec, N_small=2)
+    assert verdict == "indeterminate"
+    assert isinstance(witness, float) and witness <= -1.0
 
 
 def test_theorem_verdicts_agree_wellposed(spec_wellposed):
