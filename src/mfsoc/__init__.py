@@ -27,4 +27,4 @@ from .social import (
     gap_curve_exact,
 )
 from .stability import check_ms_stable, check_stabilizable, stability_report
-from .synthesis import ControlLaw, build_centralized_law, build_law, closed_loop
+from .synthesis import ControlLaw, build_law

@@ -235,7 +235,7 @@ def _cmd_simulate(args):
                     seed=args.seed, thinning=args.thinning)
     N = args.N or spec.N
     out_sim = simulate_population(spec, law, cfg, N=N,
-                                  collect_agents=args.agents, tol=tol)
+                                  collect_agents=args.agents)
     out = _outdir(args)
     man = _manifest(args, "simulate", {"N": N, "agents": args.agents, "pin_P": args.pin_P})
     _write_json(os.path.join(out, "manifest.json"), man)
@@ -337,7 +337,7 @@ def _cmd_reproduce(args):
     cfg = SimConfig(dt=args.dt, T_sim=args.T, replications=1,
                     seed=args.seed, thinning=args.thinning)
     n_show = min(30, spec.N)
-    out_sim = simulate_population(spec, law, cfg, collect_agents=n_show, tol=tol)
+    out_sim = simulate_population(spec, law, cfg, collect_agents=n_show)
 
     header = ["t"] + [f"agent_{a}" for a in range(n_show)]
     rows = [[out_sim.grid[k]] + [out_sim.trajectories[a, k, 0] for a in range(n_show)]
@@ -347,7 +347,7 @@ def _cmd_reproduce(args):
     # population average vs mean-field trajectory under one fresh run
     cfg2 = SimConfig(dt=args.dt, T_sim=args.T, replications=1,
                      seed=args.seed, thinning=args.thinning)
-    out_all = simulate_population(spec, law, cfg2, collect_agents=spec.N, tol=tol)
+    out_all = simulate_population(spec, law, cfg2, collect_agents=spec.N)
     xhatN = out_all.trajectories[:, :, 0].mean(axis=0)
     xbar = law.xbar_at(out_all.grid)[:, 0]
     _write_csv(os.path.join(out, "fig2.csv"), ["t", "xhatN", "xbar"],

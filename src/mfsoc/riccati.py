@@ -1,18 +1,24 @@
-"""Riccati-type solvers.
+"""Riccati-type solvers for one family: the population-N pair (P, K).
 
-Finite horizon: the coupled backward triple (P, K, s) in its limit form and
-its population-N form, plus the deterministic mean-field trajectory they
-induce.  Infinite horizon: the two algebraic equations for P and Pi (solved
-by backward integration to steady state plus a damped-Newton polish), the
+Pi = P + K, and the diffusion sees M = P + K/N; the limit form is N = None,
+where M = P.  The pair algebra (Upsilon = R + D'MD, the gain numerators,
+the P equation and the aggregate equation for Pi, the closed loops and the
+offset forcing) is written once, in ``_Pair``, and every solver reads it.
+
+Finite horizon: the coupled backward triple (P, K, s) in either form, plus
+the deterministic mean-field trajectory it induces.  Infinite horizon: the
+algebraic pair in either form (pseudo-time integration from scaled-identity
+seeds plus a damped-Newton polish; the limit form solves P, then Pi), the
 L2 offset s(t), and the mean-field ODE.  All solvers use the pseudoinverse
-of Upsilon = R + D'PD so exactly singular control weights are handled, and
-every solution carries the range-inclusion report the feedback formulas
-require.
+of Upsilon so exactly singular control weights are handled, and every
+solution carries the range-inclusion report the feedback formulas require.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +30,6 @@ from .linalg import (
     is_hurwitz,
     lift_msq,
     pinv,
-    spectral_abscissa,
     symmetrize,
 )
 from .model import ProblemSpec, DerivedWeights, derive_weights, require_valid
@@ -85,7 +90,11 @@ class RiccatiFiniteSolution:
 
 @dataclass
 class RiccatiInfiniteSolution:
-    """Constant P, Pi with the offset and mean-field trajectories on [0, T_sim]."""
+    """Constant P, Pi with the offset and mean-field trajectories on [0, T_sim].
+
+    population is None for the limit form; for the population-N form Pi is
+    P + K and xbar is the expected population average.
+    """
 
     P: np.ndarray
     Pi: np.ndarray
@@ -96,6 +105,11 @@ class RiccatiInfiniteSolution:
     residual_P: float
     residual_Pi: float
     closed_loop_abscissa: float
+    population: int | None = None
+
+    @property
+    def K(self):
+        return self.Pi - self.P
 
     def s_at(self, t):
         return grid_interp(self.grid, self.s, t)
@@ -116,6 +130,100 @@ class RangeReport:
 
     def failing(self):
         return [name for name, (ok, _) in self.inclusions.items() if not ok]
+
+
+# ---------------------------------------------------------------------------
+# the pair algebra
+# ---------------------------------------------------------------------------
+
+
+class _Plant(NamedTuple):
+    """The matrices the pair equations read; AG = A + G and Q_agg = Q - Q_Gamma
+    are the drift and state weight of the aggregate equation."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    AG: np.ndarray
+    Q_agg: np.ndarray
+
+
+def _plant(spec: ProblemSpec, dw=None) -> _Plant:
+    dw = dw or derive_weights(spec)
+    return _Plant(spec.A, spec.B, spec.C, spec.D, spec.Q, spec.R,
+                  spec.A + spec.G, spec.Q - dw.Q_Gamma)
+
+
+class _Pair:
+    """The pair at one point (P, Pi), K = Pi - P.
+
+    M = P + K/N is the weight the diffusion sees (M = P in the limit form,
+    N None), Ups = R + D'MD the control weight, Psi = B'P + D'MC and
+    Theta = B'Pi + D'MC the numerators of the individual and aggregate
+    gains.  P and Pi may carry a leading knot axis for the gain formulas;
+    the residuals, loops and rates are for a single point.
+    """
+
+    def __init__(self, plant: _Plant, P, Pi, N, tol: Tolerance):
+        self.plant, self.P, self.Pi = plant, P, Pi
+        self.M = P if N is None else P + (Pi - P) / N
+        self.DM = plant.D.T @ self.M
+        self.Ups = plant.R + self.DM @ plant.D
+        self.Ui = (pinv(self.Ups, tol) if self.Ups.ndim == 2
+                   else np.stack([pinv(U, tol) for U in self.Ups]))
+        self.DMC = self.DM @ plant.C
+        self.CMC = plant.C.T @ self.M @ plant.C
+        self.Psi = plant.B.T @ P + self.DMC
+
+    # only the aggregate uses need these, so they are computed on access
+    @property
+    def K(self):
+        return self.Pi - self.P
+
+    @property
+    def Theta(self):
+        return self.plant.B.T @ self.Pi + self.DMC
+
+    def residual_P(self):
+        """A'P + PA + C'MC + Q - Psi' Ups^+ Psi."""
+        p = self.plant
+        return (p.A.T @ self.P + self.P @ p.A + self.CMC + p.Q
+                - self.Psi.T @ self.Ui @ self.Psi)
+
+    def residual_Pi(self):
+        """The aggregate equation (A+G)'Pi + Pi(A+G) + C'MC + Q - Q_Gamma
+        - Theta' Ups^+ Theta: the sum of the P and K equations."""
+        p = self.plant
+        return (p.AG.T @ self.Pi + self.Pi @ p.AG + (p.Q_agg + self.CMC)
+                - self.Theta.T @ self.Ui @ self.Theta)
+
+    def individual_loop(self):
+        """A - B Ups^+ Psi and C - D Ups^+ Psi, the loop of one agent's own state."""
+        p = self.plant
+        return p.A - p.B @ self.Ui @ self.Psi, p.C - p.D @ self.Ui @ self.Psi
+
+    @cached_property
+    def aggregate_loop(self):
+        """A + G - B Ups^+ Theta and C - D Ups^+ Theta, the loop of the mean."""
+        p, Theta = self.plant, self.Theta
+        return p.AG - p.B @ self.Ui @ Theta, p.C - p.D @ self.Ui @ Theta
+
+    def offset_numerator(self, s, sig):
+        """B's + D'M sigma; s and sigma may carry a leading time axis."""
+        return (self.plant.B.T @ s[..., None] + self.DM @ sig[..., None])[..., 0]
+
+    def offset_forcing(self, f, sig, eta_bar):
+        """g in the offset equation ds/dt = -(Acl's + g): Pi f + Ccl'M sigma - eta_bar."""
+        Ccl = self.aggregate_loop[1]
+        return self.Pi @ f + Ccl.T @ self.M @ sig - eta_bar
+
+    def mean_rate(self, x, s, f, sig):
+        """dxbar/dt = Acl xbar - B Ups^+ (B's + D'M sigma) + f."""
+        Acl = self.aggregate_loop[0]
+        return Acl @ x - self.plant.B @ self.Ui @ self.offset_numerator(s, sig) + f
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +252,15 @@ def _scalar_fn(sig):
 
 def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | None):
     """Backward RHS d/dt [P, K, s] for the limit (N=None) or population-N form."""
-    A, B, C, D = spec.A, spec.B, spec.C, spec.D
-    G, Q, R = spec.G, spec.Q, spec.R
-    n = spec.n
     f_sig, sig_sig, etab_sig = spec.f, spec.sigma, dw.eta_bar
-    AT, BT, CT, DT, GT = A.T, B.T, C.T, D.T, G.T
-    AG = A + G
-    AGT = AG.T
-    QG = dw.Q_Gamma
+    n = spec.n
 
     if n == 1 and spec.r == 1:
-        # scalar specialization: plain float arithmetic is ~10x faster and
-        # follows the matrix branch line by line
-        a, b, c, d = A[0, 0], B[0, 0], C[0, 0], D[0, 0]
-        gc, q, rw, qg = G[0, 0], Q[0, 0], R[0, 0], QG[0, 0]
+        # scalar specialization: plain float arithmetic is ~10x faster; it
+        # writes out the K equation, which the matrix branch forms as the
+        # aggregate equation minus the P equation
+        a, b, c, d = spec.A[0, 0], spec.B[0, 0], spec.C[0, 0], spec.D[0, 0]
+        gc, q, rw, qg = spec.G[0, 0], spec.Q[0, 0], spec.R[0, 0], dw.Q_Gamma[0, 0]
         ag = a + gc
         fv = _scalar_fn(f_sig)
         sv = _scalar_fn(sig_sig)
@@ -180,26 +283,16 @@ def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | 
 
         return rhs_scalar
 
+    plant = _plant(spec, dw)
+
     def rhs(t, y):
         P, K, s = _unpack(y, n)
-        M = P + K / N if N is not None else P  # weight seen by the diffusion
-        MC = M @ C
-        Ups = R + DT @ (M @ D)
-        Ui = pinv(Ups, tol)
-        Psi = BT @ P + DT @ MC
-        Theta = Psi + BT @ K
-        UiPsi = Ui @ Psi
-        UiTheta = Ui @ Theta
-        quadP = Psi.T @ UiPsi
-        # the three cross/quadratic terms of the coupling equation telescope:
-        # Psi'Ui(B'K) + (B'K)'Ui Psi + (B'K)'Ui(B'K) = Theta'Ui Theta - quadP
-        dP = -(AT @ P + P @ A + CT @ MC + Q - quadP)
-        dK = -(AGT @ K + K @ AG + GT @ P + P @ G
-               - Theta.T @ UiTheta + quadP - QG)
-        Acl = AG - B @ UiTheta
-        Ccl = C - D @ UiTheta
-        ds = -(Acl.T @ s + (P + K) @ f_sig(t) + Ccl.T @ (M @ sig_sig(t)) - etab_sig(t))
-        return _pack(dP, dK, ds)
+        pair = _Pair(plant, P, P + K, N, tol)
+        rP = pair.residual_P()
+        Acl = pair.aggregate_loop[0]
+        ds = -(Acl.T @ s + pair.offset_forcing(f_sig(t), sig_sig(t), etab_sig(t)))
+        # the K equation is the aggregate equation minus the P equation
+        return _pack(-rP, rP - pair.residual_Pi(), ds)
 
     return rhs
 
@@ -260,9 +353,7 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
     for j, k in enumerate(order):
         P, K, s = _unpack(ys[k], n)
         Ps[j], Ks[j], ss[j] = P, K, s
-    D, R = spec.D, spec.R
-    Ms = Ps + Ks / N if N is not None else Ps
-    Ups = R[None, :, :] + np.einsum("kr,tkl,ls->trs", D, Ms, D)
+    Ups = _Pair(_plant(spec, dw), Ps, Ps + Ks, N, tol).Ups
     min_eig = float(min(np.linalg.eigvalsh(U).min() for U in Ups))
     if require_convex and min_eig < -tol.residual_tol:
         raise SolverError(
@@ -291,16 +382,12 @@ def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance
 
     Forward ODE for xbar on the solution grid; returns (grid, xbar).
     """
-    dw = derive_weights(spec)
-    B, C, D = spec.B, spec.C, spec.D
+    plant = _plant(spec)
 
     def rhs(t, x):
-        P, K, s, Ups = sol.at(t)
-        M = P + K / sol.population if sol.population is not None else P
-        Ui = pinv(Ups, tol)
-        Theta = B.T @ (P + K) + D.T @ M @ C
-        Acl = spec.A + spec.G - B @ Ui @ Theta
-        return Acl @ x - B @ Ui @ (B.T @ s + D.T @ M @ spec.sigma(t)) + spec.f(t)
+        P, K, s, _ = sol.at(t)
+        pair = _Pair(plant, P, P + K, sol.population, tol)
+        return pair.mean_rate(x, s, spec.f(t), spec.sigma(t))
 
     ts, xs = integrate_ode(rhs, 0.0, spec.horizon, spec.x0_mean, tol.ode_step)
     return ts, xs
@@ -310,178 +397,150 @@ def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance
 # infinite horizon
 # ---------------------------------------------------------------------------
 
-
-def _sym_basis(n):
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0
-            basis.append(E)
-    return basis
+_SEEDS = (0.0, 1.0, 5.0)   # every unknown block starts the flow at c I
 
 
-def _newton_polish(residual_fn, X0, tol, max_iter=60):
-    """Damped Newton on a symmetric matrix residual, FD Jacobian over the
-    symmetric basis, least-squares step, backtracking line search."""
-    basis = _sym_basis(X0.shape[0])
-    X = symmetrize(X0.copy())
-    rnorm = np.linalg.norm(residual_fn(X))
-    for _ in range(max_iter):
-        if rnorm <= 0.1 * tol.residual_tol:
-            break
-        r0 = residual_fn(X).ravel()
-        eps = 1e-7 * (1.0 + np.linalg.norm(X))
-        J = np.column_stack(
-            [(residual_fn(X + eps * E).ravel() - r0) / eps for E in basis]
-        )
-        delta = np.linalg.lstsq(J, -r0, rcond=None)[0]
-        step = sum(d * E for d, E in zip(delta, basis))
-        lam = 1.0
-        improved = False
-        for _ in range(30):
-            Xn = symmetrize(X + lam * step)
-            rn = np.linalg.norm(residual_fn(Xn))
-            if rn < rnorm:
-                X, rnorm = Xn, rn
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-    return X, rnorm
+def _stabilizing_root(residual, failure, shape, tol):
+    """Root of residual(y) = 0, y a flat stack of symmetric n x n unknowns.
 
-
-def solve_stochastic_are(A, B, C, D, Q, R, tol: Tolerance = DEFAULT_TOL,
-                         fixed_gain=None, max_horizon=200.0, chunk=10.0,
-                         seeds=(0.0, 1.0, 5.0), step=None):
-    """Stabilizing solution of a state-dependent-noise algebraic Riccati equation.
-
-    Full mode (fixed_gain None): solves
-        A'X + XA + C'XC + Q - Psi' Ups^+ Psi = 0,  Psi = B'X + D'XC,
-        Ups = R + D'XD.
-    Pinned mode (fixed_gain = (Ups, L)): solves, with Ups and the cross term
-    L held constant,
-        A'X + XA + Q - (B'X + L)' Ups^+ (B'X + L) = 0.
-    (Callers fold any constant C'PC contribution into Q.)
-
-    Strategy: integrate the matching differential equation backward from
-    scaled-identity terminal seeds until the derivative norm stalls below
-    threshold, then polish with damped Newton.  Raises SolverError with the
-    per-seed diagnostics if no seed reaches a converged, sign-feasible root.
+    From each seed the flow dY/dtau = -residual(Y) runs in pseudo-time
+    chunks of 10 units (200 at most) until the residual norm is below 1e-6
+    or stops halving; damped Newton (finite-difference Jacobian over the
+    symmetric basis, least-squares step, backtracking) then polishes.  The
+    first root that failure(y) finds nothing wrong with is returned;
+    otherwise SolverError carries every seed's diagnostic.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    n = A.shape[0]
-    step = step or max(tol.ode_step, 1e-3)
-
-    if fixed_gain is None:
-        def residual(X):
-            Ups = R + D.T @ X @ D
-            Psi = B.T @ X + D.T @ X @ C
-            return symmetrize(A.T @ X + X @ A + C.T @ X @ C + Q - Psi.T @ pinv(Ups, tol) @ Psi)
-
-        def upsilon(X):
-            return R + D.T @ X @ D
-
-        def stabilizing(X):
-            # the admissible branch makes the individual loop mean-square stable
-            Ui = pinv(upsilon(X), tol)
-            Psi = B.T @ X + D.T @ X @ C
-            Acl = A - B @ Ui @ Psi
-            Ccl = C - D @ Ui @ Psi
-            return is_hurwitz(lift_msq(Acl, Ccl), tol)
-    else:
-        Ups0, L0 = fixed_gain
-        Ups0 = np.atleast_2d(np.asarray(Ups0, dtype=float))
-        L0 = np.atleast_2d(np.asarray(L0, dtype=float))
-        Ui0 = pinv(Ups0, tol)
-
-        def residual(X):
-            Psi = B.T @ X + L0
-            return symmetrize(A.T @ X + X @ A + Q - Psi.T @ Ui0 @ Psi)
-
-        def upsilon(X):
-            return Ups0
-
-        def stabilizing(X):
-            # here the admissible branch makes the mean-trajectory loop Hurwitz
-            return is_hurwitz(A - B @ Ui0 @ (B.T @ X + L0), tol)
-
-    def rhs(t, y):
-        X = y.reshape(n, n)
-        return -residual(X).ravel()
+    blocks, n, _ = shape
+    step = max(tol.ode_step, 1e-3)
+    dirs = []
+    for b in range(blocks):
+        for i in range(n):
+            for j in range(i, n):
+                E = np.zeros(shape)
+                E[b, i, j] = E[b, j, i] = 1.0
+                dirs.append(E.ravel())
 
     def project(y):
-        return symmetrize(y.reshape(n, n)).ravel()
+        Y = y.reshape(shape)
+        return (0.5 * (Y + Y.transpose(0, 2, 1))).ravel()
+
+    def polish(y):
+        r = residual(y)
+        rnorm = np.linalg.norm(r)
+        for _ in range(60):
+            if rnorm <= 0.1 * tol.residual_tol:
+                break
+            eps = 1e-7 * (1.0 + np.linalg.norm(y))
+            J = np.column_stack([(residual(y + eps * d) - r) / eps for d in dirs])
+            delta = np.linalg.lstsq(J, -r, rcond=None)[0]
+            dy = sum(c * d for c, d in zip(delta, dirs))
+            lam = 1.0
+            for _ in range(30):
+                yn = project(y + lam * dy)
+                rn = residual(yn)
+                nn = np.linalg.norm(rn)
+                if nn < rnorm:
+                    y, r, rnorm = yn, rn, nn
+                    break
+                lam *= 0.5
+            else:
+                break
+        return y, rnorm
 
     failures = []
-    for scale in seeds:
-        X = scale * np.eye(n)
-        t_done = 0.0
-        converged = False
-        prev_norm = np.inf
+    for c in _SEEDS:
+        y = np.tile(c * np.eye(n), (blocks, 1, 1)).ravel()
+        done, prev = 0.0, np.inf
         try:
-            while t_done < max_horizon:
-                span = min(chunk, max_horizon - t_done)
-                # backward equation integrated in pseudo-time
-                _, ys = integrate_ode(rhs, 0.0, -span, X.ravel(), step, project=project)
-                X = ys[-1].reshape(n, n)
-                t_done += span
-                rnow = np.linalg.norm(residual(X))
-                if rnow <= 1e-6:
-                    converged = True
+            while done < 200.0:
+                _, ys = integrate_ode(lambda t, v: -residual(v), 0.0, -10.0, y, step, project=project)
+                y = ys[-1]
+                done += 10.0
+                rnow = np.linalg.norm(residual(y))
+                # converged, or stalled (perhaps orbiting a singular-Upsilon
+                # surface): the Newton polish decides whether the basin is usable
+                if rnow <= 1e-6 or rnow > 0.5 * prev:
                     break
-                if rnow > 0.5 * prev_norm:
-                    # stalled (or orbiting a singular-Upsilon surface): the
-                    # Newton polish decides whether this basin is usable
-                    break
-                prev_norm = rnow
+                prev = rnow
         except BlowUpError as exc:
-            failures.append(f"seed {scale}: blow-up after {t_done + abs(exc.time):.3g} pseudo-time units")
+            failures.append(f"seed {c}: blow-up after {done + abs(exc.time):.3g} pseudo-time units")
             continue
-        if not converged:
-            X, rnorm = _newton_polish(residual, X, tol)
-            if rnorm > tol.residual_tol:
-                failures.append(
-                    f"seed {scale}: no steady state after {t_done:g} pseudo-time units "
-                    f"(|residual| = {rnorm:.3g})"
-                )
-                continue
-            converged = True
-        X, rnorm = _newton_polish(residual, X, tol)
-        min_eig = float(np.linalg.eigvalsh(upsilon(X)).min())
+        y, rnorm = polish(y)
         if rnorm > tol.residual_tol:
-            failures.append(f"seed {scale}: Newton stalled at residual {rnorm:.3g}")
+            failures.append(f"seed {c}: no steady state after {done:g} pseudo-time units "
+                            f"(|residual| = {rnorm:.3g})")
             continue
-        if min_eig < -tol.residual_tol:
-            failures.append(f"seed {scale}: converged but Upsilon indefinite (min eig {min_eig:.3g})")
+        why = failure(y)
+        if why is not None:
+            failures.append(f"seed {c}: {why}")
             continue
-        ok, absc = stabilizing(X)
-        if not ok:
-            failures.append(
-                f"seed {scale}: converged to a non-stabilizing root "
-                f"(closed-loop abscissa {absc:.3g})"
-            )
-            continue
-        return symmetrize(X), rnorm
+        return y
     raise SolverError(
         "algebraic Riccati solve failed for every terminal seed: " + "; ".join(failures)
     )
 
 
-def _offset_and_mean(spec, dw, P, Pi, Ups, tol, t_sim):
-    """Backward offset s(t) and forward mean-field xbar(t) on [0, t_sim]."""
-    A, B, C, D, G = spec.A, spec.B, spec.C, spec.D, spec.G
-    Ui = pinv(Ups, tol)
-    L = D.T @ P @ C
-    Theta = B.T @ Pi + L
-    Hcl = A + G - B @ Ui @ Theta
-    Ccl = C - D @ Ui @ Theta
+def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
+    """Stabilizing root of the steady pair equations.
+
+    The unknowns are P (unless given) and Pi (if with_Pi).  A free P must
+    leave Upsilon >= 0 and the individual loop mean-square stable; a free Pi
+    must make the aggregate loop Hurwitz.
+    """
+    free_P = P is None
+    n = plant.A.shape[0]
+    shape = (free_P + with_Pi, n, n)
+
+    def pair(y):
+        Y = y.reshape(shape)
+        P_ = Y[0] if free_P else P
+        return _Pair(plant, P_, Y[-1] if with_Pi else P_, N, tol)
+
+    def residual(y):
+        p = pair(y)
+        if not with_Pi:
+            return symmetrize(p.residual_P()).ravel()
+        if not free_P:
+            return symmetrize(p.residual_Pi()).ravel()
+        return np.concatenate([symmetrize(p.residual_P()).ravel(),
+                               symmetrize(p.residual_Pi()).ravel()])
+
+    def failure(y):
+        p = pair(y)
+        min_eig = float(np.linalg.eigvalsh(p.Ups).min())
+        if min_eig < -tol.residual_tol:
+            return f"converged but Upsilon indefinite (min eig {min_eig:.3g})"
+        if free_P:
+            ok, absc = is_hurwitz(lift_msq(*p.individual_loop()), tol)
+            if not ok:
+                return f"converged to a non-stabilizing root (lifted abscissa {absc:.3g})"
+        if with_Pi:
+            ok, absc = is_hurwitz(p.aggregate_loop[0], tol)
+            if not ok:
+                return f"aggregate closed loop not Hurwitz (abscissa {absc:.3g})"
+        return None
+
+    return pair(_stabilizing_root(residual, failure, shape, tol))
+
+
+def solve_stochastic_are(A, B, C, D, Q, R, tol: Tolerance = DEFAULT_TOL):
+    """Stabilizing solution of a state-dependent-noise algebraic Riccati equation
+
+        A'X + XA + C'XC + Q - Psi' Ups^+ Psi = 0,  Psi = B'X + D'XC,
+        Ups = R + D'XD,
+
+    with Ups >= 0 and a mean-square stable closed loop.  Returns (X, |residual|);
+    raises SolverError with the per-seed diagnostics if no seed reaches one.
+    """
+    A, B, C, D, Q, R = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C, D, Q, R))
+    # no Pi equation here, so its drift and weight slots are placeholders
+    pair = _pair_root(_Plant(A, B, C, D, Q, R, A, Q), None, tol, with_Pi=False)
+    return pair.P, np.linalg.norm(symmetrize(pair.residual_P()))
+
+
+def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
+    """Backward offset s(t) and forward mean xbar(t) on [0, t_sim]."""
+    Hcl = pair.aggregate_loop[0]
     ok, absc = is_hurwitz(Hcl, tol)
     if not ok:
         raise SolverError(
@@ -491,217 +550,7 @@ def _offset_and_mean(spec, dw, P, Pi, Ups, tol, t_sim):
         )
 
     def g(t):
-        return Pi @ spec.f(t) + Ccl.T @ P @ spec.sigma(t) - dw.eta_bar(t)
-
-    tail = min(400.0, max(20.0, np.log(1e14) / max(1e-3, -absc)))
-    t_far = t_sim + tail
-    s_far = -np.linalg.solve(Hcl.T, g(t_far))
-
-    def s_rhs(t, s):
-        return -(Hcl.T @ s + g(t))
-
-    ts, ss = integrate_ode(s_rhs, t_far, 0.0, s_far, tol.ode_step)
-    order = np.argsort(ts)
-    ts, ss = ts[order], ss[order]
-    keep = ts <= t_sim + 1e-12
-    grid, s_traj = ts[keep], ss[keep]
-
-    def x_rhs(t, x):
-        s_t = grid_interp(grid, s_traj, min(t, grid[-1]))
-        return Hcl @ x - B @ Ui @ (B.T @ s_t + D.T @ P @ spec.sigma(t)) + spec.f(t)
-
-    tx, xs = integrate_ode(x_rhs, 0.0, t_sim, spec.x0_mean, tol.ode_step)
-    # resample s on the xbar grid so both live on one uniform grid
-    s_on = grid_interp(grid, s_traj, tx)
-    return tx, s_on, xs, absc
-
-
-def solve_are(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20.0,
-              pin_P=None) -> RiccatiInfiniteSolution:
-    """Full infinite-horizon pipeline: P, Pi, offset s, mean-field xbar.
-
-    pin_P, when given, bypasses the P equation and uses the supplied matrix
-    (its algebraic residual is still computed and reported); the Pi
-    equation, offset, and mean field are solved at that P.
-    """
-    require_valid(spec)
-    if not spec.infinite_horizon:
-        raise SolverError("infinite-horizon solver called on a finite-horizon problem")
-    dw = derive_weights(spec)
-    A, B, C, D, Q, R, G = spec.A, spec.B, spec.C, spec.D, spec.Q, spec.R, spec.G
-
-    def p_residual(X):
-        Ups = R + D.T @ X @ D
-        Psi = B.T @ X + D.T @ X @ C
-        return symmetrize(A.T @ X + X @ A + C.T @ X @ C + Q - Psi.T @ pinv(Ups, tol) @ Psi)
-
-    if pin_P is not None:
-        P = symmetrize(np.atleast_2d(np.asarray(pin_P, dtype=float)))
-        residual_P = float(np.linalg.norm(p_residual(P)))
-    else:
-        P, residual_P = solve_stochastic_are(A, B, C, D, Q, R, tol)
-
-    Ups = symmetrize(R + D.T @ P @ D)
-    min_eig = float(np.linalg.eigvalsh(Ups).min())
-    if min_eig < -tol.residual_tol:
-        raise SolverError(f"Upsilon = R + D'PD indefinite (min eig {min_eig:.3g})")
-
-    L = D.T @ P @ C
-    S = symmetrize(Q - dw.Q_Gamma + C.T @ P @ C)
-    Pi, residual_Pi = solve_stochastic_are(
-        A + G, B, C, D, S, R, tol, fixed_gain=(Ups, L)
-    )
-
-    grid, s_traj, xbar, absc = _offset_and_mean(spec, dw, P, Pi, Ups, tol, t_sim)
-    return RiccatiInfiniteSolution(
-        P=P, Pi=Pi, Upsilon=Ups, grid=grid, s=s_traj, xbar=xbar,
-        residual_P=residual_P, residual_Pi=residual_Pi, closed_loop_abscissa=absc,
-    )
-
-
-@dataclass
-class SteadyNSolution:
-    """Steady-state population-N quantities for the centralized benchmark."""
-
-    P: np.ndarray
-    K: np.ndarray
-    Upsilon: np.ndarray
-    grid: np.ndarray
-    s: np.ndarray
-    N: int
-    residual: float
-
-
-def solve_are_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20.0,
-                N: int | None = None) -> SteadyNSolution:
-    """Algebraic steady state of the coupled population-N pair plus offset.
-
-    Solves the two coupled quadratic equations jointly (stacked backward
-    integration + Newton on the stacked residual), then the linear offset
-    equation backward, mirroring solve_are.
-    """
-    require_valid(spec)
-    N = spec.N if N is None else int(N)
-    dw = derive_weights(spec)
-    A, B, C, D, Q, R, G = spec.A, spec.B, spec.C, spec.D, spec.Q, spec.R, spec.G
-    n = spec.n
-
-    def residual_pair(P, K):
-        M = P + K / N
-        Ups = R + D.T @ M @ D
-        Ui = pinv(Ups, tol)
-        Psi = B.T @ P + D.T @ M @ C
-        rP = symmetrize(A.T @ P + P @ A + C.T @ M @ C + Q - Psi.T @ Ui @ Psi)
-        BK = B.T @ K
-        rK = symmetrize(
-            (A + G).T @ K + K @ (A + G) + G.T @ P + P @ G
-            - Psi.T @ Ui @ BK - BK.T @ Ui @ Psi - BK.T @ Ui @ BK - dw.Q_Gamma
-        )
-        return rP, rK
-
-    def rhs(t, y):
-        P = y[: n * n].reshape(n, n)
-        K = y[n * n :].reshape(n, n)
-        rP, rK = residual_pair(P, K)
-        return -np.concatenate([rP.ravel(), rK.ravel()])
-
-    def project(y):
-        P = symmetrize(y[: n * n].reshape(n, n))
-        K = symmetrize(y[n * n :].reshape(n, n))
-        return np.concatenate([P.ravel(), K.ravel()])
-
-    step = max(tol.ode_step, 1e-3)
-    basis = _sym_basis(n)
-    dirs = [np.concatenate([E.ravel(), np.zeros(n * n)]) for E in basis]
-    dirs += [np.concatenate([np.zeros(n * n), E.ravel()]) for E in basis]
-
-    def vec_res(y):
-        P = y[: n * n].reshape(n, n)
-        K = y[n * n :].reshape(n, n)
-        rP, rK = residual_pair(P, K)
-        return np.concatenate([rP.ravel(), rK.ravel()])
-
-    def polish(y):
-        rnorm = np.linalg.norm(vec_res(y))
-        for _ in range(60):
-            if rnorm <= 0.1 * tol.residual_tol:
-                break
-            r0 = vec_res(y)
-            eps = 1e-7 * (1.0 + np.linalg.norm(y))
-            J = np.column_stack([(vec_res(y + eps * d) - r0) / eps for d in dirs])
-            delta = np.linalg.lstsq(J, -r0, rcond=None)[0]
-            step_vec = sum(d * v for d, v in zip(delta, dirs))
-            lam, improved = 1.0, False
-            for _ in range(30):
-                yn = project(y + lam * step_vec)
-                rn = np.linalg.norm(vec_res(yn))
-                if rn < rnorm:
-                    y, rnorm, improved = yn, rn, True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
-        return y, rnorm
-
-    failures = []
-    found = None
-    for scale in (0.0, 1.0, 5.0):
-        y = np.concatenate([(scale * np.eye(n)).ravel(), np.zeros(n * n)])
-        t_done = 0.0
-        prev_norm = np.inf
-        try:
-            while t_done < 200.0:
-                _, ys = integrate_ode(rhs, 0.0, -10.0, y, step, project=project)
-                y = ys[-1]
-                t_done += 10.0
-                rnow = np.linalg.norm(rhs(0.0, y))
-                if rnow <= 1e-6 or rnow > 0.5 * prev_norm:
-                    break
-                prev_norm = rnow
-        except BlowUpError:
-            failures.append(f"seed {scale}: blow-up")
-            continue
-        y, rnorm = polish(y)
-        if rnorm > tol.residual_tol:
-            failures.append(f"seed {scale}: Newton stalled at residual {rnorm:.3g}")
-            continue
-        P = y[: n * n].reshape(n, n)
-        K = y[n * n :].reshape(n, n)
-        M = P + K / N
-        Ups = symmetrize(R + D.T @ M @ D)
-        min_eig = float(np.linalg.eigvalsh(Ups).min())
-        if min_eig < -tol.residual_tol:
-            failures.append(
-                f"seed {scale}: Upsilon indefinite at steady state (min eig {min_eig:.3g})"
-            )
-            continue
-        Ui = pinv(Ups, tol)
-        Theta = B.T @ (P + K) + D.T @ M @ C
-        Hcl = A + G - B @ Ui @ Theta
-        Ccl = C - D @ Ui @ Theta
-        ok, absc = is_hurwitz(Hcl, tol)
-        if not ok:
-            failures.append(
-                f"seed {scale}: aggregate closed loop not Hurwitz (abscissa {absc:.3g})"
-            )
-            continue
-        ok, lifted = is_hurwitz(lift_msq(A - B @ Ui @ (B.T @ P + D.T @ M @ C),
-                                         C - D @ Ui @ (B.T @ P + D.T @ M @ C)), tol)
-        if not ok:
-            failures.append(
-                f"seed {scale}: non-stabilizing root (lifted abscissa {lifted:.3g})"
-            )
-            continue
-        found = (P, K, M, Ups, Ui, Hcl, Ccl, absc, rnorm)
-        break
-    if found is None:
-        raise SolverError(
-            "population-N steady state not found: " + "; ".join(failures)
-        )
-    P, K, M, Ups, Ui, Hcl, Ccl, absc, rnorm = found
-
-    def g(t):
-        return (P + K) @ spec.f(t) + Ccl.T @ M @ spec.sigma(t) - dw.eta_bar(t)
+        return pair.offset_forcing(spec.f(t), spec.sigma(t), dw.eta_bar(t))
 
     tail = min(400.0, max(20.0, np.log(1e14) / max(1e-3, -absc)))
     t_far = t_sim + tail
@@ -710,9 +559,63 @@ def solve_are_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 
     order = np.argsort(ts)
     ts, ss = ts[order], ss[order]
     keep = ts <= t_sim + 1e-12
-    return SteadyNSolution(
-        P=P, K=K, Upsilon=Ups, grid=ts[keep], s=ss[keep], N=N, residual=float(rnorm)
+    grid, s_traj = ts[keep], ss[keep]
+
+    def x_rhs(t, x):
+        s_t = grid_interp(grid, s_traj, min(t, grid[-1]))
+        return pair.mean_rate(x, s_t, spec.f(t), spec.sigma(t))
+
+    tx, xs = integrate_ode(x_rhs, 0.0, t_sim, spec.x0_mean, tol.ode_step)
+    # resample s on the xbar grid so both live on one uniform grid
+    s_on = grid_interp(grid, s_traj, tx)
+    return tx, s_on, xs, absc
+
+
+def _solve_steady(spec: ProblemSpec, tol: Tolerance, t_sim: float, N: int | None,
+                  pin_P=None) -> RiccatiInfiniteSolution:
+    """Steady pair with its offset and mean field, limit form for N None.
+
+    The limit form's P equation does not involve Pi, so P is solved (or
+    pinned) first and Pi second; the population form solves (P, Pi) jointly.
+    A pinned P's own residual is still computed and reported.
+    """
+    require_valid(spec)
+    if not spec.infinite_horizon:
+        raise SolverError("infinite-horizon solver called on a finite-horizon problem")
+    if N is not None and N < 1:
+        raise SolverError("population size must be >= 1")
+    dw = derive_weights(spec)
+    plant = _plant(spec, dw)
+    P = None
+    if pin_P is not None:
+        P = symmetrize(np.atleast_2d(np.asarray(pin_P, dtype=float)))
+    elif N is None:
+        P = _pair_root(plant, None, tol, with_Pi=False).P
+    pair = _pair_root(plant, N, tol, P=P)
+    grid, s, xbar, absc = _offset_and_mean(spec, dw, pair, tol, t_sim)
+    return RiccatiInfiniteSolution(
+        P=pair.P, Pi=pair.Pi, Upsilon=symmetrize(pair.Ups), grid=grid, s=s, xbar=xbar,
+        residual_P=np.linalg.norm(symmetrize(pair.residual_P())),
+        residual_Pi=np.linalg.norm(symmetrize(pair.residual_Pi())),
+        closed_loop_abscissa=absc, population=N,
     )
+
+
+def solve_are(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20.0,
+              pin_P=None) -> RiccatiInfiniteSolution:
+    """Limit-form infinite-horizon pipeline: P, Pi, offset s, mean-field xbar.
+
+    pin_P, when given, bypasses the P equation and uses the supplied matrix
+    (its algebraic residual is still computed and reported); the Pi
+    equation, offset, and mean field are solved at that P.
+    """
+    return _solve_steady(spec, tol, t_sim, None, pin_P)
+
+
+def solve_are_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20.0,
+                N: int | None = None) -> RiccatiInfiniteSolution:
+    """Population-N steady pair (the centralized benchmark's gains)."""
+    return _solve_steady(spec, tol, t_sim, spec.N if N is None else int(N))
 
 
 # ---------------------------------------------------------------------------
@@ -720,49 +623,47 @@ def solve_are_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 
 # ---------------------------------------------------------------------------
 
 
-def _inclusion(Ups, X, tol):
+def _solution_pair(sol, spec: ProblemSpec, tol: Tolerance, stride: int = 1) -> _Pair:
+    """Pair algebra of a solution: once for an infinite one, at every
+    stride-th knot of a finite one."""
+    if isinstance(sol, RiccatiInfiniteSolution):
+        return _Pair(_plant(spec), sol.P, sol.Pi, sol.population, tol)
+    P = sol.P[::stride]
+    return _Pair(_plant(spec), P, P + sol.K[::stride], sol.population, tol)
+
+
+def _inclusion(Ups, Ui, X, tol):
     """Is every column of X in the range of the symmetric matrix Ups?"""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] != Ups.shape[0]:
         X = X.reshape(Ups.shape[0], -1)
-    proj = (np.eye(Ups.shape[0]) - Ups @ pinv(Ups, tol)) @ X
+    proj = (np.eye(Ups.shape[0]) - Ups @ Ui) @ X
     res = float(np.linalg.norm(proj))
     return res <= tol.residual_tol * (1.0 + float(np.linalg.norm(X))), res
 
 
 def check_ranges(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> RangeReport:
-    """Range-inclusion report for a finite or infinite solution.
+    """Range-inclusion report for any Riccati solution.
 
-    Finite horizon: worst knot over the grid for each inclusion.
-    Infinite horizon: one check per inclusion.
+    The feedback gain B'P + D'MC, the mean-field gain B'K and the offset
+    B's + D'M sigma must lie in the range of Upsilon.  Infinite horizon:
+    the constant gains once and the offset over the whole grid as one
+    matrix.  Finite horizon: the worst of about 400 evenly spaced knots.
     """
-    B, C, D = spec.B, spec.C, spec.D
-    report = RangeReport()
+    B = spec.B
     if isinstance(sol, RiccatiInfiniteSolution):
-        Ups = sol.Upsilon
-        checks = {
-            "feedback_gain": B.T @ sol.P + D.T @ sol.P @ C,
-            "meanfield_gain": B.T @ (sol.Pi - sol.P),
-            "offset": (B.T @ sol.s.T + (D.T @ sol.P @ spec.sigma(sol.grid).T)),
-        }
-        for name, X in checks.items():
-            report.inclusions[name] = _inclusion(Ups, X, tol)
-        return report
-    # finite horizon: scan the grid, record the worst residual
-    names = ("feedback_gain", "meanfield_gain", "offset")
-    worst = {name: (True, 0.0) for name in names}
-    stride = max(1, sol.grid.size // 400)
-    for k in range(0, sol.grid.size, stride):
-        P, K, s, Ups = sol.P[k], sol.K[k], sol.s[k], sol.Upsilon[k]
-        M = P + K / sol.population if sol.population is not None else P
-        checks = {
-            "feedback_gain": B.T @ P + D.T @ M @ C,
-            "meanfield_gain": B.T @ K,
-            "offset": B.T @ s + D.T @ M @ spec.sigma(sol.grid[k]),
-        }
-        for name, X in checks.items():
-            ok, res = _inclusion(Ups, X, tol)
-            pok, pres = worst[name]
-            worst[name] = (pok and ok, max(pres, res))
-    report.inclusions.update(worst)
+        pair = _solution_pair(sol, spec, tol)
+        offsets = pair.offset_numerator(sol.s, spec.sigma(sol.grid))
+        points = [(pair.Ups, pair.Ui, pair.Psi, B.T @ pair.K, offsets.T)]
+    else:
+        stride = max(1, sol.grid.size // 400)
+        pair = _solution_pair(sol, spec, tol, stride)
+        offsets = pair.offset_numerator(sol.s[::stride], spec.sigma(sol.grid[::stride]))
+        points = zip(pair.Ups, pair.Ui, pair.Psi, B.T @ pair.K, offsets)
+    report = RangeReport()
+    for Ups, Ui, *numerators in points:
+        for name, X in zip(("feedback_gain", "meanfield_gain", "offset"), numerators):
+            ok, res = _inclusion(Ups, Ui, X, tol)
+            prev_ok, prev_res = report.inclusions.get(name, (True, 0.0))
+            report.inclusions[name] = (prev_ok and ok, max(prev_res, res))
     return report

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, lift_msq, spectral_abscissa
+from .linalg import lift_msq, spectral_abscissa
 from .model import ProblemSpec, agent_rng, initial_chol
 from .riccati import grid_interp
 from .synthesis import ControlLaw
@@ -98,8 +98,7 @@ def _tail_bound(spec, law, T, integrand_end):
 
 def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
                         N: int | None = None, coupling: str = "empirical",
-                        collect_agents: int = 0,
-                        tol: Tolerance = DEFAULT_TOL) -> SimulationOutput:
+                        collect_agents: int = 0) -> SimulationOutput:
     """Simulate N agents under a feedback law.
 
     coupling="empirical": the dynamics/cost coupling term uses the live
@@ -239,14 +238,13 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     )
 
 
-def simulate_meanfield_type(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
-                            tol: Tolerance = DEFAULT_TOL) -> SimulationOutput:
+def simulate_meanfield_type(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig) -> SimulationOutput:
     """Single-agent system whose coupling is the analytic mean trajectory.
 
     The mean of the closed-loop state coincides with the stored mean-field
     path, so the expectation in the dynamics/cost is replaced by it.
     """
-    return simulate_population(spec, law, cfg, N=1, coupling="xbar", tol=tol)
+    return simulate_population(spec, law, cfg, N=1, coupling="xbar")
 
 
 def evaluate_cost(grid, X, U, ref, spec: ProblemSpec):

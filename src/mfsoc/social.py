@@ -29,7 +29,7 @@ from .riccati import (
     solve_finite_N,
 )
 from .simulator import SimConfig, SimulationOutput, simulate_population
-from .synthesis import build_centralized_law, build_law
+from .synthesis import build_law
 
 
 @dataclass
@@ -66,8 +66,8 @@ def centralized_cost(spec: ProblemSpec, N: int, cfg: SimConfig,
         sol = solve_are_N(spec, tol, t_sim=cfg.horizon_for(spec), N=N)
     else:
         sol = solve_finite_N(spec, tol, N=N)
-    law = build_centralized_law(sol, spec, tol)
-    return simulate_population(spec, law, cfg, N=N, tol=tol)
+    law = build_law(sol, spec, tol)
+    return simulate_population(spec, law, cfg, N=N)
 
 
 def gap_curve(spec: ProblemSpec, N_values, cfg: SimConfig,
@@ -91,7 +91,7 @@ def gap_curve(spec: ProblemSpec, N_values, cfg: SimConfig,
     eps = np.empty(N_values.size)
     eps_se = np.empty(N_values.size)
     for j, N in enumerate(N_values):
-        out_d = simulate_population(spec, dec_law, cfg, N=int(N), tol=tol)
+        out_d = simulate_population(spec, dec_law, cfg, N=int(N))
         out_c = centralized_cost(spec, int(N), cfg, tol)
         dec[j] = out_d.social_cost / N
         cen[j] = out_c.social_cost / N
@@ -111,9 +111,7 @@ def _moment2(P1, P2, c, m, S, Y):
     return P1 @ S @ P1.T + cross + cross.T + P2 @ Y @ P2.T + mc + mc.T + np.outer(c, c)
 
 
-def expected_social_cost(spec: ProblemSpec, law, N: int,
-                         step: float = 2e-4,
-                         tol: Tolerance = DEFAULT_TOL) -> float:
+def expected_social_cost(spec: ProblemSpec, law, N: int, step: float = 2e-4) -> float:
     """Exact per-agent social cost of the N-population under a law.
 
     The agents start i.i.d. and share one symmetric law, so the closed loop
@@ -185,9 +183,9 @@ def gap_curve_exact(spec: ProblemSpec, N_values, step: float = 2e-4,
     cen = np.empty(N_values.size)
     for j, N in enumerate(N_values):
         solN = solve_finite_N(spec, tol, N=int(N))
-        cen_law = build_centralized_law(solN, spec, tol)
-        dec[j] = expected_social_cost(spec, dec_law, int(N), step, tol)
-        cen[j] = expected_social_cost(spec, cen_law, int(N), step, tol)
+        cen_law = build_law(solN, spec, tol)
+        dec[j] = expected_social_cost(spec, dec_law, int(N), step)
+        cen[j] = expected_social_cost(spec, cen_law, int(N), step)
     zero = np.zeros(N_values.size)
     return GapCurve(N_values, dec, cen, zero.copy(), zero.copy(),
                     dec - cen, zero.copy())

@@ -1,9 +1,12 @@
 """Control-law assembly.
 
-Turns Riccati solutions into the gain/offset representation the simulator
-consumes: u_i(t) = F_self(t) x_i(t) + F_mf(t) w(t) + g(t), where w is the
-precomputed mean-field trajectory for the decentralized laws and the live
-empirical average for the centralized benchmark.
+Turns any Riccati solution (finite or infinite horizon, limit form or
+population-N form) into the gain/offset representation the simulator
+consumes: u_i(t) = F_self(t) x_i(t) + F_mf(t) w(t) + g(t), with
+F_self = -Ups^+ (B'P + D'MC), F_mf = -Ups^+ B'K and
+g = -Ups^+ (B's + D'M sigma), where M = P + K/N (M = P in the limit form).
+w is the precomputed mean-field trajectory for a limit-form (decentralized)
+law and the live empirical average for a population-N (centralized) law.
 """
 
 from __future__ import annotations
@@ -12,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, pinv
+from .linalg import DEFAULT_TOL, Tolerance
 from .model import ProblemSpec
 from .riccati import (
     RiccatiFiniteSolution,
-    RiccatiInfiniteSolution,
     SolverError,
-    SteadyNSolution,
+    _solution_pair,
     check_ranges,
     grid_interp,
     meanfield_path,
@@ -58,35 +60,6 @@ class ControlLaw:
     def xbar_at(self, t):
         return grid_interp(self.grid, self.xbar, t)
 
-    def offset_at(self, t):
-        """F_mf xbar + g for the decentralized case (vector offset)."""
-        F = self.F_mf_at(t)
-        xb = self.xbar_at(t)
-        if np.asarray(t).ndim == 0:
-            return F @ xb + self.g_at(t)
-        return np.einsum("trn,tn->tr", F, xb) + self.g_at(t)
-
-    def eval(self, t, x):
-        """Control at time t for own state x (uses the stored mean field)."""
-        if self.mf_source != "xbar":
-            raise ValueError("centralized law needs the empirical average; use eval_centralized")
-        return self.F_self_at(t) @ x + self.offset_at(t)
-
-    def eval_centralized(self, t, x, x_avg):
-        return self.F_self_at(t) @ x + self.F_mf_at(t) @ x_avg + self.g_at(t)
-
-
-@dataclass
-class ClosedLoop:
-    """Per-knot closed-loop matrices A + B F_self and C + D F_self."""
-
-    grid: np.ndarray
-    A_cl: np.ndarray  # (m, n, n)
-    C_cl: np.ndarray  # (m, n, n)
-
-    def at(self, t):
-        return grid_interp(self.grid, self.A_cl, t), grid_interp(self.grid, self.C_cl, t)
-
 
 def _require_ranges(sol, spec, tol):
     rep = check_ranges(sol, spec, tol)
@@ -100,91 +73,28 @@ def _require_ranges(sol, spec, tol):
 
 def build_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
               check: bool = True) -> ControlLaw:
-    """Decentralized law from a finite or infinite Riccati solution."""
-    B, C, D = spec.B, spec.C, spec.D
-    if isinstance(sol, RiccatiInfiniteSolution):
-        if check:
-            _require_ranges(sol, spec, tol)
-        Ui = pinv(sol.Upsilon, tol)
-        Fs = -Ui @ (B.T @ sol.P + D.T @ sol.P @ C)
-        Fm = -Ui @ (B.T @ (sol.Pi - sol.P))
-        m = sol.grid.size
-        sig = spec.sigma(sol.grid)
-        g = -(sol.s @ B @ Ui.T) - sig @ (D.T @ sol.P).T @ Ui.T
-        return ControlLaw(
-            grid=sol.grid.copy(),
-            F_self=np.broadcast_to(Fs, (m,) + Fs.shape).copy(),
-            F_mf=np.broadcast_to(Fm, (m,) + Fm.shape).copy(),
-            g=g,
-            xbar=sol.xbar.copy(),
-            mf_source="xbar",
-            horizon="infinite",
-        )
-    if not isinstance(sol, RiccatiFiniteSolution) or sol.population is not None:
-        raise SolverError("build_law expects the limit-form finite solution or an infinite solution")
+    """Feedback law from a finite or infinite, limit-form or population-N solution.
+
+    A limit-form solution (population None) gives the decentralized law on
+    the stored mean field; a population-N solution gives the centralized
+    benchmark on the live empirical average.
+    """
     if check:
         _require_ranges(sol, spec, tol)
-    m = sol.grid.size
-    r, n = spec.r, spec.n
-    Fs = np.empty((m, r, n))
-    Fm = np.empty((m, r, n))
-    g = np.empty((m, r))
-    sig = spec.sigma(sol.grid)
-    for k in range(m):
-        Ui = pinv(sol.Upsilon[k], tol)
-        P, K, s = sol.P[k], sol.K[k], sol.s[k]
-        Fs[k] = -Ui @ (B.T @ P + D.T @ P @ C)
-        Fm[k] = -Ui @ (B.T @ K)
-        g[k] = -Ui @ (B.T @ s + D.T @ P @ sig[k])
-    _, xbar = meanfield_path(spec, sol, tol)
-    return ControlLaw(grid=sol.grid.copy(), F_self=Fs, F_mf=Fm, g=g,
-                      xbar=xbar, mf_source="xbar", horizon="finite")
-
-
-def build_centralized_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
-                          check: bool = True) -> ControlLaw:
-    """Centralized benchmark law (feedback on the live empirical average)."""
-    B, C, D = spec.B, spec.C, spec.D
-    if isinstance(sol, SteadyNSolution):
-        M = sol.P + sol.K / sol.N
-        Ui = pinv(sol.Upsilon, tol)
-        Fs = -Ui @ (B.T @ sol.P + D.T @ M @ C)
-        Fm = -Ui @ (B.T @ sol.K)
-        m = sol.grid.size
-        sig = spec.sigma(sol.grid)
-        g = -(sol.s @ B @ Ui.T) - sig @ (D.T @ M).T @ Ui.T
-        return ControlLaw(
-            grid=sol.grid.copy(),
-            F_self=np.broadcast_to(Fs, (m,) + Fs.shape).copy(),
-            F_mf=np.broadcast_to(Fm, (m,) + Fm.shape).copy(),
-            g=g,
-            xbar=np.zeros((m, spec.n)),
-            mf_source="empirical",
-            horizon="infinite",
-        )
-    if not isinstance(sol, RiccatiFiniteSolution) or sol.population is None:
-        raise SolverError("build_centralized_law expects a population-N solution")
-    if check:
-        _require_ranges(sol, spec, tol)
-    N = sol.population
-    m = sol.grid.size
-    r, n = spec.r, spec.n
-    Fs = np.empty((m, r, n))
-    Fm = np.empty((m, r, n))
-    g = np.empty((m, r))
-    sig = spec.sigma(sol.grid)
-    for k in range(m):
-        Ui = pinv(sol.Upsilon[k], tol)
-        P, K, s = sol.P[k], sol.K[k], sol.s[k]
-        M = P + K / N
-        Fs[k] = -Ui @ (B.T @ P + D.T @ M @ C)
-        Fm[k] = -Ui @ (B.T @ K)
-        g[k] = -Ui @ (B.T @ s + D.T @ M @ sig[k])
-    return ControlLaw(grid=sol.grid.copy(), F_self=Fs, F_mf=Fm, g=g,
-                      xbar=np.zeros((m, n)), mf_source="empirical", horizon="finite")
-
-
-def closed_loop(law: ControlLaw, spec: ProblemSpec) -> ClosedLoop:
-    A_cl = spec.A[None, :, :] + np.einsum("nr,trk->tnk", spec.B, law.F_self)
-    C_cl = spec.C[None, :, :] + np.einsum("nr,trk->tnk", spec.D, law.F_self)
-    return ClosedLoop(grid=law.grid.copy(), A_cl=A_cl, C_cl=C_cl)
+    finite = isinstance(sol, RiccatiFiniteSolution)
+    pair = _solution_pair(sol, spec, tol)
+    m, shape = sol.grid.size, (sol.grid.size, spec.r, spec.n)
+    g = -(pair.Ui @ pair.offset_numerator(sol.s, spec.sigma(sol.grid))[..., None])[..., 0]
+    if sol.population is not None:
+        xbar, mf_source = np.zeros((m, spec.n)), "empirical"
+    elif finite:
+        xbar, mf_source = meanfield_path(spec, sol, tol)[1], "xbar"
+    else:
+        xbar, mf_source = sol.xbar.copy(), "xbar"
+    return ControlLaw(
+        grid=sol.grid.copy(),
+        F_self=np.broadcast_to(-pair.Ui @ pair.Psi, shape).copy(),
+        F_mf=np.broadcast_to(-pair.Ui @ (spec.B.T @ pair.K), shape).copy(),
+        g=g, xbar=xbar, mf_source=mf_source,
+        horizon="finite" if finite else "infinite",
+    )

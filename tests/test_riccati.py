@@ -195,6 +195,35 @@ def test_are_definite_case_matches_scipy():
         assert res < 1e-8
 
 
+def test_every_steady_form_matches_scipy_without_noise():
+    # with C = D = 0 the weight M drops out of both equations, so in every
+    # form P solves the standard CARE and Pi = P + K solves it on the
+    # averaged pair with state weight (I - Gamma)'Q(I - Gamma) = Q - Q_Gamma
+    rng = np.random.default_rng(11)
+    n = 2
+    for _ in range(3):
+        A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+        B = rng.standard_normal((n, 1))
+        G = 0.3 * rng.standard_normal((n, n))
+        Gam = 0.3 * rng.standard_normal((n, n))
+        spec = ProblemSpec(
+            n=n, r=1, A=A, B=B, C=np.zeros((n, n)), D=np.zeros((n, 1)), G=G,
+            Q=np.eye(n), R=np.eye(1), Gamma=Gam, f=zero_signal(n),
+            sigma=zero_signal(n), eta=zero_signal(n), x0_mean=np.ones(n),
+            x0_cov=0.1 * np.eye(n), N=10,
+        )
+        IG = np.eye(n) - Gam
+        want_P = scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(1))
+        want_Pi = scipy.linalg.solve_continuous_are(A + G, B, IG.T @ IG, np.eye(1))
+        tol = Tolerance(ode_step=1e-2)
+        sols = [solve_are(spec, tol, t_sim=1.0)]
+        sols += [solve_are_N(spec, tol, t_sim=1.0, N=N) for N in (2, 50)]
+        for sol in sols:
+            np.testing.assert_allclose(sol.P, want_P, atol=1e-8)
+            np.testing.assert_allclose(sol.Pi, want_Pi, atol=1e-8)
+            assert max(sol.residual_P, sol.residual_Pi) < 1e-8
+
+
 def test_are_picks_stabilizing_root(spec_wellposed, sol_wellposed):
     # the equation 9 P^2 - 4.4 P + 0.2 = 0 has two roots with positive
     # control weight; only the larger one stabilizes the closed loop
@@ -239,7 +268,8 @@ def test_offset_decays(spec_wellposed, sol_wellposed):
 
 def test_steady_population_pair(spec_wellposed, sol_wellposed):
     solN = solve_are_N(spec_wellposed, t_sim=10.0, N=10000)
-    assert solN.residual < 1e-8
+    assert solN.population == 10000
+    assert solN.residual_P < 1e-8 and solN.residual_Pi < 1e-8
     # at huge N the individual matrix matches the limit equation
     assert solN.P[0, 0] == pytest.approx(sol_wellposed.P[0, 0], abs=1e-3)
     # and P + K approaches the mean-trajectory matrix

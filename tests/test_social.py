@@ -13,7 +13,7 @@ from mfsoc.social import (
     gap_curve,
     gap_curve_exact,
 )
-from mfsoc.synthesis import build_centralized_law, build_law
+from mfsoc.synthesis import build_law
 
 
 def kronecker_cost(spec, law, N, step):
@@ -83,7 +83,7 @@ def _stacked_quad(M, W, ref, mu, S, N):
 
 def _laws(spec, N, tol=Tolerance()):
     dec = build_law(solve_finite_limit(spec, tol), spec, tol)
-    cen = build_centralized_law(solve_finite_N(spec, tol, N=N), spec, tol)
+    cen = build_law(solve_finite_N(spec, tol, N=N), spec, tol)
     return dec, cen
 
 

@@ -3,13 +3,8 @@ import pytest
 
 from mfsoc.linalg import pinv
 from mfsoc.model import ProblemSpec, zero_signal, constant_signal
-from mfsoc.riccati import solve_are, solve_are_N, solve_finite_N, solve_finite_limit
-from mfsoc.synthesis import (
-    RangeConditionError,
-    build_centralized_law,
-    build_law,
-    closed_loop,
-)
+from mfsoc.riccati import check_ranges, solve_are, solve_are_N, solve_finite_N
+from mfsoc.synthesis import RangeConditionError, build_law
 
 
 def test_infinite_law_gains(spec_wellposed, sol_wellposed):
@@ -35,14 +30,6 @@ def test_infinite_law_offset_formula(spec_wellposed, sol_wellposed):
     np.testing.assert_allclose(law.g[k], want, atol=1e-12)
 
 
-def test_eval_matches_components(spec_wellposed, sol_wellposed):
-    law = build_law(sol_wellposed, spec_wellposed)
-    t, x = 1.234, np.array([0.7])
-    u = law.eval(t, x)
-    want = law.F_self_at(t) @ x + law.F_mf_at(t) @ law.xbar_at(t) + law.g_at(t)
-    np.testing.assert_allclose(u, want)
-
-
 def test_finite_law_terminal_gain(spec_sec6_finite, sol_sec6_finite):
     law = build_law(sol_sec6_finite, spec_sec6_finite)
     k = -1  # terminal knot: P(T) = H = 1
@@ -55,31 +42,40 @@ def test_finite_law_terminal_gain(spec_sec6_finite, sol_sec6_finite):
 
 def test_centralized_law_uses_empirical_average(spec_sec6_finite):
     solN = solve_finite_N(spec_sec6_finite, N=8)
-    law = build_centralized_law(solN, spec_sec6_finite)
+    law = build_law(solN, spec_sec6_finite)
     assert law.mf_source == "empirical"
-    u = law.eval_centralized(0.1, np.array([1.0]), np.array([0.5]))
-    want = law.F_self_at(0.1) @ [1.0] + law.F_mf_at(0.1) @ [0.5] + law.g_at(0.1)
-    np.testing.assert_allclose(u, want)
-    with pytest.raises(ValueError):
-        law.eval(0.1, np.array([1.0]))
 
 
 def test_centralized_steady_law(spec_wellposed):
     solN = solve_are_N(spec_wellposed, t_sim=5.0, N=20)
-    law = build_centralized_law(solN, spec_wellposed)
+    law = build_law(solN, spec_wellposed)
     assert law.mf_source == "empirical"
     M = solN.P + solN.K / 20
     Ui = pinv(solN.Upsilon)
     want = -Ui @ (spec_wellposed.B.T @ solN.P + spec_wellposed.D.T @ M @ spec_wellposed.C)
     np.testing.assert_allclose(law.F_self[0], want)
+    k = law.grid.size // 3
+    want_g = -Ui @ (spec_wellposed.B.T @ solN.s[k]
+                    + spec_wellposed.D.T @ M @ spec_wellposed.sigma(law.grid[k]))
+    np.testing.assert_allclose(law.g[k], want_g, atol=1e-12)
 
 
-def test_law_type_mismatch(spec_sec6_finite, sol_sec6_finite):
-    solN = solve_finite_N(spec_sec6_finite, N=4)
-    with pytest.raises(Exception):
-        build_law(solN, spec_sec6_finite)          # population solution
-    with pytest.raises(Exception):
-        build_centralized_law(sol_sec6_finite, spec_sec6_finite)  # limit solution
+def test_build_law_picks_mf_source(spec_sec6_finite, sol_sec6_finite, spec_wellposed,
+                                   sol_wellposed):
+    # the population field alone decides what F_mf multiplies
+    cases = [
+        (sol_sec6_finite, spec_sec6_finite, "xbar", "finite"),
+        (solve_finite_N(spec_sec6_finite, N=4), spec_sec6_finite, "empirical", "finite"),
+        (sol_wellposed, spec_wellposed, "xbar", "infinite"),
+        (solve_are_N(spec_wellposed, t_sim=2.0, N=4), spec_wellposed, "empirical", "infinite"),
+    ]
+    for sol, spec, source, horizon in cases:
+        law = build_law(sol, spec)
+        assert (law.mf_source, law.horizon) == (source, horizon)
+        if source == "xbar":
+            assert law.xbar[0, 0] == pytest.approx(spec.x0_mean[0])
+        else:
+            np.testing.assert_allclose(law.xbar, 0.0)
 
 
 def test_range_condition_refusal():
@@ -98,9 +94,16 @@ def test_range_condition_refusal():
     np.testing.assert_allclose(law.F_self, 0.0)
 
 
-def test_closed_loop_matrices(spec_wellposed, sol_wellposed):
-    law = build_law(sol_wellposed, spec_wellposed)
-    cl = closed_loop(law, spec_wellposed)
-    A_cl, C_cl = cl.at(0.0)
-    np.testing.assert_allclose(A_cl, spec_wellposed.A + spec_wellposed.B @ law.F_self[0])
-    np.testing.assert_allclose(C_cl, spec_wellposed.C + spec_wellposed.D @ law.F_self[0])
+def test_range_condition_refusal_population_form():
+    # the same dead channel at population N: Upsilon = 0 must refuse the
+    # centralized law too
+    spec = ProblemSpec(
+        n=1, r=1, A=-1.0, B=1.0, C=0.0, D=0.0, G=0.0, Q=1.0, R=0.0,
+        Gamma=0.0, f=zero_signal(1), sigma=zero_signal(1), eta=zero_signal(1),
+        x0_mean=[1.0], x0_cov=[[0.0]], N=2,
+    )
+    sol = solve_are_N(spec, t_sim=2.0, N=2)
+    assert sol.P[0, 0] == pytest.approx(0.5)
+    assert not check_ranges(sol, spec).inclusions["feedback_gain"][0]
+    with pytest.raises(RangeConditionError):
+        build_law(sol, spec)
