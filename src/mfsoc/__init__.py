@@ -8,7 +8,7 @@ quadratic weights.
 __version__ = "0.1.0"
 
 from .linalg import DEFAULT_TOL, Tolerance
-from .model import ProblemSpec, Signal, derive_weights, sample_initials, validate
+from .model import ProblemSpec, Signal, derive_weights, validate
 from .riccati import (
     RiccatiFiniteSolution,
     RiccatiInfiniteSolution,

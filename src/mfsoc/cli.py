@@ -31,7 +31,7 @@ from .riccati import (
 )
 from .simulator import DivergenceError, SimConfig, simulate_population
 from .social import asymptotic_value, gap_curve
-from .stability import stability_report
+from .stability import _stability_report, _try_solve_are, stability_report
 from .synthesis import build_law
 
 EXIT_OK = 0
@@ -319,12 +319,12 @@ def _cmd_reproduce(args):
     mh = man["manifest_hash"]
 
     # infinite-horizon solve; fall back to the published reference root when
-    # the equation admits no root of its own (recorded in the output)
-    pinned = False
-    try:
-        sol = solve_are(spec, tol, t_sim=args.T)
-    except SolverError:
-        pinned = True
+    # the equation admits no root of its own (recorded in the output).  The
+    # unpinned outcome is handed on to the stability battery.
+    are = _try_solve_are(spec, tol, args.T)
+    sol, _ = are
+    pinned = sol is None
+    if pinned:
         sol = solve_are(spec, tol, t_sim=args.T, pin_P=_REFERENCE_P * np.eye(spec.n))
     _write_json(os.path.join(out, "riccati.json"), {
         "manifest_hash": mh,
@@ -385,7 +385,7 @@ def _cmd_reproduce(args):
         payload = {"manifest_hash": mh, "error": str(exc)}
     _write_json(os.path.join(out, "value.json"), payload)
 
-    rep = stability_report(spec, tol, t_sim=args.T)
+    rep = _stability_report(spec, tol, are)
     check_payload = {"manifest_hash": mh}
     check_payload.update(rep.to_json())
     _write_json(os.path.join(out, "check.json"), check_payload)

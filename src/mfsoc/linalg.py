@@ -2,7 +2,8 @@
 
 Pseudoinverse with an explicit rank cutoff, the second-moment (Kronecker)
 lift used for mean-square stability tests, Hurwitz tests, a fixed-step RK4
-integrator, and trapezoidal quadrature.  All functions are pure and
+integrator whose rate reads its time dependence by stage index from tables
+on ``rk4_grid``, and trapezoidal quadrature.  All functions are pure and
 deterministic; everything operates on plain numpy arrays.
 """
 
@@ -122,44 +123,61 @@ def is_hurwitz(M, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return a < -tol.residual_tol, a
 
 
-def integrate_ode(rhs, t0: float, t1: float, y0, step: float, project=None):
+def rk4_grid(t0: float, t1: float, step: float) -> np.ndarray:
+    """Stage times of fixed-step RK4 from t0 to t1: 2*steps + 1 of them.
+
+    Even indices are the knots (the first is t0, the last exactly t1), odd
+    indices the midpoints, so the step from knot k reads stages 2k, 2k + 1
+    and 2k + 2.  The step count is round(|t1 - t0| / step), at least one
+    unless t0 == t1.
+    """
+    if step <= 0:
+        raise LinalgError("rk4_grid: step must be positive")
+    steps = max(1, int(round(abs(t1 - t0) / step))) if t1 != t0 else 0
+    h = (t1 - t0) / max(steps, 1)
+    ts = np.empty(2 * steps + 1)
+    ts[0::2] = t0 + h * np.arange(steps + 1)
+    ts[1::2] = ts[:-1:2] + h / 2
+    ts[-1] = t1
+    return ts
+
+
+def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None):
     """Classical fixed-step RK4 on a uniform grid including both endpoints.
 
-    ``rhs(t, y)`` maps a flat state vector to its derivative.  Reversed
-    integration (``t1 < t0``) is supported for backward equations; the
-    returned grid always runs from t0 to t1 in step order.  ``project``,
-    if given, is applied to the state after every accepted step (used by
-    the Riccati solvers to re-symmetrize).
+    ``rate(j, y)`` maps a flat state vector to its derivative at the stage
+    time ``rk4_grid(t0, t1, step)[j]``, so a time-dependent rate reads
+    tables tabulated once on that grid.  Reversed integration (``t1 < t0``)
+    is supported for backward equations; the returned knots always run from
+    t0 to t1 in step order.  ``project``, if given, is applied to the state
+    after every accepted step (used by the Riccati solvers to
+    re-symmetrize).
 
     Raises :class:`BlowUpError` as soon as the state becomes non-finite or
     its norm exceeds 1e12, reporting the time of failure.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
-    if step <= 0:
-        raise LinalgError("integrate_ode: step must be positive")
-    span = t1 - t0
-    if span == 0:
-        return np.array([t0]), y0[None, :].copy()
-    nsteps = max(1, int(round(abs(span) / step)))
-    h = span / nsteps
-    ts = t0 + h * np.arange(nsteps + 1)
-    ts[-1] = t1
-    ys = np.empty((nsteps + 1, y0.size))
+    ts = rk4_grid(t0, t1, step)
+    steps = ts.size // 2
+    ys = np.empty((steps + 1, y0.size))
     ys[0] = y0
+    if steps == 0:
+        return ts, ys
+    h = (t1 - t0) / steps
     y = y0.copy()
-    for k in range(nsteps):
-        t = ts[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
+    for k in range(steps):
+        j = 2 * k
+        k1 = rate(j, y)
+        k2 = rate(j + 1, y + (h / 2) * k1)
+        k3 = rate(j + 1, y + (h / 2) * k2)
+        k4 = rate(j + 2, y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if project is not None:
             y = project(y)
         if not np.all(np.isfinite(y)) or np.linalg.norm(y) > 1e12:
-            raise BlowUpError(ts[k + 1])
+            raise BlowUpError(ts[j + 2])
         ys[k + 1] = y
-    return ts, ys
+    return ts[::2].copy(), ys
 
 
 def quadrature(values, grid=None, dx: float | None = None) -> float:

@@ -60,10 +60,6 @@ class Signal:
             t = np.asarray(self.times, dtype=float)
             if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
                 raise ModelError("sampled signal requires a strictly increasing grid")
-        if self.kind == "constant":
-            object.__setattr__(self, "_v", np.atleast_1d(np.asarray(self.value, dtype=float)))
-        elif self.kind in ("exponential", "rational"):
-            object.__setattr__(self, "_a", np.atleast_1d(np.asarray(self.a, dtype=float)))
 
     @property
     def dim(self) -> int:
@@ -80,20 +76,9 @@ class Signal:
     def __call__(self, t):
         """Evaluate at scalar t or a 1-d array of times.
 
-        Returns shape (dim,) for scalar t, (len(t), dim) otherwise.
+        Returns shape (dim,) for scalar t, (len(t), dim) otherwise.  The ODE
+        solvers tabulate a signal once on their stage grid with one call.
         """
-        if isinstance(t, float) or isinstance(t, int):
-            # scalar fast path: the ODE right-hand sides hit this hard
-            if self.kind == "constant":
-                return self._v
-            if self.kind == "exponential":
-                return self._a * np.exp(self.b * t)
-            if self.kind == "rational":
-                return self._a / (t + self.c)
-            if self.kind == "sum":
-                return sum(term(t) for term in self.terms)
-            if self.kind == "scaled":
-                return np.atleast_2d(self.matrix) @ self.inner(t)
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
@@ -166,6 +151,15 @@ def zero_signal(dim: int) -> Signal:
     return constant_signal(np.zeros(dim))
 
 
+_SYM_SLACK = 1e-10
+
+
+def _nearly_symmetric(M) -> bool:
+    """Square with asymmetry at most 1e-10 relative to the norm."""
+    return (M.shape[0] == M.shape[1]
+            and np.max(np.abs(M - M.T)) <= _SYM_SLACK * (1.0 + np.linalg.norm(M)))
+
+
 @dataclass
 class ProblemSpec:
     """Full description of one mean-field social control problem.
@@ -210,21 +204,20 @@ class ProblemSpec:
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
         self.Gamma0 = np.atleast_2d(np.asarray(self.Gamma0, dtype=float))
         self.eta0 = np.atleast_1d(np.asarray(self.eta0, dtype=float))
+        # weights symmetric up to the slack are stored exactly symmetric;
+        # larger asymmetry is kept for validate() to report
+        for name in ("Q", "R", "H", "x0_cov"):
+            M = getattr(self, name)
+            if _nearly_symmetric(M):
+                setattr(self, name, symmetrize(M))
 
     @property
     def infinite_horizon(self) -> bool:
         return self.horizon is None
 
     def with_horizon(self, T: float | None, H=None, Gamma0=None, eta0=None) -> "ProblemSpec":
-        out = replace(self)
-        out.horizon = T
-        if H is not None:
-            out.H = np.atleast_2d(np.asarray(H, dtype=float))
-        if Gamma0 is not None:
-            out.Gamma0 = np.atleast_2d(np.asarray(Gamma0, dtype=float))
-        if eta0 is not None:
-            out.eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
-        return out
+        terminal = {"H": H, "Gamma0": Gamma0, "eta0": eta0}
+        return replace(self, horizon=T, **{k: v for k, v in terminal.items() if v is not None})
 
     # -- JSON round trip -------------------------------------------------
 
@@ -297,14 +290,12 @@ class Violation:
         return f"[{self.code}] {self.message}"
 
 
-_SYM_SLACK = 1e-10
-
-
 def validate(spec: ProblemSpec) -> list[Violation]:
     """Check every structural invariant; returns an empty list when valid.
 
-    Symmetric weight matrices with asymmetry below 1e-10 (relative) are
-    symmetrized in place; larger asymmetry is reported as a violation.
+    A pure check: the spec is not modified.  Q, R, H and x0_cov with
+    asymmetry above 1e-10 (relative) are reported; smaller asymmetry was
+    already removed when the spec was constructed.
     """
     out: list[Violation] = []
     n, r = spec.n, spec.r
@@ -330,21 +321,14 @@ def validate(spec: ProblemSpec) -> list[Violation]:
             out.append(Violation("dimension", f"signal {name} has dim {sig.dim}, expected {n}"))
     for name in ("Q", "R", "H"):
         M = getattr(spec, name)
-        if M.shape[0] != M.shape[1]:
-            continue
-        skew = np.max(np.abs(M - M.T))
-        if skew <= _SYM_SLACK * (1.0 + np.linalg.norm(M)):
-            M[...] = symmetrize(M)
-        else:
+        if M.shape[0] == M.shape[1] and not _nearly_symmetric(M):
+            skew = np.max(np.abs(M - M.T))
             out.append(Violation("asymmetry", f"{name} is asymmetric (max skew {skew:.3g})"))
     if spec.x0_cov.shape == (n, n):
-        skew = np.max(np.abs(spec.x0_cov - spec.x0_cov.T))
-        if skew <= _SYM_SLACK * (1.0 + np.linalg.norm(spec.x0_cov)):
-            spec.x0_cov[...] = symmetrize(spec.x0_cov)
-            if np.min(np.linalg.eigvalsh(spec.x0_cov)) < -1e-10:
-                out.append(Violation("not_psd", "x0_cov has a negative eigenvalue"))
-        else:
+        if not _nearly_symmetric(spec.x0_cov):
             out.append(Violation("asymmetry", "x0_cov is asymmetric"))
+        elif np.min(np.linalg.eigvalsh(spec.x0_cov)) < -1e-10:
+            out.append(Violation("not_psd", "x0_cov has a negative eigenvalue"))
     if spec.N < 1:
         out.append(Violation("population", f"N must be >= 1, got {spec.N}"))
     if spec.horizon is not None and not spec.horizon > 0:
@@ -402,18 +386,3 @@ def agent_rng(seed: int, replication: int, agent: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication), int(agent)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_initials(spec: ProblemSpec, seed: int, replication: int = 0) -> np.ndarray:
-    """N i.i.d. Gaussian initial states, mean x0_mean, covariance x0_cov.
-
-    Each agent draws from its own stream (the first n normals of the
-    stream also used for its Brownian increments are reserved for this).
-    Returns shape (N, n).
-    """
-    L = initial_chol(spec)
-    out = np.empty((spec.N, spec.n))
-    for i in range(spec.N):
-        z = agent_rng(seed, replication, i).standard_normal(spec.n)
-        out[i] = spec.x0_mean + L @ z
-    return out

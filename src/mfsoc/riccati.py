@@ -9,8 +9,11 @@ Finite horizon: the coupled backward triple (P, K, s) in either form, plus
 the deterministic mean-field trajectory it induces.  Infinite horizon: the
 algebraic pair in either form (pseudo-time integration from scaled-identity
 seeds plus a damped-Newton polish; the limit form solves P, then Pi), the
-L2 offset s(t), and the mean-field ODE.  All solvers use the pseudoinverse
-of Upsilon so exactly singular control weights are handled, and every
+L2 offset s(t), and the mean-field ODE.  The time dependence of every
+integration (the signals, the interpolated triple, the offset forcing) is
+tabulated once on the RK4 stage grid of ``linalg.rk4_grid``, and the rates
+read those tables by stage index.  All solvers use the pseudoinverse of
+Upsilon so exactly singular control weights are handled, and every
 solution carries the range-inclusion report the feedback formulas require.
 """
 
@@ -30,6 +33,7 @@ from .linalg import (
     is_hurwitz,
     lift_msq,
     pinv,
+    rk4_grid,
     symmetrize,
 )
 from .model import ProblemSpec, DerivedWeights, derive_weights, require_valid
@@ -111,12 +115,6 @@ class RiccatiInfiniteSolution:
     def K(self):
         return self.Pi - self.P
 
-    def s_at(self, t):
-        return grid_interp(self.grid, self.s, t)
-
-    def xbar_at(self, t):
-        return grid_interp(self.grid, self.xbar, t)
-
 
 @dataclass
 class RangeReport:
@@ -163,8 +161,9 @@ class _Pair:
     M = P + K/N is the weight the diffusion sees (M = P in the limit form,
     N None), Ups = R + D'MD the control weight, Psi = B'P + D'MC and
     Theta = B'Pi + D'MC the numerators of the individual and aggregate
-    gains.  P and Pi may carry a leading knot axis for the gain formulas;
-    the residuals, loops and rates are for a single point.
+    gains.  P and Pi may carry a leading knot axis for the gain formulas,
+    the aggregate loop and the mean map; the residuals and the individual
+    loop are for a single point.
     """
 
     def __init__(self, plant: _Plant, P, Pi, N, tol: Tolerance):
@@ -216,14 +215,19 @@ class _Pair:
         return (self.plant.B.T @ s[..., None] + self.DM @ sig[..., None])[..., 0]
 
     def offset_forcing(self, f, sig, eta_bar):
-        """g in the offset equation ds/dt = -(Acl's + g): Pi f + Ccl'M sigma - eta_bar."""
+        """g in the offset equation ds/dt = -(Acl's + g): Pi f + Ccl'M sigma
+        - eta_bar at a single point; the signals may carry a leading time axis."""
         Ccl = self.aggregate_loop[1]
-        return self.Pi @ f + Ccl.T @ self.M @ sig - eta_bar
+        g = f @ self.Pi.T      # accumulated in place: the tables can be long
+        g += sig @ (Ccl.T @ self.M).T
+        g -= eta_bar
+        return g
 
-    def mean_rate(self, x, s, f, sig):
-        """dxbar/dt = Acl xbar - B Ups^+ (B's + D'M sigma) + f."""
-        Acl = self.aggregate_loop[0]
-        return Acl @ x - self.plant.B @ self.Ui @ self.offset_numerator(s, sig) + f
+    def mean_map(self, s, f, sig):
+        """(Acl, c) of the mean equation dxbar/dt = Acl xbar + c, with
+        c = f - B Ups^+ (B's + D'M sigma); all may carry a leading time axis."""
+        c = f - (self.plant.B @ self.Ui @ self.offset_numerator(s, sig)[..., None])[..., 0]
+        return self.aggregate_loop[0], c
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +246,11 @@ def _unpack(y, n):
     return P, K, s
 
 
-def _scalar_fn(sig):
-    """Float-valued view of a 1-d signal; constants are hoisted."""
-    if sig.kind == "constant":
-        v = float(np.atleast_1d(sig.value)[0])
-        return lambda t: v
-    return lambda t: float(sig(t)[0])
-
-
-def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | None):
-    """Backward RHS d/dt [P, K, s] for the limit (N=None) or population-N form."""
-    f_sig, sig_sig, etab_sig = spec.f, spec.sigma, dw.eta_bar
+def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | None,
+                times):
+    """Backward rate(j, y) = d/dt [P, K, s] at times[j], for the limit
+    (N=None) or population-N form; f, sigma and eta_bar are tabulated once."""
+    F, S, E = spec.f(times), spec.sigma(times), dw.eta_bar(times)
     n = spec.n
 
     if n == 1 and spec.r == 1:
@@ -262,11 +260,9 @@ def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | 
         a, b, c, d = spec.A[0, 0], spec.B[0, 0], spec.C[0, 0], spec.D[0, 0]
         gc, q, rw, qg = spec.G[0, 0], spec.Q[0, 0], spec.R[0, 0], dw.Q_Gamma[0, 0]
         ag = a + gc
-        fv = _scalar_fn(f_sig)
-        sv = _scalar_fn(sig_sig)
-        ev = _scalar_fn(etab_sig)
+        fv, sv, ev = F[:, 0].tolist(), S[:, 0].tolist(), E[:, 0].tolist()
 
-        def rhs_scalar(t, y):
+        def rate_scalar(j, y):
             P, K, s = y[0], y[1], y[2]
             M = P + K / N if N is not None else P
             ups = rw + d * d * M
@@ -278,23 +274,23 @@ def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | 
             dK = -(2.0 * ag * K + 2.0 * gc * P - theta * theta * ui + quadP - qg)
             acl = ag - b * ui * theta
             ccl = c - d * ui * theta
-            ds = -(acl * s + (P + K) * fv(t) + ccl * M * sv(t) - ev(t))
+            ds = -(acl * s + (P + K) * fv[j] + ccl * M * sv[j] - ev[j])
             return np.array([dP, dK, ds])
 
-        return rhs_scalar
+        return rate_scalar
 
     plant = _plant(spec, dw)
 
-    def rhs(t, y):
+    def rate(j, y):
         P, K, s = _unpack(y, n)
         pair = _Pair(plant, P, P + K, N, tol)
         rP = pair.residual_P()
         Acl = pair.aggregate_loop[0]
-        ds = -(Acl.T @ s + pair.offset_forcing(f_sig(t), sig_sig(t), etab_sig(t)))
+        ds = -(Acl.T @ s + pair.offset_forcing(F[j], S[j], E[j]))
         # the K equation is the aggregate equation minus the P equation
         return _pack(-rP, rP - pair.residual_Pi(), ds)
 
-    return rhs
+    return rate
 
 
 def _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N):
@@ -303,15 +299,14 @@ def _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N):
     if m < 5:
         return 0.0
     h = grid[1] - grid[0]
-    rhs = _finite_rhs(spec, dw, tol, N)
+    samples = list(range(2, m - 2))[:: max(1, (m - 4) // 200)]  # cap the diagnostic cost
+    rate = _finite_rhs(spec, dw, tol, N, grid[samples])
     worst = 0.0
-    idx = range(2, m - 2)
-    samples = list(idx)[:: max(1, (m - 4) // 200)]  # cap the diagnostic cost
-    for k in samples:
+    for i, k in enumerate(samples):
         def d5(arr):
             return (-arr[k + 2] + 8 * arr[k + 1] - 8 * arr[k - 1] + arr[k - 2]) / (12 * h)
         dot = _pack(d5(Ps), d5(Ks), d5(ss))
-        model = rhs(grid[k], _pack(Ps[k], Ks[k], ss[k]))
+        model = rate(i, _pack(Ps[k], Ks[k], ss[k]))
         worst = max(worst, float(np.max(np.abs(dot - model))))
     return worst
 
@@ -334,9 +329,9 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
         P, K, s = _unpack(y, n)
         return _pack(symmetrize(P), symmetrize(K), s)
 
-    rhs = _finite_rhs(spec, dw, tol, N)
+    rate = _finite_rhs(spec, dw, tol, N, rk4_grid(T, 0.0, tol.ode_step))
     try:
-        ts, ys = integrate_ode(rhs, T, 0.0, y_T, tol.ode_step, project=project)
+        ts, ys = integrate_ode(rate, T, 0.0, y_T, tol.ode_step, project=project)
     except BlowUpError as exc:
         raise SolverError(
             f"backward Riccati integration blew up at t={exc.time:.6g} "
@@ -380,17 +375,15 @@ def solve_finite_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, N: int | Non
 def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance = DEFAULT_TOL):
     """Deterministic mean-field trajectory induced by a finite-horizon triple.
 
-    Forward ODE for xbar on the solution grid; returns (grid, xbar).
+    Forward ODE for xbar on the solution grid; the triple is interpolated
+    once onto the RK4 stage times.  Returns (grid, xbar).
     """
-    plant = _plant(spec)
-
-    def rhs(t, x):
-        P, K, s, _ = sol.at(t)
-        pair = _Pair(plant, P, P + K, sol.population, tol)
-        return pair.mean_rate(x, s, spec.f(t), spec.sigma(t))
-
-    ts, xs = integrate_ode(rhs, 0.0, spec.horizon, spec.x0_mean, tol.ode_step)
-    return ts, xs
+    ts = rk4_grid(0.0, spec.horizon, tol.ode_step)
+    P, K, s, _ = sol.at(ts)
+    Acl, c = _Pair(_plant(spec), P, P + K, sol.population, tol).mean_map(
+        s, spec.f(ts), spec.sigma(ts))
+    return integrate_ode(lambda j, x: Acl[j] @ x + c[j], 0.0, spec.horizon,
+                         spec.x0_mean, tol.ode_step)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +446,7 @@ def _stabilizing_root(residual, failure, shape, tol):
         done, prev = 0.0, np.inf
         try:
             while done < 200.0:
-                _, ys = integrate_ode(lambda t, v: -residual(v), 0.0, -10.0, y, step, project=project)
+                _, ys = integrate_ode(lambda j, v: -residual(v), 0.0, -10.0, y, step, project=project)
                 y = ys[-1]
                 done += 10.0
                 rnow = np.linalg.norm(residual(y))
@@ -549,23 +542,22 @@ def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
             f"averaged pair and the Hurwitz condition on the aggregate loop)"
         )
 
-    def g(t):
-        return pair.offset_forcing(spec.f(t), spec.sigma(t), dw.eta_bar(t))
-
     tail = min(400.0, max(20.0, np.log(1e14) / max(1e-3, -absc)))
     t_far = t_sim + tail
-    s_far = -np.linalg.solve(Hcl.T, g(t_far))
-    ts, ss = integrate_ode(lambda t, s: -(Hcl.T @ s + g(t)), t_far, 0.0, s_far, tol.ode_step)
+    tb = rk4_grid(t_far, 0.0, tol.ode_step)
+    g = pair.offset_forcing(spec.f(tb), spec.sigma(tb), dw.eta_bar(tb))
+    del tb
+    s_far = -np.linalg.solve(Hcl.T, g[0])
+    ts, ss = integrate_ode(lambda j, s: -(Hcl.T @ s + g[j]), t_far, 0.0, s_far, tol.ode_step)
+    del g
     order = np.argsort(ts)
     ts, ss = ts[order], ss[order]
     keep = ts <= t_sim + 1e-12
     grid, s_traj = ts[keep], ss[keep]
 
-    def x_rhs(t, x):
-        s_t = grid_interp(grid, s_traj, min(t, grid[-1]))
-        return pair.mean_rate(x, s_t, spec.f(t), spec.sigma(t))
-
-    tx, xs = integrate_ode(x_rhs, 0.0, t_sim, spec.x0_mean, tol.ode_step)
+    tf = rk4_grid(0.0, t_sim, tol.ode_step)
+    Acl, c = pair.mean_map(grid_interp(grid, s_traj, tf), spec.f(tf), spec.sigma(tf))
+    tx, xs = integrate_ode(lambda j, x: Acl @ x + c[j], 0.0, t_sim, spec.x0_mean, tol.ode_step)
     # resample s on the xbar grid so both live on one uniform grid
     s_on = grid_interp(grid, s_traj, tx)
     return tx, s_on, xs, absc

@@ -245,27 +245,3 @@ def simulate_meanfield_type(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig) 
     path, so the expectation in the dynamics/cost is replaced by it.
     """
     return simulate_population(spec, law, cfg, N=1, coupling="xbar")
-
-
-def evaluate_cost(grid, X, U, ref, spec: ProblemSpec):
-    """Per-agent costs from sampled trajectories.
-
-    grid: (m,) uniform times; X: (m, N, n) states; U: (m, N, r) controls;
-    ref: (m, n) trajectory standing in for the population average.
-    Includes the terminal term when the grid ends at the finite horizon.
-    """
-    grid = np.asarray(grid, dtype=float)
-    X = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    if X.shape[0] != grid.size or U.shape[0] != grid.size:
-        raise ValueError("trajectories not sampled on the given grid")
-    eta = spec.eta(grid)
-    dev = X - ref[:, None, :] @ spec.Gamma.T - eta[:, None, :]
-    lrun = np.einsum("tin,nm,tim->ti", dev, spec.Q, dev) \
-        + np.einsum("tir,rs,tis->ti", U, spec.R, U)
-    costs = np.trapezoid(lrun, x=grid, axis=0)
-    if not spec.infinite_horizon and abs(grid[-1] - spec.horizon) <= 1e-9:
-        devT = X[-1] - ref[-1] @ spec.Gamma0.T - spec.eta0
-        costs = costs + np.einsum("in,nm,im->i", devT, spec.H, devT)
-    return costs

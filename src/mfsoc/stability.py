@@ -289,6 +289,13 @@ def theorem_verdicts(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: flo
 def stability_report(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
                      t_sim: float = 20.0) -> StabilityReport:
     """Full battery behind the check subcommand."""
+    are = _try_solve_are(spec, tol, t_sim) if spec.infinite_horizon else None
+    return _stability_report(spec, tol, are)
+
+
+def _stability_report(spec: ProblemSpec, tol: Tolerance, are) -> StabilityReport:
+    """The battery with the infinite-horizon outcome of _try_solve_are
+    supplied by a caller that has already run it (None on a finite horizon)."""
     rep = StabilityReport()
     rep.ms_stable = check_ms_stable(spec.A, spec.C, tol)
     stab = check_stabilizable(spec.A, spec.B, spec.C, spec.D, tol)
@@ -298,7 +305,7 @@ def stability_report(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
 
     P_cand = Pi_cand = None
     if spec.infinite_horizon:
-        sol, err = _try_solve_are(spec, tol, t_sim)
+        sol, err = are
         if sol is None:
             rep.A6_holds = (False, f"unevaluable: {err}")
         else:

@@ -10,6 +10,7 @@ from mfsoc.linalg import (
     lift_msq,
     pinv,
     quadrature,
+    rk4_grid,
     spectral_abscissa,
     sym_sqrt_psd,
     symmetrize,
@@ -85,21 +86,21 @@ def test_spectral_abscissa_requires_square():
 
 def test_rk4_order():
     # halving the step should shrink the error by ~16 (4th order)
-    def rhs(t, y):
+    def rate(j, y):
         return -y
 
     errs = []
     for step in (1e-2, 5e-3):
-        _, ys = integrate_ode(rhs, 0.0, 1.0, np.array([1.0]), step)
+        _, ys = integrate_ode(rate, 0.0, 1.0, np.array([1.0]), step)
         errs.append(abs(ys[-1, 0] - np.exp(-1.0)))
     assert errs[0] / errs[1] > 12.0
 
 
 def test_rk4_backward_integration():
-    def rhs(t, y):
+    def rate(j, y):
         return y  # backward from y(1)=e should hit y(0)=1
 
-    ts, ys = integrate_ode(rhs, 1.0, 0.0, np.array([np.e]), 1e-3)
+    ts, ys = integrate_ode(rate, 1.0, 0.0, np.array([np.e]), 1e-3)
     assert ts[0] == 1.0 and ts[-1] == 0.0
     assert ys[-1, 0] == pytest.approx(1.0, abs=1e-10)
 
@@ -111,13 +112,29 @@ def test_rk4_project_hook():
         calls.append(1)
         return np.clip(y, 0.0, None)
 
-    integrate_ode(lambda t, y: -y, 0.0, 0.1, np.array([1.0]), 1e-2, project=project)
+    integrate_ode(lambda j, y: -y, 0.0, 0.1, np.array([1.0]), 1e-2, project=project)
     assert len(calls) == 10
+
+
+def test_rk4_tabulated_rate():
+    # dy/dt = cos t read from a table on the stage grid: the knots are the
+    # even indices, the midpoints the odd ones
+    ts = rk4_grid(0.0, 1.0, 1e-2)
+    assert ts.size == 201 and ts[0] == 0.0 and ts[-1] == 1.0
+    np.testing.assert_allclose(ts[1::2], 0.5 * (ts[:-1:2] + ts[2::2]), rtol=1e-15)
+    table = np.cos(ts)[:, None]
+    knots, ys = integrate_ode(lambda j, y: table[j], 0.0, 1.0, np.array([0.0]), 1e-2)
+    np.testing.assert_array_equal(knots, ts[::2])
+    # RK4 on a pure quadrature is Simpson's rule: error <= h^4/2880
+    assert abs(ys[-1, 0] - np.sin(1.0)) < 1e-11
+    # a reversed grid runs t0 -> t1; an empty span has one stage
+    np.testing.assert_allclose(rk4_grid(1.0, 0.0, 0.25), np.linspace(1.0, 0.0, 9))
+    np.testing.assert_array_equal(rk4_grid(2.0, 2.0, 0.1), [2.0])
 
 
 def test_rk4_blowup():
     with pytest.raises(BlowUpError) as exc:
-        integrate_ode(lambda t, y: y * y, 0.0, 2.0, np.array([1.0]), 1e-3)
+        integrate_ode(lambda j, y: y * y, 0.0, 2.0, np.array([1.0]), 1e-3)
     assert 0.0 < exc.value.time <= 2.0
 
 

@@ -6,6 +6,8 @@ from mfsoc.linalg import Tolerance, symmetrize
 from mfsoc.model import ProblemSpec, constant_signal, derive_weights, zero_signal
 from mfsoc.riccati import (
     SolverError,
+    _Pair,
+    _plant,
     check_ranges,
     grid_interp,
     meanfield_path,
@@ -282,3 +284,91 @@ def test_range_report(spec_wellposed, sol_wellposed, spec_sec6_finite, sol_sec6_
     rep_f = check_ranges(sol_sec6_finite, spec_sec6_finite)
     assert rep_f.all_ok
     assert set(rep_f.inclusions) == {"feedback_gain", "meanfield_gain", "offset"}
+
+
+# -- the closure-driven offset and mean integrations, kept as the oracle of
+# -- the tabulated ones: every stage re-evaluates the signals and re-interpolates
+
+def _rk4_closure(rhs, t0, t1, y0, step):
+    """Fixed-step RK4 whose right-hand side rhs(t, y) is called with the time."""
+    nsteps = max(1, int(round(abs(t1 - t0) / step)))
+    h = (t1 - t0) / nsteps
+    ts = t0 + h * np.arange(nsteps + 1)
+    ts[-1] = t1
+    ys = np.empty((nsteps + 1, np.size(y0)))
+    ys[0] = y = np.asarray(y0, dtype=float)
+    for k in range(nsteps):
+        t = ts[k]
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + (h / 2) * k1)
+        k3 = rhs(t + h / 2, y + (h / 2) * k2)
+        k4 = rhs(t + h, y + h * k3)
+        ys[k + 1] = y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return ts, ys
+
+
+def _closure_mean_rate(pair, x, s, f, sig):
+    Acl = pair.aggregate_loop[0]
+    return Acl @ x - pair.plant.B @ pair.Ui @ pair.offset_numerator(s, sig) + f
+
+
+def closure_meanfield_path(spec, sol, tol):
+    plant = _plant(spec)
+
+    def rhs(t, x):
+        P, K, s, _ = sol.at(t)
+        pair = _Pair(plant, P, P + K, sol.population, tol)
+        return _closure_mean_rate(pair, x, s, spec.f(t), spec.sigma(t))
+
+    return _rk4_closure(rhs, 0.0, spec.horizon, spec.x0_mean, tol.ode_step)
+
+
+def closure_offset_and_mean(spec, sol, tol, t_sim):
+    dw = derive_weights(spec)
+    pair = _Pair(_plant(spec, dw), sol.P, sol.Pi, sol.population, tol)
+    Hcl = pair.aggregate_loop[0]
+    absc = float(np.max(np.linalg.eigvals(Hcl).real))
+
+    def g(t):
+        return pair.offset_forcing(spec.f(t), spec.sigma(t), dw.eta_bar(t))
+
+    t_far = t_sim + min(400.0, max(20.0, np.log(1e14) / max(1e-3, -absc)))
+    s_far = -np.linalg.solve(Hcl.T, g(t_far))
+    ts, ss = _rk4_closure(lambda t, s: -(Hcl.T @ s + g(t)), t_far, 0.0, s_far, tol.ode_step)
+    keep = ts[::-1] <= t_sim + 1e-12
+    grid, s_traj = ts[::-1][keep], ss[::-1][keep]
+
+    def x_rhs(t, x):
+        s_t = grid_interp(grid, s_traj, min(t, grid[-1]))
+        return _closure_mean_rate(pair, x, s_t, spec.f(t), spec.sigma(t))
+
+    tx, xs = _rk4_closure(x_rhs, 0.0, t_sim, spec.x0_mean, tol.ode_step)
+    return tx, grid_interp(grid, s_traj, tx), xs
+
+
+def _rel(new, old):
+    return np.max(np.abs(new - old)) / np.max(np.abs(old))
+
+
+def test_meanfield_path_matches_closure_oracle(spec_sec6_finite, sol_sec6_finite):
+    tol = Tolerance()
+    for sol in (sol_sec6_finite, solve_finite_N(spec_sec6_finite, N=5)):
+        ts, xs = meanfield_path(spec_sec6_finite, sol, tol)
+        want_ts, want_xs = closure_meanfield_path(spec_sec6_finite, sol, tol)
+        np.testing.assert_array_equal(ts, want_ts)
+        assert _rel(xs, want_xs) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["wellposed", "wellposed_N20", "sec6_pinned"])
+def test_offset_and_mean_match_closure_oracle(case, spec_wellposed, spec_sec6):
+    tol, t_sim = Tolerance(ode_step=5e-3), 3.0
+    if case == "wellposed":
+        spec, sol = spec_wellposed, solve_are(spec_wellposed, tol, t_sim=t_sim)
+    elif case == "wellposed_N20":
+        spec, sol = spec_wellposed, solve_are_N(spec_wellposed, tol, t_sim=t_sim, N=20)
+    else:
+        spec, sol = spec_sec6, solve_are(spec_sec6, tol, t_sim=t_sim, pin_P=[[0.6808]])
+    grid, s, xbar = closure_offset_and_mean(spec, sol, tol, t_sim)
+    np.testing.assert_array_equal(sol.grid, grid)
+    assert _rel(sol.s, s) <= 1e-13
+    assert _rel(sol.xbar, xbar) <= 1e-13

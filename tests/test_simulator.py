@@ -7,7 +7,6 @@ from mfsoc.simulator import (
     DivergenceError,
     SimConfig,
     SimulationOutput,
-    evaluate_cost,
     simulate_meanfield_type,
     simulate_population,
 )
@@ -112,6 +111,24 @@ def test_meanfield_type_uses_stored_trajectory(spec_sec6_finite, sol_sec6_finite
     assert out.consistency_error > 0.0
 
 
+def evaluate_cost(grid, X, U, ref, spec: ProblemSpec):
+    """Per-agent costs from sampled trajectories, the simulator's oracle.
+
+    grid: (m,) uniform times; X: (m, N, n) states; U: (m, N, r) controls;
+    ref: (m, n) trajectory standing in for the population average.
+    Includes the terminal term when the grid ends at the finite horizon.
+    """
+    eta = spec.eta(grid)
+    dev = X - ref[:, None, :] @ spec.Gamma.T - eta[:, None, :]
+    lrun = np.einsum("tin,nm,tim->ti", dev, spec.Q, dev) \
+        + np.einsum("tir,rs,tis->ti", U, spec.R, U)
+    costs = np.trapezoid(lrun, x=grid, axis=0)
+    if not spec.infinite_horizon and abs(grid[-1] - spec.horizon) <= 1e-9:
+        devT = X[-1] - ref[-1] @ spec.Gamma0.T - spec.eta0
+        costs = costs + np.einsum("in,nm,im->i", devT, spec.H, devT)
+    return costs
+
+
 def test_costs_match_standalone_evaluator(spec_sec6_finite):
     # deterministic run: the simulator's accumulated cost equals the
     # standalone trapezoid evaluation of the recorded trajectories
@@ -130,6 +147,24 @@ def test_costs_match_standalone_evaluator(spec_sec6_finite):
                           np.swapaxes(out.controls, 0, 1), ref, spec)
     np.testing.assert_allclose(np.sort(costs), np.sort(out.individual_costs),
                                rtol=1e-6)
+
+
+def test_initial_draw_moments():
+    # agents start i.i.d. N(x0_mean, x0_cov), so at t = 0 the agent- and
+    # replication-averaged ||x||^2 estimates ||x0_mean||^2 + tr(x0_cov)
+    mean, cov = np.array([1.0, -0.5]), np.array([[0.3, 0.1], [0.1, 0.2]])
+    spec = ProblemSpec(
+        n=2, r=1, A=-np.eye(2), B=[[1.0], [0.0]], C=np.zeros((2, 2)),
+        D=np.zeros((2, 1)), G=np.zeros((2, 2)), Q=np.eye(2), R=1.0,
+        Gamma=np.zeros((2, 2)), f=zero_signal(2), sigma=zero_signal(2),
+        eta=zero_signal(2), x0_mean=mean, x0_cov=cov, N=200, horizon=0.01,
+    )
+    cfg = SimConfig(dt=1e-2, replications=20, seed=5)
+    out = simulate_population(spec, zero_law(0.01, n=2), cfg)
+    want = mean @ mean + np.trace(cov)
+    # Var ||x||^2 = 2 tr(cov^2) + 4 mean' cov mean, over 4000 draws
+    se = np.sqrt((2.0 * np.trace(cov @ cov) + 4.0 * mean @ cov @ mean) / 4000)
+    assert abs(out.state_second_moment[0] - want) < 4.0 * se
 
 
 def test_divergence_detected():
