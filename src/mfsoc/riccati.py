@@ -7,9 +7,10 @@ offset forcing) is written once, in ``_Pair``, and every solver reads it.
 
 Finite horizon: the coupled backward triple (P, K, s) in either form, plus
 the deterministic mean-field trajectory it induces.  Infinite horizon: the
-algebraic pair in either form (pseudo-time integration from scaled-identity
-seeds plus a damped-Newton polish; the limit form solves P, then Pi), the
-L2 offset s(t), and the mean-field ODE.  The time dependence of every
+algebraic pair in either form (Newton's method with the analytic
+Jacobian, the lifted closed-loop operator, globalized by a pseudo-time flow
+from scaled-identity seeds; the limit form solves P, then Pi), the L2
+offset s(t), and the mean-field ODE.  The time dependence of every
 integration (the signals, the interpolated triple, the offset forcing) is
 tabulated once on the RK4 stage grid of ``linalg.rk4_grid``, and the rates
 read those tables by stage index.  All solvers use the pseudoinverse of
@@ -167,7 +168,7 @@ class _Pair:
     """
 
     def __init__(self, plant: _Plant, P, Pi, N, tol: Tolerance):
-        self.plant, self.P, self.Pi = plant, P, Pi
+        self.plant, self.P, self.Pi, self.N = plant, P, Pi, N
         self.M = P if N is None else P + (Pi - P) / N
         self.DM = plant.D.T @ self.M
         self.Ups = plant.R + self.DM @ plant.D
@@ -198,6 +199,34 @@ class _Pair:
         p = self.plant
         return (p.AG.T @ self.Pi + self.Pi @ p.AG + (p.Q_agg + self.CMC)
                 - self.Theta.T @ self.Ui @ self.Theta)
+
+    def residuals(self, free_P, free_Pi):
+        """The free unknowns' symmetrized residuals as one vector, P's first
+        (one unknown skips the concatenation: the flow calls this per stage)."""
+        if not free_Pi:
+            return symmetrize(self.residual_P()).ravel()
+        if not free_P:
+            return symmetrize(self.residual_Pi()).ravel()
+        return np.concatenate([symmetrize(self.residual_P()).ravel(),
+                               symmetrize(self.residual_Pi()).ravel()])
+
+    def jacobian(self, free_P, free_Pi):
+        """Derivative of ``residuals`` along symmetric directions, acting on
+        the free unknowns' stacked row-major vecs.  The equation of X in
+        {P, Pi}, with closed loop (A_X, C_X), moves by A_X'dX + dX A_X +
+        C_X'dM C_X with dM = a dP + b dPi: (a, b) = (1, 0) in the limit form,
+        (1 - 1/N, 1/N) at population N (Damm and Hinrichsen, "Newton's
+        method for a rational matrix equation occurring in stochastic
+        control", LAA 2001)."""
+        w = (1.0, 0.0) if self.N is None else (1.0 - 1.0 / self.N, 1.0 / self.N)
+        free = [k for k, f in enumerate((free_P, free_Pi)) if f]
+        rows = []
+        for k in free:
+            A, C = self.individual_loop() if k == 0 else self.aggregate_loop
+            CC = np.kron(C.T, C.T)
+            rows.append([lift_msq(A.T, C.T) + (w[u] - 1.0) * CC if u == k else w[u] * CC
+                         for u in free])
+        return np.block(rows)
 
     def individual_loop(self):
         """A - B Ups^+ Psi and C - D Ups^+ Psi, the loop of one agent's own state."""
@@ -390,116 +419,56 @@ def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance
 # infinite horizon
 # ---------------------------------------------------------------------------
 
-_SEEDS = (0.0, 1.0, 5.0)   # every unknown block starts the flow at c I
-
-
-def _stabilizing_root(residual, failure, shape, tol):
-    """Root of residual(y) = 0, y a flat stack of symmetric n x n unknowns.
-
-    From each seed the flow dY/dtau = -residual(Y) runs in pseudo-time
-    chunks of 10 units (200 at most) until the residual norm is below 1e-6
-    or stops halving; damped Newton (finite-difference Jacobian over the
-    symmetric basis, least-squares step, backtracking) then polishes.  The
-    first root that failure(y) finds nothing wrong with is returned;
-    otherwise SolverError carries every seed's diagnostic.
-    """
-    blocks, n, _ = shape
-    step = max(tol.ode_step, 1e-3)
-    dirs = []
-    for b in range(blocks):
-        for i in range(n):
-            for j in range(i, n):
-                E = np.zeros(shape)
-                E[b, i, j] = E[b, j, i] = 1.0
-                dirs.append(E.ravel())
-
-    def project(y):
-        Y = y.reshape(shape)
-        return (0.5 * (Y + Y.transpose(0, 2, 1))).ravel()
-
-    def polish(y):
-        r = residual(y)
-        rnorm = np.linalg.norm(r)
-        for _ in range(60):
-            if rnorm <= 0.1 * tol.residual_tol:
-                break
-            eps = 1e-7 * (1.0 + np.linalg.norm(y))
-            J = np.column_stack([(residual(y + eps * d) - r) / eps for d in dirs])
-            delta = np.linalg.lstsq(J, -r, rcond=None)[0]
-            dy = sum(c * d for c, d in zip(delta, dirs))
-            lam = 1.0
-            for _ in range(30):
-                yn = project(y + lam * dy)
-                rn = residual(yn)
-                nn = np.linalg.norm(rn)
-                if nn < rnorm:
-                    y, r, rnorm = yn, rn, nn
-                    break
-                lam *= 0.5
-            else:
-                break
-        return y, rnorm
-
-    failures = []
-    for c in _SEEDS:
-        y = np.tile(c * np.eye(n), (blocks, 1, 1)).ravel()
-        done, prev = 0.0, np.inf
-        try:
-            while done < 200.0:
-                _, ys = integrate_ode(lambda j, v: -residual(v), 0.0, -10.0, y, step, project=project)
-                y = ys[-1]
-                done += 10.0
-                rnow = np.linalg.norm(residual(y))
-                # converged, or stalled (perhaps orbiting a singular-Upsilon
-                # surface): the Newton polish decides whether the basin is usable
-                if rnow <= 1e-6 or rnow > 0.5 * prev:
-                    break
-                prev = rnow
-        except BlowUpError as exc:
-            failures.append(f"seed {c}: blow-up after {done + abs(exc.time):.3g} pseudo-time units")
-            continue
-        y, rnorm = polish(y)
-        if rnorm > tol.residual_tol:
-            failures.append(f"seed {c}: no steady state after {done:g} pseudo-time units "
-                            f"(|residual| = {rnorm:.3g})")
-            continue
-        why = failure(y)
-        if why is not None:
-            failures.append(f"seed {c}: {why}")
-            continue
-        return y
-    raise SolverError(
-        "algebraic Riccati solve failed for every terminal seed: " + "; ".join(failures)
-    )
+_SEEDS = (0.0, 1.0, 5.0)   # every unknown block starts at c I
 
 
 def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
     """Stabilizing root of the steady pair equations.
 
-    The unknowns are P (unless given) and Pi (if with_Pi).  A free P must
-    leave Upsilon >= 0 and the individual loop mean-square stable; a free Pi
-    must make the aggregate loop Hurwitz.
+    The unknowns are P (unless given) and Pi (if with_Pi).  From each seed
+    c I, Newton's method (the analytic ``_Pair.jacobian``, backtracking)
+    runs until the residual stops decreasing; if that is no acceptable
+    root, the flow dY/dtau = -residual(Y) advances 10 pseudo-time units and
+    Newton restarts from there.  The flow stops at 200 units, on blow-up,
+    or when its residual is below 1e-6 or stops halving.  An acceptable
+    root has residual <= residual_tol and Upsilon >= 0, and a free P (Pi)
+    makes the individual loop mean-square stable (the aggregate loop
+    Hurwitz).  SolverError carries every seed's diagnostic.
     """
     free_P = P is None
     n = plant.A.shape[0]
     shape = (free_P + with_Pi, n, n)
+    step = max(tol.ode_step, 1e-3)
 
     def pair(y):
         Y = y.reshape(shape)
         P_ = Y[0] if free_P else P
         return _Pair(plant, P_, Y[-1] if with_Pi else P_, N, tol)
 
-    def residual(y):
-        p = pair(y)
-        if not with_Pi:
-            return symmetrize(p.residual_P()).ravel()
-        if not free_P:
-            return symmetrize(p.residual_Pi()).ravel()
-        return np.concatenate([symmetrize(p.residual_P()).ravel(),
-                               symmetrize(p.residual_Pi()).ravel()])
+    def project(y):
+        Y = y.reshape(shape)
+        return (0.5 * (Y + Y.transpose(0, 2, 1))).ravel()
 
-    def failure(y):
+    def newton(y):
         p = pair(y)
+        r = p.residuals(free_P, with_Pi)
+        for _ in range(60):
+            dy = np.linalg.lstsq(p.jacobian(free_P, with_Pi), -r, rcond=None)[0]
+            for lam in 0.5 ** np.arange(30):   # backtracking
+                yn = project(y + lam * dy)
+                pn = pair(yn)
+                rn = pn.residuals(free_P, with_Pi)
+                if np.linalg.norm(rn) < np.linalg.norm(r):
+                    y, p, r = yn, pn, rn
+                    break
+            else:
+                break
+        return p, np.linalg.norm(r)
+
+    def rejection(p, rnorm, done):
+        if rnorm > tol.residual_tol:
+            return (f"no steady state after {done:g} pseudo-time units "
+                    f"(|residual| = {rnorm:.3g})")
         min_eig = float(np.linalg.eigvalsh(p.Ups).min())
         if min_eig < -tol.residual_tol:
             return f"converged but Upsilon indefinite (min eig {min_eig:.3g})"
@@ -513,7 +482,32 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
                 return f"aggregate closed loop not Hurwitz (abscissa {absc:.3g})"
         return None
 
-    return pair(_stabilizing_root(residual, failure, shape, tol))
+    failures = []
+    for c in _SEEDS:
+        y = np.tile(c * np.eye(n), (shape[0], 1, 1)).ravel()
+        done, prev, rnow = 0.0, np.inf, np.inf
+        try:
+            while True:
+                p, rnorm = newton(y)
+                why = rejection(p, rnorm, done)
+                if why is None:
+                    return p
+                # the flow has converged, stalled (perhaps orbiting a
+                # singular-Upsilon surface) or used up its pseudo-time
+                if done >= 200.0 or rnow <= 1e-6 or rnow > 0.5 * prev:
+                    break
+                prev = rnow
+                _, ys = integrate_ode(lambda j, v: -pair(v).residuals(free_P, with_Pi),
+                                      0.0, -10.0, y, step, project=project)
+                y = ys[-1]
+                done += 10.0
+                rnow = np.linalg.norm(pair(y).residuals(free_P, with_Pi))
+        except BlowUpError as exc:
+            why = f"blow-up after {done + abs(exc.time):.3g} pseudo-time units"
+        failures.append(f"seed {c}: {why}")
+    raise SolverError(
+        "algebraic Riccati solve failed for every terminal seed: " + "; ".join(failures)
+    )
 
 
 def solve_stochastic_are(A, B, C, D, Q, R, tol: Tolerance = DEFAULT_TOL):

@@ -18,7 +18,6 @@ import numpy as np
 
 from .linalg import lift_msq, spectral_abscissa
 from .model import ProblemSpec, agent_rng, initial_chol
-from .riccati import grid_interp
 from .synthesis import ControlLaw
 
 _MAX_ELEMS = int(2e7)   # noise-buffer budget (floats) per replication chunk

@@ -4,12 +4,12 @@ Mean-square stability is decided on the lifted second-moment operator.
 Stabilizability is decided constructively through a definite-weight
 algebraic Riccati solve whose gain is re-verified on the lift.  Exact
 detectability of a state-dependent-noise pair is decided by a spectral
-surrogate on the adjoint lifted operator (eigenvectors with non-negative
-real part must be visible through the output map); for zero diffusion it
-reduces to the deterministic PBH test.  Uniform convexity of the social
-cost is certified at any population size from the population-N Riccati
-pair, whose control weight is the block of the stacked N*n-dimensional
-equation's symmetric solution.
+surrogate on the forward second-moment operator (eigenvectors with
+non-negative real part must be visible through the output map); for zero
+diffusion it reduces to the deterministic PBH test.  Uniform convexity of
+the social cost is certified at any population size from the
+population-N Riccati pair, whose control weight is the block of the
+stacked N*n-dimensional equation's symmetric solution.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, pinv, sym_sqrt_psd, symmetrize
+from .linalg import DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, sym_sqrt_psd, symmetrize
 from .model import ProblemSpec, derive_weights
-from .riccati import SolverError, _solve_finite, check_ranges, solve_are, solve_stochastic_are
+from .riccati import (SolverError, _solution_pair, _solve_finite, check_ranges, solve_are,
+                      solve_stochastic_are)
 
 
 def check_ms_stable(A, C, tol: Tolerance = DEFAULT_TOL):
@@ -85,28 +86,30 @@ def pbh_stabilizable(A, B, tol: Tolerance = DEFAULT_TOL):
 def exact_detectable(A, C, F, tol: Tolerance = DEFAULT_TOL):
     """Spectral surrogate for exact detectability of the noisy pair with output F.
 
-    Works on the adjoint lifted operator V -> A'V + VA + C'VC acting on
-    symmetric matrices: the pair is declared detectable iff every
-    eigenvector V (symmetrized, unit norm) whose eigenvalue has real part
-    >= -residual_tol satisfies ||F V|| > residual_tol.  With C = 0 this
-    coincides with the deterministic PBH verdict.
+    Works on the forward second-moment operator X -> AX + XA' + CXC' acting
+    on symmetric matrices, as in the stochastic PBH test (Zhang and Chen,
+    Automatica 2004): the pair is declared detectable iff every
+    eigenvector X (symmetrized, unit norm) whose eigenvalue has real part
+    >= -residual_tol satisfies ||F X|| > residual_tol.  A mode with Ax = ax,
+    Cx = cx, Fx = 0 and 2a + c^2 >= 0 gives such an X = xx'.  With C = 0
+    this coincides with the deterministic PBH verdict.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     F = np.atleast_2d(np.asarray(F, dtype=float))
     n = A.shape[0]
-    L = lift_msq(A.T, C.T)
+    L = lift_msq(A, C)
     evals, evecs = np.linalg.eig(L)
     for k in range(evals.size):
         if evals[k].real < -tol.residual_tol:
             continue
-        V = evecs[:, k].reshape(n, n)
-        V = 0.5 * (V + V.T)
-        norm = np.linalg.norm(V)
+        X = evecs[:, k].reshape(n, n)
+        X = 0.5 * (X + X.T)
+        norm = np.linalg.norm(X)
         if norm <= tol.rank_cutoff:
             continue  # anti-symmetric eigenvector; irrelevant to moments
-        V = V / norm
-        if np.linalg.norm(F @ V) <= tol.residual_tol:
+        X = X / norm
+        if np.linalg.norm(F @ X) <= tol.residual_tol:
             return False, complex(evals[k])
     return True, None
 
@@ -227,10 +230,7 @@ def check_uniform_convexity(spec: ProblemSpec, N_small: int = 2,
 
 def _aggregate_hurwitz(spec: ProblemSpec, sol, tol: Tolerance):
     """Hurwitz test of the individual closed-loop matrix plus the coupling G."""
-    A, B, C, D = spec.A, spec.B, spec.C, spec.D
-    Ui = pinv(sol.Upsilon, tol)
-    Abar = A - B @ Ui @ (B.T @ sol.P + D.T @ sol.P @ C)
-    return is_hurwitz(Abar + spec.G, tol)
+    return is_hurwitz(_solution_pair(sol, spec, tol).individual_loop()[0] + spec.G, tol)
 
 
 def _try_solve_are(spec: ProblemSpec, tol: Tolerance, t_sim: float):

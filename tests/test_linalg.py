@@ -136,6 +136,12 @@ def test_rk4_blowup():
     with pytest.raises(BlowUpError) as exc:
         integrate_ode(lambda j, y: y * y, 0.0, 2.0, np.array([1.0]), 1e-3)
     assert 0.0 < exc.value.time <= 2.0
+    # a rate that turns NaN at stage 10 (t = 0.5) is caught at the end of
+    # the step that read it
+    nan_from_half = lambda j, y: y * np.nan if j >= 10 else -y
+    with pytest.raises(BlowUpError) as exc:
+        integrate_ode(nan_from_half, 0.0, 1.0, np.array([1.0, 2.0]), 0.1)
+    assert exc.value.time == pytest.approx(0.5)
 
 
 def test_quadrature_linear_exact():

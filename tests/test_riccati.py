@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from mfsoc.linalg import Tolerance, symmetrize
+from mfsoc.linalg import Tolerance, is_hurwitz, lift_msq, symmetrize
 from mfsoc.model import ProblemSpec, constant_signal, derive_weights, zero_signal
 from mfsoc.riccati import (
     SolverError,
     _Pair,
+    _Plant,
     _plant,
     check_ranges,
     grid_interp,
@@ -224,6 +226,79 @@ def test_every_steady_form_matches_scipy_without_noise():
             np.testing.assert_allclose(sol.P, want_P, atol=1e-8)
             np.testing.assert_allclose(sol.Pi, want_Pi, atol=1e-8)
             assert max(sol.residual_P, sol.residual_Pi) < 1e-8
+
+
+# -- the finite-difference Jacobian over the symmetric basis, which the root
+# -- finder's Newton polish used before the analytic one, kept as its oracle
+# -- (here as a central difference)
+
+def fd_jacobian(residual, Y, eps=1e-6):
+    """Columns d residual / d c_(b,i,j) at Y, a stack of symmetric blocks,
+    along the symmetric unit directions E_ij = E_ji of block b."""
+    dirs = []
+    for b in range(Y.shape[0]):
+        for i in range(Y.shape[1]):
+            for j in range(i, Y.shape[1]):
+                E = np.zeros(Y.shape)
+                E[b, i, j] = E[b, j, i] = 1.0
+                dirs.append(E)
+    cols = [(residual(Y + eps * E) - residual(Y - eps * E)) / (2 * eps) for E in dirs]
+    return np.column_stack(cols), dirs
+
+
+def _random_noisy_plant(rng, n, r):
+    """C, D != 0 and an R of either sign; about half of these have a
+    stabilizing root, half of those with an indefinite R."""
+    A = 0.7 * rng.standard_normal((n, n)) - np.eye(n)
+    W = rng.standard_normal((n, n))
+    return _Plant(A, rng.standard_normal((n, r)), 0.5 * rng.standard_normal((n, n)),
+                  rng.standard_normal((n, r)), W @ W.T + 0.1 * np.eye(n),
+                  0.5 * symmetrize(rng.standard_normal((r, r))),
+                  A + 0.3 * rng.standard_normal((n, n)), np.eye(n))
+
+
+@pytest.mark.parametrize("case", ["limit_P", "pinned_Pi", "joint_N1", "joint_N7"])
+def test_analytic_jacobian_matches_finite_differences(case):
+    free_P, free_Pi = case != "pinned_Pi", case != "limit_P"
+    N = {"joint_N1": 1, "joint_N7": 7}.get(case)
+    rng = np.random.default_rng(23)
+    tol = Tolerance()
+    for n, r in ((1, 1), (2, 1), (3, 2)):
+        plant = _random_noisy_plant(rng, n, r)
+        # points where Upsilon = R + D'MD is safely invertible
+        P = symmetrize(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        Pi = symmetrize(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        Y = np.stack(([P] if free_P else []) + ([Pi] if free_Pi else []))
+
+        def residual(Y_):
+            P_ = Y_[0] if free_P else P
+            return _Pair(plant, P_, Y_[-1] if free_Pi else P_, N, tol).residuals(free_P, free_Pi)
+
+        J = _Pair(plant, P, Pi if free_Pi else P, N, tol).jacobian(free_P, free_Pi)
+        J_fd, dirs = fd_jacobian(residual, Y)
+        for _ in range(5):
+            d = np.stack([symmetrize(rng.standard_normal((n, n))) for _ in Y])
+            coords = np.array([np.sum(E * d) / np.sum(E * E) for E in dirs])
+            want = J_fd @ coords
+            assert np.linalg.norm(J @ d.ravel() - want) <= 1e-6 * np.linalg.norm(want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 3), r=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_stochastic_are_roots_are_stabilizing(n, r, seed):
+    # whenever a root is returned it is a root, with Upsilon >= 0 and a
+    # mean-square stable closed loop, whatever the sign of R
+    rng = np.random.default_rng(seed)
+    p = _random_noisy_plant(rng, n, r)
+    tol = Tolerance(ode_step=1e-2)
+    try:
+        X, res = solve_stochastic_are(p.A, p.B, p.C, p.D, p.Q, p.R, tol)
+    except SolverError:
+        return
+    assert res <= tol.residual_tol
+    pair = _Pair(p, X, X, None, tol)
+    assert np.linalg.eigvalsh(symmetrize(pair.Ups)).min() >= -tol.residual_tol
+    assert is_hurwitz(lift_msq(*pair.individual_loop()), tol)[0]
 
 
 def test_are_picks_stabilizing_root(spec_wellposed, sol_wellposed):

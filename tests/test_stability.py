@@ -74,6 +74,39 @@ def test_exact_detectable_matches_pbh_without_noise():
         assert got == want
 
 
+def test_exact_detectable_counterexample():
+    # the lambda = 1 mode x = (2, 1) is invisible to F: the adjoint lift
+    # V -> A'V + VA declared this pair detectable
+    A = np.array([[1.0, 0.0], [1.0, -1.0]])
+    F = np.array([[1.0, -2.0]])
+    assert pbh_observable(A, F, detect_only=True) == (False, 1)
+    ok, wit = exact_detectable(A, np.zeros((2, 2)), F)
+    assert not ok and wit == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_exact_detectable_planted_mode(noisy):
+    # A x = a x, C x = c x and F x = 0 with 2a + c^2 >= 0: X = xx' is an
+    # eigenvector of X -> AX + XA' + CXC' with eigenvalue 2a + c^2, unseen by F
+    rng = np.random.default_rng(31 + noisy)
+    for _ in range(20):
+        n = int(rng.integers(2, 4))
+        x = rng.standard_normal(n)
+        Px = np.outer(x, x) / (x @ x)
+        c = rng.uniform(-1.5, 1.5) if noisy else 0.0
+        a = -c * c / 2 + rng.uniform(0.05, 1.0)
+        A0 = rng.standard_normal((n, n))
+        A = A0 + np.outer(a * x - A0 @ x, x) / (x @ x)
+        C0 = rng.standard_normal((n, n)) if noisy else np.zeros((n, n))
+        C = C0 + np.outer(c * x - C0 @ x, x) / (x @ x)
+        F = rng.standard_normal((1, n)) @ (np.eye(n) - Px)
+        ok, wit = exact_detectable(A, C, F)
+        assert not ok
+        assert wit.real >= -1e-8
+        if not noisy:
+            assert not pbh_observable(A, F, detect_only=True)[0]
+
+
 def test_exact_detectable_blind_output():
     # zero output map cannot detect anything unstable
     ok, wit = exact_detectable([[1.0]], [[0.0]], [[0.0]])
