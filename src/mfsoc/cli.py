@@ -85,6 +85,25 @@ def _write_csv(path, header, rows, manifest_hash):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_gap(path, curve, manifest_hash):
+    rows = zip(curve.N_values, curve.decentralized, curve.centralized,
+               curve.epsilon, curve.epsilon_se)
+    _write_csv(path, ["N", "decentralized", "centralized", "epsilon", "stderr"],
+               rows, manifest_hash)
+
+
+def _value_payload(val, manifest_hash):
+    return {
+        "manifest_hash": manifest_hash,
+        "value": val.value,
+        "components": {
+            "quad_spread": val.quad_spread, "quad_mean": val.quad_mean,
+            "lin_offset": val.lin_offset, "m": val.m,
+        },
+        "tail_bound": val.tail_bound,
+    }
+
+
 def _manifest(args, command, extra=None):
     spec_path = getattr(args, "spec", None)
     digest = None
@@ -272,14 +291,7 @@ def _cmd_gap(args):
     out = _outdir(args)
     man = _manifest(args, "gap", {"N_list": N_values})
     _write_json(os.path.join(out, "manifest.json"), man)
-    rows = [
-        [curve.N_values[j], curve.decentralized[j], curve.centralized[j],
-         curve.epsilon[j], curve.epsilon_se[j]]
-        for j in range(curve.N_values.size)
-    ]
-    _write_csv(os.path.join(out, "gap.csv"),
-               ["N", "decentralized", "centralized", "epsilon", "stderr"],
-               rows, man["manifest_hash"])
+    _write_gap(os.path.join(out, "gap.csv"), curve, man["manifest_hash"])
     print(f"epsilon: {[round(float(e), 6) for e in curve.epsilon]}")
     return EXIT_OK
 
@@ -293,17 +305,7 @@ def _cmd_value(args):
     out = _outdir(args)
     man = _manifest(args, "value", {"pin_P": args.pin_P})
     _write_json(os.path.join(out, "manifest.json"), man)
-    _write_json(os.path.join(out, "value.json"), {
-        "manifest_hash": man["manifest_hash"],
-        "value": val.value,
-        "components": {
-            "quad_spread": val.quad_spread,
-            "quad_mean": val.quad_mean,
-            "lin_offset": val.lin_offset,
-            "m": val.m,
-        },
-        "tail_bound": val.tail_bound,
-    })
+    _write_json(os.path.join(out, "value.json"), _value_payload(val, man["manifest_hash"]))
     print(f"asymptotic per-agent value {val.value:.6g}")
     return EXIT_OK
 
@@ -361,26 +363,10 @@ def _cmd_reproduce(args):
     cfg3 = SimConfig(dt=args.dt, T_sim=None, replications=args.reps,
                      seed=args.seed, thinning=args.thinning)
     curve = gap_curve(fin, N_values, cfg3, tol)
-    rows = [
-        [curve.N_values[j], curve.decentralized[j], curve.centralized[j],
-         curve.epsilon[j], curve.epsilon_se[j]]
-        for j in range(curve.N_values.size)
-    ]
-    _write_csv(os.path.join(out, "fig3.csv"),
-               ["N", "decentralized", "centralized", "epsilon", "stderr"],
-               rows, mh)
+    _write_gap(os.path.join(out, "fig3.csv"), curve, mh)
 
     try:
-        val = asymptotic_value(spec, sol, tol)
-        payload = {
-            "manifest_hash": mh,
-            "value": val.value,
-            "components": {
-                "quad_spread": val.quad_spread, "quad_mean": val.quad_mean,
-                "lin_offset": val.lin_offset, "m": val.m,
-            },
-            "tail_bound": val.tail_bound,
-        }
+        payload = _value_payload(asymptotic_value(spec, sol, tol), mh)
     except SolverError as exc:
         payload = {"manifest_hash": mh, "error": str(exc)}
     _write_json(os.path.join(out, "value.json"), payload)

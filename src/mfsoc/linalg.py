@@ -84,6 +84,14 @@ def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (Vt.T * inv) @ U.T
 
 
+def kron(a, b) -> np.ndarray:
+    """``np.kron`` of two matrices (the same products), without its
+    any-rank overhead, which dominates the small Jacobians of the root
+    finder."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def lift_msq(A, C) -> np.ndarray:
     """Second-moment generator A (+) A + C (x) C.
 
@@ -98,7 +106,7 @@ def lift_msq(A, C) -> np.ndarray:
     if A.shape != (n, n) or C.shape != (n, n):
         raise LinalgError("lift_msq: A and C must be square with equal dimension")
     eye = np.eye(n)
-    return np.kron(A, eye) + np.kron(eye, A) + np.kron(C, C)
+    return kron(A, eye) + kron(eye, A) + kron(C, C)
 
 
 def spectral_abscissa(M) -> float:

@@ -7,9 +7,10 @@ offset forcing) is written once, in ``_Pair``, and every solver reads it.
 
 Finite horizon: the coupled backward triple (P, K, s) in either form, plus
 the deterministic mean-field trajectory it induces.  Infinite horizon: the
-algebraic pair in either form (Newton's method with the analytic
-Jacobian, the lifted closed-loop operator, globalized by a pseudo-time flow
-from scaled-identity seeds; the limit form solves P, then Pi), the L2
+algebraic pair in either form (pseudo-transient continuation from
+scaled-identity seeds: implicit-Euler steps of the pseudo-time flow with
+the analytic Jacobian, the lifted closed-loop operator, that become Newton
+steps as the residual falls; the limit form solves P, then Pi), the L2
 offset s(t), and the mean-field ODE.  The time dependence of every
 integration (the signals, the interpolated triple, the offset forcing) is
 tabulated once on the RK4 stage grid of ``linalg.rk4_grid``, and the rates
@@ -32,6 +33,7 @@ from .linalg import (
     Tolerance,
     integrate_ode,
     is_hurwitz,
+    kron,
     lift_msq,
     pinv,
     rk4_grid,
@@ -201,14 +203,9 @@ class _Pair:
                 - self.Theta.T @ self.Ui @ self.Theta)
 
     def residuals(self, free_P, free_Pi):
-        """The free unknowns' symmetrized residuals as one vector, P's first
-        (one unknown skips the concatenation: the flow calls this per stage)."""
-        if not free_Pi:
-            return symmetrize(self.residual_P()).ravel()
-        if not free_P:
-            return symmetrize(self.residual_Pi()).ravel()
-        return np.concatenate([symmetrize(self.residual_P()).ravel(),
-                               symmetrize(self.residual_Pi()).ravel()])
+        """The free unknowns' symmetrized residuals as one vector, P's first."""
+        parts = ([self.residual_P()] if free_P else []) + ([self.residual_Pi()] if free_Pi else [])
+        return np.concatenate([symmetrize(X).ravel() for X in parts])
 
     def jacobian(self, free_P, free_Pi):
         """Derivative of ``residuals`` along symmetric directions, acting on
@@ -223,7 +220,7 @@ class _Pair:
         rows = []
         for k in free:
             A, C = self.individual_loop() if k == 0 else self.aggregate_loop
-            CC = np.kron(C.T, C.T)
+            CC = kron(C.T, C.T)
             rows.append([lift_msq(A.T, C.T) + (w[u] - 1.0) * CC if u == k else w[u] * CC
                          for u in free])
         return np.block(rows)
@@ -269,9 +266,11 @@ def _pack(P, K, s):
 
 
 def _unpack(y, n):
-    P = y[: n * n].reshape(n, n)
-    K = y[n * n : 2 * n * n].reshape(n, n)
-    s = y[2 * n * n :]
+    """P, K, s of a packed state; y may carry leading axes."""
+    lead = y.shape[:-1]
+    P = y[..., : n * n].reshape(lead + (n, n))
+    K = y[..., n * n : 2 * n * n].reshape(lead + (n, n))
+    s = y[..., 2 * n * n :]
     return P, K, s
 
 
@@ -368,15 +367,9 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
             f"solvable interval)",
             escape_time=exc.time,
         ) from exc
-    # reorder ascending in time
-    order = np.argsort(ts)
-    grid = ts[order]
-    Ps = np.empty((grid.size, n, n))
-    Ks = np.empty((grid.size, n, n))
-    ss = np.empty((grid.size, n))
-    for j, k in enumerate(order):
-        P, K, s = _unpack(ys[k], n)
-        Ps[j], Ks[j], ss[j] = P, K, s
+    # the knots run from T down to 0: reverse them to ascending time
+    grid = ts[::-1]
+    Ps, Ks, ss = _unpack(ys[::-1], n)
     Ups = _Pair(_plant(spec, dw), Ps, Ps + Ks, N, tol).Ups
     min_eig = float(min(np.linalg.eigvalsh(U).min() for U in Ups))
     if require_convex and min_eig < -tol.residual_tol:
@@ -426,19 +419,24 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
     """Stabilizing root of the steady pair equations.
 
     The unknowns are P (unless given) and Pi (if with_Pi).  From each seed
-    c I, Newton's method (the analytic ``_Pair.jacobian``, backtracking)
-    runs until the residual stops decreasing; if that is no acceptable
-    root, the flow dY/dtau = -residual(Y) advances 10 pseudo-time units and
-    Newton restarts from there.  The flow stops at 200 units, on blow-up,
-    or when its residual is below 1e-6 or stops halving.  An acceptable
-    root has residual <= residual_tol and Upsilon >= 0, and a free P (Pi)
-    makes the individual loop mean-square stable (the aggregate loop
-    Hurwitz).  SolverError carries every seed's diagnostic.
+    c I, pseudo-transient continuation (Kelley and Keyes, SIAM J. Numer.
+    Anal. 1998) takes implicit-Euler steps of the flow dY/dtau = F(Y), F
+    the residuals: (I/delta - J) dY = F(Y), with J the analytic
+    ``_Pair.jacobian``.  A step is accepted if the new |F| is below twice
+    the current one, and delta then grows by the factor |F| fell (from
+    0.05, up to 1e15), so the steps turn into Newton steps near a root.  A
+    rejected step is retried with delta / 4, and the seed gives up once
+    delta < 1e-12.  Delta never shrinks on an accepted step: at large delta
+    backward Euler also attracts to non-stabilizing roots.  A seed stops
+    once |F| <= residual_tol and a step no longer lowers it, or after 2000
+    steps.  An acceptable root has Upsilon >= 0, and a free P (Pi) makes
+    the individual loop mean-square stable (the aggregate loop Hurwitz).
+    SolverError carries every seed's diagnostic.
     """
     free_P = P is None
     n = plant.A.shape[0]
     shape = (free_P + with_Pi, n, n)
-    step = max(tol.ode_step, 1e-3)
+    eye = np.eye(shape[0] * n * n)
 
     def pair(y):
         Y = y.reshape(shape)
@@ -448,22 +446,6 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
     def project(y):
         Y = y.reshape(shape)
         return (0.5 * (Y + Y.transpose(0, 2, 1))).ravel()
-
-    def newton(y):
-        p = pair(y)
-        r = p.residuals(free_P, with_Pi)
-        for _ in range(60):
-            dy = np.linalg.lstsq(p.jacobian(free_P, with_Pi), -r, rcond=None)[0]
-            for lam in 0.5 ** np.arange(30):   # backtracking
-                yn = project(y + lam * dy)
-                pn = pair(yn)
-                rn = pn.residuals(free_P, with_Pi)
-                if np.linalg.norm(rn) < np.linalg.norm(r):
-                    y, p, r = yn, pn, rn
-                    break
-            else:
-                break
-        return p, np.linalg.norm(r)
 
     def rejection(p, rnorm, done):
         if rnorm > tol.residual_tol:
@@ -485,25 +467,28 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
     failures = []
     for c in _SEEDS:
         y = np.tile(c * np.eye(n), (shape[0], 1, 1)).ravel()
-        done, prev, rnow = 0.0, np.inf, np.inf
-        try:
-            while True:
-                p, rnorm = newton(y)
-                why = rejection(p, rnorm, done)
-                if why is None:
-                    return p
-                # the flow has converged, stalled (perhaps orbiting a
-                # singular-Upsilon surface) or used up its pseudo-time
-                if done >= 200.0 or rnow <= 1e-6 or rnow > 0.5 * prev:
+        p = pair(y)
+        F = p.residuals(free_P, with_Pi)
+        r, delta, done = np.linalg.norm(F), 0.05, 0.0
+        for _ in range(2000):
+            dy = np.linalg.lstsq(eye / delta - p.jacobian(free_P, with_Pi), F, rcond=None)[0]
+            yn = project(y + dy)
+            pn = pair(yn)
+            Fn = pn.residuals(free_P, with_Pi)
+            rn = np.linalg.norm(Fn)
+            if r <= tol.residual_tol and not rn < r:
+                break
+            if rn < 2.0 * r:
+                done += delta
+                delta = min(delta * max(1.0, r / rn), 1e15) if rn > 0 else 1e15
+                y, p, F, r = yn, pn, Fn, rn
+            else:
+                delta /= 4.0
+                if delta < 1e-12:
                     break
-                prev = rnow
-                _, ys = integrate_ode(lambda j, v: -pair(v).residuals(free_P, with_Pi),
-                                      0.0, -10.0, y, step, project=project)
-                y = ys[-1]
-                done += 10.0
-                rnow = np.linalg.norm(pair(y).residuals(free_P, with_Pi))
-        except BlowUpError as exc:
-            why = f"blow-up after {done + abs(exc.time):.3g} pseudo-time units"
+        why = rejection(p, r, done)
+        if why is None:
+            return p
         failures.append(f"seed {c}: {why}")
     raise SolverError(
         "algebraic Riccati solve failed for every terminal seed: " + "; ".join(failures)
@@ -544,8 +529,7 @@ def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
     s_far = -np.linalg.solve(Hcl.T, g[0])
     ts, ss = integrate_ode(lambda j, s: -(Hcl.T @ s + g[j]), t_far, 0.0, s_far, tol.ode_step)
     del g
-    order = np.argsort(ts)
-    ts, ss = ts[order], ss[order]
+    ts, ss = ts[::-1], ss[::-1]   # ascending in time
     keep = ts <= t_sim + 1e-12
     grid, s_traj = ts[keep], ss[keep]
 

@@ -69,18 +69,11 @@ def pbh_observable(A, F, tol: Tolerance = DEFAULT_TOL, detect_only=False):
 
 
 def pbh_stabilizable(A, B, tol: Tolerance = DEFAULT_TOL):
-    """PBH stabilizability of the deterministic pair (A, B)."""
+    """PBH stabilizability of the deterministic pair (A, B): detectability
+    of the dual pair (A', B')."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        if lam.real < -tol.residual_tol:
-            continue
-        M = np.hstack([lam * np.eye(n) - A, B.astype(complex)])
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= tol.rank_cutoff * max(sv[0], 1.0):
-            return False, complex(lam)
-    return True, None
+    return pbh_observable(A.T, B.T, tol, detect_only=True)
 
 
 def exact_detectable(A, C, F, tol: Tolerance = DEFAULT_TOL):

@@ -7,6 +7,7 @@ from mfsoc.linalg import (
     Tolerance,
     integrate_ode,
     is_hurwitz,
+    kron,
     lift_msq,
     pinv,
     quadrature,
@@ -63,6 +64,13 @@ def test_lift_msq_spectrum_no_noise():
     want = csort((ev[:, None] + ev[None, :]).ravel())
     got = csort(np.linalg.eigvals(lift_msq(A, np.zeros((3, 3)))))
     np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_kron_equals_numpy():
+    rng = np.random.default_rng(2)
+    for sa, sb in [((1, 1), (1, 1)), ((3, 3), (3, 3)), ((2, 3), (4, 1)), ((3, 1), (2, 2))]:
+        a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+        np.testing.assert_array_equal(kron(a, b), np.kron(a, b))
 
 
 def test_lift_msq_scalar():

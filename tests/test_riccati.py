@@ -3,12 +3,13 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from mfsoc.linalg import Tolerance, is_hurwitz, lift_msq, symmetrize
+from mfsoc.linalg import BlowUpError, Tolerance, integrate_ode, is_hurwitz, lift_msq, symmetrize
 from mfsoc.model import ProblemSpec, constant_signal, derive_weights, zero_signal
 from mfsoc.riccati import (
     SolverError,
     _Pair,
     _Plant,
+    _pair_root,
     _plant,
     check_ranges,
     grid_interp,
@@ -281,6 +282,127 @@ def test_analytic_jacobian_matches_finite_differences(case):
             coords = np.array([np.sum(E * d) / np.sum(E * E) for E in dirs])
             want = J_fd @ coords
             assert np.linalg.norm(J @ d.ravel() - want) <= 1e-6 * np.linalg.norm(want)
+
+
+# -- the Newton-plus-flow root finder that continuation replaced, kept as its
+# -- oracle: backtracking Newton from each seed, and after every 10-unit chunk
+# -- of the RK4 pseudo-time flow dY/dtau = F(Y)
+
+def flow_root(plant, N, tol, P=None, with_Pi=True, flow=True):
+    """The stabilizing root as a _Pair, or SolverError; flow False leaves
+    Newton from the seeds alone."""
+    free_P = P is None
+    n = plant.A.shape[0]
+    shape = (free_P + with_Pi, n, n)
+    step = max(tol.ode_step, 1e-3)
+
+    def pair(y):
+        Y = y.reshape(shape)
+        P_ = Y[0] if free_P else P
+        return _Pair(plant, P_, Y[-1] if with_Pi else P_, N, tol)
+
+    def project(y):
+        Y = y.reshape(shape)
+        return (0.5 * (Y + Y.transpose(0, 2, 1))).ravel()
+
+    def newton(y):
+        p = pair(y)
+        r = p.residuals(free_P, with_Pi)
+        for _ in range(60):
+            dy = np.linalg.lstsq(p.jacobian(free_P, with_Pi), -r, rcond=None)[0]
+            for lam in 0.5 ** np.arange(30):
+                yn = project(y + lam * dy)
+                pn = pair(yn)
+                rn = pn.residuals(free_P, with_Pi)
+                if np.linalg.norm(rn) < np.linalg.norm(r):
+                    y, p, r = yn, pn, rn
+                    break
+            else:
+                break
+        return p, np.linalg.norm(r)
+
+    def acceptable(p, rnorm):
+        if rnorm > tol.residual_tol:
+            return False
+        if np.linalg.eigvalsh(p.Ups).min() < -tol.residual_tol:
+            return False
+        if free_P and not is_hurwitz(lift_msq(*p.individual_loop()), tol)[0]:
+            return False
+        return not with_Pi or is_hurwitz(p.aggregate_loop[0], tol)[0]
+
+    for c in (0.0, 1.0, 5.0):
+        y = np.tile(c * np.eye(n), (shape[0], 1, 1)).ravel()
+        done, prev, rnow = 0.0, np.inf, np.inf
+        try:
+            while True:
+                p, rnorm = newton(y)
+                if acceptable(p, rnorm):
+                    return p
+                if not flow or done >= 200.0 or rnow <= 1e-6 or rnow > 0.5 * prev:
+                    break
+                prev = rnow
+                _, ys = integrate_ode(lambda j, v: -pair(v).residuals(free_P, with_Pi),
+                                      0.0, -10.0, y, step, project=project)
+                y = ys[-1]
+                done += 10.0
+                rnow = np.linalg.norm(pair(y).residuals(free_P, with_Pi))
+        except BlowUpError:
+            pass
+    raise SolverError("no seed reached a stabilizing root")
+
+
+def _solve_or_none(root_finder, *args, **kwargs):
+    try:
+        return root_finder(*args, **kwargs)
+    except SolverError:
+        return None
+
+
+def _flow_oracle_counts(plant, tol):
+    """Solve the limit P, the Pi at a pinned P (the oracle's root, or I)
+    and the joint pair at N = 3 with both finders, asserting the same
+    outcomes and roots; returns (roots found, of those the ones Newton from
+    the seeds alone misses)."""
+    n = plant.A.shape[0]
+    found = newton_alone_fails = 0
+    pin = None
+    for N, pinned, with_Pi in ((None, False, False), (None, True, True), (3, False, True)):
+        P = pin if pinned else None
+        want = _solve_or_none(flow_root, plant, N, tol, P=P, with_Pi=with_Pi)
+        got = _solve_or_none(_pair_root, plant, N, tol, P=P, with_Pi=with_Pi)
+        assert (got is None) == (want is None), (N, pinned)
+        if not with_Pi:
+            pin = np.eye(n) if want is None else want.P
+        if want is None:
+            continue
+        found += 1
+        for X, Y in ((got.P, want.P), (got.Pi, want.Pi)):
+            assert np.max(np.abs(X - Y)) <= 1e-9 * np.max(np.abs(Y))
+        newton_alone_fails += _solve_or_none(
+            flow_root, plant, N, tol, P=P, with_Pi=with_Pi, flow=False) is None
+    return found, newton_alone_fails
+
+
+def test_continuation_matches_flow_oracle():
+    # noisy plants with R of either sign, half of them with A shifted toward
+    # instability; unshifted plant 56 and shifted plants 4 and 17 lose roots
+    # if delta may shrink on an accepted step
+    tol = Tolerance(ode_step=1e-2)
+    found = newton_alone_fails = 0
+    for shifted, seeds in ((False, [*range(11), 56]), (True, [*range(11), 17])):
+        for seed in seeds:
+            rng = np.random.default_rng(1000 * shifted + seed)
+            n, r = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            plant = _random_noisy_plant(rng, n, r)
+            if shifted:
+                shift = rng.uniform(0.0, 1.5) * np.eye(n)
+                plant = plant._replace(A=plant.A + shift, AG=plant.AG + shift)
+            counts = _flow_oracle_counts(plant, tol)
+            found += counts[0]
+            newton_alone_fails += counts[1]
+    # some solves have no root, and some need more than Newton from the seeds
+    assert 0 < found < 72
+    assert newton_alone_fails > 0
 
 
 @settings(max_examples=20, deadline=None)
