@@ -431,7 +431,9 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
     once |F| <= residual_tol and a step no longer lowers it, or after 2000
     steps.  An acceptable root has Upsilon >= 0, and a free P (Pi) makes
     the individual loop mean-square stable (the aggregate loop Hurwitz).
-    SolverError carries every seed's diagnostic.
+    SolverError carries every seed's diagnostic; a seed without a root
+    reports the smallest |F| among the points it accepted, its seed
+    included, since the last one can lie far above it.
     """
     free_P = P is None
     n = plant.A.shape[0]
@@ -447,10 +449,10 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
         Y = y.reshape(shape)
         return (0.5 * (Y + Y.transpose(0, 2, 1))).ravel()
 
-    def rejection(p, rnorm, done):
+    def rejection(p, rnorm, done, best):
         if rnorm > tol.residual_tol:
             return (f"no steady state after {done:g} pseudo-time units "
-                    f"(|residual| = {rnorm:.3g})")
+                    f"(smallest |residual| = {best:.3g})")
         min_eig = float(np.linalg.eigvalsh(p.Ups).min())
         if min_eig < -tol.residual_tol:
             return f"converged but Upsilon indefinite (min eig {min_eig:.3g})"
@@ -470,6 +472,7 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
         p = pair(y)
         F = p.residuals(free_P, with_Pi)
         r, delta, done = np.linalg.norm(F), 0.05, 0.0
+        best = r
         for _ in range(2000):
             dy = np.linalg.lstsq(eye / delta - p.jacobian(free_P, with_Pi), F, rcond=None)[0]
             yn = project(y + dy)
@@ -482,11 +485,12 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
                 done += delta
                 delta = min(delta * max(1.0, r / rn), 1e15) if rn > 0 else 1e15
                 y, p, F, r = yn, pn, Fn, rn
+                best = min(best, r)
             else:
                 delta /= 4.0
                 if delta < 1e-12:
                     break
-        why = rejection(p, r, done)
+        why = rejection(p, r, done, best)
         if why is None:
             return p
         failures.append(f"seed {c}: {why}")

@@ -5,9 +5,16 @@ coupling (never the mean-field approximation), so consistency is measured
 rather than assumed.  Noise streams are counter-based per (seed,
 replication, agent): agent i's Brownian path is identical across control
 strategies and across population sizes, which gives common random numbers
-for cost comparisons by construction.  Replications are processed in
-memory-bounded chunks; all reductions are plain array means in fixed index
-order, so outputs are bit-identical for a given configuration.
+for cost comparisons by construction.
+
+Replications are stepped in chunks of at most _MAX_WIDTH agents in all.  A
+chunk keeps its streams open and draws their increments one time block at
+a time into two reused buffers, so its width does not depend on the
+horizon; a stream drawn in pieces yields the same normals as one draw.  The
+state is held as (n, replications, agents) and each step is a few
+broadcast multiply-adds with per-knot closed-loop tables, without BLAS.
+All reductions are plain array means in fixed index order, so outputs are
+bit-identical for a given configuration.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from .linalg import lift_msq, spectral_abscissa
 from .model import ProblemSpec, agent_rng, initial_chol
 from .synthesis import ControlLaw
 
-_MAX_ELEMS = int(2e7)   # noise-buffer budget (floats) per replication chunk
-_MAX_WIDTH = 20000      # replications x agents processed per vector step
+_MAX_WIDTH = 20000      # replications x agents stepped together
+_BLOCK_ELEMS = 1 << 20  # noise floats drawn per time block
 _DIVERGE = 1e12
 
 
@@ -76,12 +83,25 @@ class SimulationOutput:
     controls: np.ndarray | None = None       # (agents, m, r), replication 0
 
 
-def _law_tables(law: ControlLaw, tgrid):
-    Fs = law.F_self_at(tgrid)
-    Fm = law.F_mf_at(tgrid)
-    g = law.g_at(tgrid)
-    xb = law.xbar_at(tgrid)
-    return Fs, Fm, g, xb
+def _apply(M, V, out=None):
+    """M @ V over V's leading axis, as broadcast multiply-adds (no BLAS)."""
+    shape = (-1,) + (1,) * (V.ndim - 1)
+    out = np.multiply(M[:, 0].reshape(shape), V[0], out=out)
+    for j in range(1, V.shape[0]):
+        out += M[:, j].reshape(shape) * V[j]
+    return out
+
+
+def _quad(M, V, out, tmp):
+    """out = V' M V over V's leading axis; tmp is scratch shaped like out."""
+    for i in range(V.shape[0]):
+        _apply(M[i:i + 1], V, tmp[None])
+        if i == 0:
+            np.multiply(tmp, V[0], out=out)
+        else:
+            tmp *= V[i]
+            out += tmp
+    return out
 
 
 def _tail_bound(spec, law, T, integrand_end):
@@ -114,20 +134,32 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     tgrid = dt * np.arange(steps + 1)
     tgrid[-1] = T
 
-    A, Bm, C, D, G = spec.A, spec.B, spec.C, spec.D, spec.G
-    Q, R, Gam = spec.Q, spec.R, spec.Gamma
-    Fs, Fm, g, xb = _law_tables(law, tgrid)
-    fG = spec.f(tgrid)
-    sigG = spec.sigma(tgrid)
-    etaG = spec.eta(tgrid)
+    # Per knot, with xa the live population average:
+    #   u     = Fs x + Ku xa + u0
+    #   drift = Acl x + Kd xa + d0,   diffusion = Ccl x + Kc xa + c0
+    #   cost deviation = x - Ke xa - e0
+    # A term that reads the stored path xbar instead (the law's mean field
+    # or the coupling) has a zero K and sits in the constant tables.
+    Bm, D, G, Gam = spec.B, spec.D, spec.G, spec.Gamma
+    Fs, Fm, g, xb = (law.F_self_at(tgrid), law.F_mf_at(tgrid), law.g_at(tgrid),
+                     law.xbar_at(tgrid))
     use_emp = law.mf_source == "empirical"
     couple_emp = coupling == "empirical"
+    live = use_emp or couple_emp
+    Ku, u0 = (Fm, g) if use_emp else (0.0 * Fm, g + np.einsum("krn,kn->kr", Fm, xb))
+    cpl, cpl_xb = (1.0, 0.0 * xb) if couple_emp else (0.0, xb)
+    Acl, Kd = spec.A + Bm @ Fs, Bm @ Ku + cpl * G
+    d0 = u0 @ Bm.T + cpl_xb @ G.T + spec.f(tgrid)
+    Ccl, Kc = spec.C + D @ Fs, D @ Ku
+    c0 = u0 @ D.T + spec.sigma(tgrid)
+    Ke, e0 = cpl * Gam, cpl_xb @ Gam.T + spec.eta(tgrid)
     finite = not spec.infinite_horizon and abs(T - spec.horizon) <= 1e-9
 
     reps = cfg.replications
-    chunk = max(1, min(reps, _MAX_ELEMS // max(1, N * steps), _MAX_WIDTH // N))
+    chunk = max(1, min(reps, _MAX_WIDTH // N))
     L0 = initial_chol(spec)
     sqdt = np.sqrt(dt)
+    w = 0.5 * dt
 
     thin_idx = np.arange(0, steps + 1, cfg.thinning)
     if thin_idx[-1] != steps:
@@ -149,61 +181,78 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     done = 0
     while done < reps:
         B = min(chunk, reps - done)
-        gens = [[agent_rng(cfg.seed, done + b, i) for i in range(N)] for b in range(B)]
-        X = np.empty((B, N, n))
-        for b in range(B):
-            for i in range(N):
-                X[b, i] = spec.x0_mean + L0 @ gens[b][i].standard_normal(n)
-        dW = np.empty((B, steps, N))
-        for b in range(B):
-            for i in range(N):
-                dW[b, :, i] = gens[b][i].standard_normal(steps)
-        dW *= sqdt
+        W = B * N
+        # one stream per (replication, agent), row w = b N + i; each stream
+        # gives its n initial normals first, then its increments in order
+        gens = [agent_rng(cfg.seed, done + b, i) for b in range(B) for i in range(N)]
+        z0 = np.empty((W, n))
+        for gen, row in zip(gens, z0):
+            gen.standard_normal(out=row)
+        X = (spec.x0_mean[:, None] + _apply(L0, z0.T)).reshape(n, B, N)
+        block = max(1, min(steps, _BLOCK_ELEMS // W))
+        raw = np.empty((W, block))
+        rows = list(raw)
+        dW = np.empty((block, W))
 
         cost = np.zeros((B, N))
         consist = np.zeros(B)
-        prev_l = None
+        U = np.empty((r, B, N))
+        dev, drift, diff = (np.empty((n, B, N)) for _ in range(3))
+        lrun, prev_l, quad, tmp = (np.empty((B, N)) for _ in range(4))
         prev_c = None
         for k in range(steps + 1):
-            xavg = X.mean(axis=1)                       # (B, n)
-            coup = xavg[:, None, :] if couple_emp else np.broadcast_to(xb[k], (B, 1, n))
-            U = X @ Fs[k].T
-            if use_emp:
-                U = U + xavg[:, None, :] @ Fm[k].T + g[k]
+            xavg = X.mean(axis=2)                       # (n, B)
+            if live:
+                ou = (_apply(Ku[k], xavg) + u0[k][:, None])[:, :, None]
+                dx = (_apply(Kd[k], xavg) + d0[k][:, None])[:, :, None]
+                cx = (_apply(Kc[k], xavg) + c0[k][:, None])[:, :, None]
+                ex = (_apply(Ke, xavg) + e0[k][:, None])[:, :, None]
             else:
-                U = U + (Fm[k] @ xb[k] + g[k])
+                ou, dx, cx, ex = (v[k][:, None, None] for v in (u0, d0, c0, e0))
+            _apply(Fs[k], X, U)
+            U += ou
             # running cost at the current knot
-            dev = X - coup @ Gam.T - etaG[k]
-            lrun = np.einsum("bin,nm,bim->bi", dev, Q, dev) \
-                + np.einsum("bir,rs,bis->bi", U, R, U)
-            cerr = np.sum((xavg - xb[k]) ** 2, axis=1)
-            if prev_l is not None:
-                w = 0.5 * dt
-                cost += w * (prev_l + lrun)
+            np.subtract(X, ex, out=dev)
+            _quad(spec.Q, dev, lrun, tmp)
+            lrun += _quad(spec.R, U, quad, tmp)
+            cerr = np.sum((xavg - xb[k][:, None]) ** 2, axis=0)
+            if prev_c is not None:
+                np.add(prev_l, lrun, out=tmp)
+                tmp *= w
+                cost += tmp
                 consist += w * (prev_c + cerr)
-            prev_l, prev_c = lrun, cerr
+            prev_c = cerr
             if thin_mask[k]:
                 j = thin_pos[k]
                 sm_state[j] += np.sum(X * X) / N
                 sm_ctrl[j] += np.sum(U * U) / N
                 if collect_agents and done == 0:
-                    traj[:, j] = X[0, :collect_agents]
-                    ctrls[:, j] = U[0, :collect_agents]
+                    traj[:, j] = X[:, 0, :collect_agents].T
+                    ctrls[:, j] = U[:, 0, :collect_agents].T
             if k == steps:
                 end_integrand += float(np.mean(np.abs(lrun))) * B
                 break
-            drift = X @ A.T + U @ Bm.T + coup @ G.T + fG[k]
-            diff = X @ C.T + U @ D.T + sigG[k]
-            X = X + dt * drift + diff * dW[:, k, :, None]
-            bad = ~np.isfinite(X) | (np.abs(X) > _DIVERGE)
-            if bad.any():
-                b_idx, i_idx = np.argwhere(bad.any(axis=2))[0]
+            lrun, prev_l = prev_l, lrun
+            if k % block == 0:
+                size = min(block, steps - k)
+                for gen, row in zip(gens, rows):
+                    gen.standard_normal(out=row[:size])
+                np.multiply(raw[:, :size].T, sqdt, out=dW[:size])
+            _apply(Acl[k], X, drift)
+            drift += dx
+            drift *= dt
+            _apply(Ccl[k], X, diff)
+            diff += cx
+            diff *= dW[k % block].reshape(B, N)
+            X += drift
+            X += diff
+            if not np.abs(X, out=dev).max() <= _DIVERGE:     # also catches NaN
+                b_idx, i_idx = np.argwhere(~(dev <= _DIVERGE).all(axis=0))[0]
                 raise DivergenceError(tgrid[k + 1], i_idx, done + b_idx)
         if finite:
-            xavg = X.mean(axis=1)
-            coupT = xavg[:, None, :] if couple_emp else np.broadcast_to(xb[-1], (B, 1, n))
-            devT = X - coupT @ spec.Gamma0.T - spec.eta0
-            cost += np.einsum("bin,nm,bim->bi", devT, spec.H, devT)
+            xT = X.mean(axis=2) if couple_emp else xb[-1][:, None]
+            devT = X - (_apply(spec.Gamma0, xT) + spec.eta0[:, None])[:, :, None]
+            cost += _quad(spec.H, devT, quad, tmp)
         agent_cost += cost.sum(axis=0)
         rep_social[done:done + B] = cost.sum(axis=1)
         rep_consist[done:done + B] = consist

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mfsoc.linalg import BlowUpError, Tolerance, integrate_ode, is_hurwitz, lift_msq, symmetrize
 from mfsoc.model import ProblemSpec, constant_signal, derive_weights, zero_signal
 from mfsoc.riccati import (
+    _SEEDS,
     SolverError,
     _Pair,
     _Plant,
@@ -456,6 +459,22 @@ def test_unsolvable_equation_raises(spec_sec6):
     with pytest.raises(SolverError) as exc:
         solve_are(spec_sec6, t_sim=10.0)
     assert "seed" in str(exc.value)
+
+
+def test_no_root_reports_smallest_residual(spec_sec6):
+    # a seed without a root reports the smallest |F| it reached, never more
+    # than |F(c I)| at its start, however far its last step strayed
+    with pytest.raises(SolverError) as exc:
+        solve_are(spec_sec6, t_sim=10.0)
+    reported = {float(c): float(v) for c, v in re.findall(
+        r"seed ([\d.]+): no steady state [^;]*smallest \|residual\| = ([^)]+)\)",
+        str(exc.value))}
+    assert sorted(reported) == sorted(_SEEDS)
+    plant, tol = _plant(spec_sec6), Tolerance()
+    for c, res in reported.items():
+        start = c * np.eye(spec_sec6.n)
+        r0 = np.linalg.norm(_Pair(plant, start, start, None, tol).residuals(True, False))
+        assert res <= float(f"{r0:.3g}")
 
 
 def test_offset_decays(spec_wellposed, sol_wellposed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfsoc.model import ProblemSpec, constant_signal, zero_signal
+from mfsoc.model import ProblemSpec, agent_rng, constant_signal, initial_chol, zero_signal
 from mfsoc.riccati import solve_finite_limit
 from mfsoc.simulator import (
     DivergenceError,
@@ -99,6 +99,52 @@ def test_chunked_replications_match_single_chunk(monkeypatch):
     np.testing.assert_allclose(parts.rep_social, whole.rep_social, rtol=1e-12)
     np.testing.assert_allclose(parts.state_second_moment, whole.state_second_moment,
                                rtol=1e-12)
+
+
+def test_time_blocks_keep_each_agent_stream(monkeypatch):
+    # decoupled agents with additive noise: agent i of replication 0 follows
+    # the Euler path driven by its own stream, n initial normals first and
+    # then one increment per step, however many time blocks draw them
+    import mfsoc.simulator as sim
+    spec = ProblemSpec.from_json({**noise_free_spec().to_json()})
+    spec.sigma = constant_signal([0.3])
+    spec.x0_cov = np.array([[0.1]])
+    law = zero_law(1.0)
+    cfg = SimConfig(dt=5e-3, replications=2, seed=7, thinning=1)
+    N, steps = 3, 200
+    one = simulate_population(spec, law, cfg, N=N, collect_agents=N)
+    monkeypatch.setattr(sim, "_BLOCK_ELEMS", 7 * 2 * N)  # 7-step blocks, the last partial
+    blocks = simulate_population(spec, law, cfg, N=N, collect_agents=N)
+    a, f, s = -0.5, 0.2, 0.3
+    sqdt = np.sqrt(cfg.dt)
+    L0 = initial_chol(spec)[0, 0]
+    for i in range(N):
+        z = agent_rng(cfg.seed, 0, i).standard_normal(1 + steps)
+        x = np.empty(steps + 1)
+        x[0] = spec.x0_mean[0] + L0 * z[0]
+        for k in range(steps):
+            x[k + 1] = x[k] + (a * x[k] + f) * cfg.dt + s * (z[1 + k] * sqdt)
+        np.testing.assert_array_equal(blocks.trajectories[i, :, 0], x)
+    np.testing.assert_array_equal(blocks.rep_social, one.rep_social)
+    np.testing.assert_array_equal(blocks.state_second_moment, one.state_second_moment)
+
+
+def test_divergence_located_across_chunks(monkeypatch):
+    # multiplicative noise decides which agent blows up first; with 2-replication
+    # chunks the first divergence lies in the second chunk, at (replication 3,
+    # agent 0) and t = 2.45, values pinned from the stacked (replication, agent,
+    # n) kernel
+    import mfsoc.simulator as sim
+    spec = ProblemSpec(
+        n=1, r=1, A=12.0, B=1.0, C=3.0, D=0.0, G=0.0, Q=1.0, R=1.0, Gamma=0.0,
+        f=zero_signal(1), sigma=zero_signal(1), eta=zero_signal(1),
+        x0_mean=[1.0], x0_cov=[[0.0]], N=3, horizon=3.0,
+    )
+    monkeypatch.setattr(sim, "_MAX_WIDTH", 6)
+    with pytest.raises(DivergenceError) as exc:
+        simulate_population(spec, zero_law(3.0), SimConfig(dt=1e-2, replications=4, seed=11), N=3)
+    assert (exc.value.replication, exc.value.agent) == (3, 0)
+    assert exc.value.time == pytest.approx(2.45, abs=1e-12)
 
 
 def test_meanfield_type_uses_stored_trajectory(spec_sec6_finite, sol_sec6_finite):
