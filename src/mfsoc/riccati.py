@@ -371,7 +371,7 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
     grid = ts[::-1]
     Ps, Ks, ss = _unpack(ys[::-1], n)
     Ups = _Pair(_plant(spec, dw), Ps, Ps + Ks, N, tol).Ups
-    min_eig = float(min(np.linalg.eigvalsh(U).min() for U in Ups))
+    min_eig = float(np.linalg.eigvalsh(Ups).min())
     if require_convex and min_eig < -tol.residual_tol:
         raise SolverError(
             f"Upsilon has a negative eigenvalue ({min_eig:.3g}) somewhere on the "

@@ -7,6 +7,7 @@ from mfsoc.model import ProblemSpec, constant_signal
 from mfsoc.riccati import SolverError, solve_are, solve_finite_limit, solve_finite_N
 from mfsoc.simulator import SimConfig, simulate_meanfield_type, simulate_population
 from mfsoc.social import (
+    _closure_costs,
     asymptotic_value,
     centralized_cost,
     expected_social_cost,
@@ -193,6 +194,85 @@ def test_closure_matches_oracle_on_random_definite_specs(n, r, N, T, seed):
         want = kronecker_cost(spec, law, N, step=T / 20)
         got = expected_social_cost(spec, law, N, step=T / 20)
         assert abs(got - want) <= 1e-12 * abs(want), law.mf_source
+
+
+def _random_spec(rng, n, r, N, T):
+    """Random definite spec with multiplicative noise (C, D != 0)."""
+    def mat(rows, cols):
+        return 0.5 * rng.standard_normal((rows, cols))
+
+    def pd(k):
+        M = mat(k, k)
+        return M @ M.T + 0.1 * np.eye(k)
+
+    def vec():
+        return mat(n, 1)[:, 0]
+
+    return ProblemSpec(
+        n=n, r=r, A=mat(n, n), B=mat(n, r), C=mat(n, n), D=mat(n, r),
+        G=mat(n, n), Q=pd(n), R=pd(r), Gamma=mat(n, n), f=constant_signal(vec()),
+        sigma=constant_signal(vec()), eta=constant_signal(vec()), x0_mean=vec(),
+        x0_cov=pd(n), N=N, horizon=T, H=pd(n), Gamma0=mat(n, n), eta0=vec(),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), r=st.integers(1, 2),
+       Ns=st.lists(st.integers(1, 12), min_size=2, max_size=4, unique=True),
+       T=st.floats(0.05, 0.3), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_closure_equals_batches_of_one(n, r, Ns, T, seed):
+    # the decentralized and the centralized law at each N in turn, so neither
+    # the laws nor the N read the same reversed, and a row that picks up
+    # another row's N or law changes its cost
+    spec = _random_spec(np.random.default_rng(seed), n, r, max(Ns), T)
+    tol = Tolerance(ode_step=T / 40)
+    dec = build_law(solve_finite_limit(spec, tol), spec, tol)
+    laws = [law for N in Ns
+            for law in (dec, build_law(solve_finite_N(spec, tol, N=N), spec, tol))]
+    pairs = [N for N in Ns for _ in range(2)]
+    got = _closure_costs(spec, laws, pairs, T / 20)
+    want = np.array([expected_social_cost(spec, law, N, T / 20)
+                     for law, N in zip(laws, pairs)])
+    assert got.shape == want.shape
+    if n == 1:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_gap_curve_exact_matches_per_call_costs(spec_sec6_finite):
+    Ns = [5, 10, 20, 50]
+    curve = gap_curve_exact(spec_sec6_finite, Ns, step=1e-3)
+    dec = build_law(solve_finite_limit(spec_sec6_finite), spec_sec6_finite)
+    cen = [build_law(solve_finite_N(spec_sec6_finite, N=N), spec_sec6_finite) for N in Ns]
+    np.testing.assert_array_equal(
+        curve.decentralized, [expected_social_cost(spec_sec6_finite, dec, N, 1e-3) for N in Ns])
+    np.testing.assert_array_equal(
+        curve.centralized,
+        [expected_social_cost(spec_sec6_finite, law, N, 1e-3) for law, N in zip(cen, Ns)])
+    np.testing.assert_array_equal(curve.epsilon, curve.decentralized - curve.centralized)
+    assert curve.N_values.tolist() == Ns
+
+
+@pytest.mark.parametrize("N, step, match", [
+    (-3, 2e-4, "population size"),
+    (0, 2e-4, "population size"),
+    (2.5, 2e-4, "population size"),
+    (5, -1e-3, "step"),
+    (5, 0.0, "step"),
+    (5, float("nan"), "step"),
+    (5, float("inf"), "step"),
+])
+def test_closure_rejects_bad_population_or_step(spec_sec6_finite, sol_sec6_finite,
+                                                N, step, match):
+    law = build_law(sol_sec6_finite, spec_sec6_finite)
+    with pytest.raises(ValueError, match=match):
+        expected_social_cost(spec_sec6_finite, law, N, step)
+
+
+def test_gap_curve_exact_rejects_fractional_population(spec_sec6_finite):
+    with pytest.raises(ValueError, match="population size"):
+        gap_curve_exact(spec_sec6_finite, [5, 2.5], step=1e-3)
 
 
 def test_gap_curve_exact_is_noiseless_and_decreasing(spec_sec6_finite):
