@@ -338,22 +338,19 @@ def _cmd_reproduce(args):
     law = build_law(sol, spec, tol)
     cfg = SimConfig(dt=args.dt, T_sim=args.T, replications=1,
                     seed=args.seed, thinning=args.thinning)
-    n_show = min(30, spec.N)
-    out_sim = simulate_population(spec, law, cfg, collect_agents=n_show)
+    out_sim = simulate_population(spec, law, cfg, collect_agents=spec.N)
 
+    # fig1: the first agents' paths; fig2: population average vs mean field
+    n_show = min(30, spec.N)
     header = ["t"] + [f"agent_{a}" for a in range(n_show)]
     rows = [[out_sim.grid[k]] + [out_sim.trajectories[a, k, 0] for a in range(n_show)]
             for k in range(out_sim.grid.size)]
     _write_csv(os.path.join(out, "fig1.csv"), header, rows, mh)
 
-    # population average vs mean-field trajectory under one fresh run
-    cfg2 = SimConfig(dt=args.dt, T_sim=args.T, replications=1,
-                     seed=args.seed, thinning=args.thinning)
-    out_all = simulate_population(spec, law, cfg2, collect_agents=spec.N)
-    xhatN = out_all.trajectories[:, :, 0].mean(axis=0)
-    xbar = law.xbar_at(out_all.grid)[:, 0]
+    xhatN = out_sim.trajectories[:, :, 0].mean(axis=0)
+    xbar = law.xbar_at(out_sim.grid)[:, 0]
     _write_csv(os.path.join(out, "fig2.csv"), ["t", "xhatN", "xbar"],
-               [[out_all.grid[k], xhatN[k], xbar[k]] for k in range(out_all.grid.size)], mh)
+               [[out_sim.grid[k], xhatN[k], xbar[k]] for k in range(out_sim.grid.size)], mh)
 
     # gap curve on the matching finite-horizon problem (the centralized
     # benchmark needs a solvable population-N equation)

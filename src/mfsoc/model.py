@@ -12,6 +12,7 @@ than opaque callbacks so problems round-trip through JSON.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -340,6 +341,13 @@ def require_valid(spec: ProblemSpec):
     violations = validate(spec)
     if violations:
         raise ModelError("; ".join(str(v) for v in violations))
+
+
+def _check_population(N):
+    """N itself, or ValueError unless it is an integer >= 1."""
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"population size must be an integer >= 1, got {N!r}")
+    return N
 
 
 @dataclass(frozen=True)

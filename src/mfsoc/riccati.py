@@ -39,7 +39,7 @@ from .linalg import (
     rk4_grid,
     symmetrize,
 )
-from .model import ProblemSpec, DerivedWeights, derive_weights, require_valid
+from .model import ProblemSpec, DerivedWeights, _check_population, derive_weights, require_valid
 
 
 class SolverError(RuntimeError):
@@ -346,8 +346,6 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
     require_valid(spec)
     if spec.infinite_horizon:
         raise SolverError("finite-horizon solver called on an infinite-horizon problem")
-    if N is not None and N < 1:
-        raise SolverError("population size must be >= 1")
     dw = derive_weights(spec)
     n = spec.n
     T = spec.horizon
@@ -391,7 +389,7 @@ def solve_finite_limit(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> Ricca
 
 def solve_finite_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, N: int | None = None) -> RiccatiFiniteSolution:
     """Population-N backward triple (the centralized benchmark's gains)."""
-    return _solve_finite(spec, tol, spec.N if N is None else int(N))
+    return _solve_finite(spec, tol, _check_population(spec.N if N is None else N))
 
 
 def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance = DEFAULT_TOL):
@@ -556,8 +554,6 @@ def _solve_steady(spec: ProblemSpec, tol: Tolerance, t_sim: float, N: int | None
     require_valid(spec)
     if not spec.infinite_horizon:
         raise SolverError("infinite-horizon solver called on a finite-horizon problem")
-    if N is not None and N < 1:
-        raise SolverError("population size must be >= 1")
     dw = derive_weights(spec)
     plant = _plant(spec, dw)
     P = None
@@ -589,7 +585,7 @@ def solve_are(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20
 def solve_are_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20.0,
                 N: int | None = None) -> RiccatiInfiniteSolution:
     """Population-N steady pair (the centralized benchmark's gains)."""
-    return _solve_steady(spec, tol, t_sim, spec.N if N is None else int(N))
+    return _solve_steady(spec, tol, t_sim, _check_population(spec.N if N is None else N))
 
 
 # ---------------------------------------------------------------------------

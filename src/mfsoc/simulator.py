@@ -12,7 +12,7 @@ chunk keeps its streams open and draws their increments one time block at
 a time into two reused buffers, so its width does not depend on the
 horizon; a stream drawn in pieces yields the same normals as one draw.  The
 state is held as (n, replications, agents) and each step is a few
-broadcast multiply-adds with per-knot closed-loop tables, without BLAS.
+broadcast multiply-adds, without BLAS, with `synthesis._closed_loop`'s tables.
 All reductions are plain array means in fixed index order, so outputs are
 bit-identical for a given configuration.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import lift_msq, spectral_abscissa
-from .model import ProblemSpec, agent_rng, initial_chol
-from .synthesis import ControlLaw
+from .model import ProblemSpec, _check_population, agent_rng, initial_chol
+from .synthesis import ControlLaw, _closed_loop
 
 _MAX_WIDTH = 20000      # replications x agents stepped together
 _BLOCK_ELEMS = 1 << 20  # noise floats drawn per time block
@@ -104,12 +104,10 @@ def _quad(M, V, out, tmp):
     return out
 
 
-def _tail_bound(spec, law, T, integrand_end):
-    """Truncation-error estimate: end integrand over twice the decay rate."""
-    Fs = law.F_self_at(T)
-    A_cl = spec.A + spec.B @ Fs + spec.G
-    C_cl = spec.C + spec.D @ Fs
-    absc = spectral_abscissa(lift_msq(A_cl, C_cl))
+def _tail_bound(spec, cl, integrand_end):
+    """Truncation-error estimate: end integrand over twice the decay rate of
+    the closed loop's last knot."""
+    absc = spectral_abscissa(lift_msq(cl.A[-1] + spec.G, cl.C[-1]))
     if absc >= 0:
         return float("inf")
     return float(integrand_end / (-absc))
@@ -126,7 +124,7 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     """
     if coupling not in ("empirical", "xbar"):
         raise ValueError("coupling must be 'empirical' or 'xbar'")
-    N = spec.N if N is None else int(N)
+    N = _check_population(spec.N if N is None else N)
     n, r = spec.n, spec.r
     T = cfg.horizon_for(spec)
     dt = cfg.dt
@@ -134,25 +132,9 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     tgrid = dt * np.arange(steps + 1)
     tgrid[-1] = T
 
-    # Per knot, with xa the live population average:
-    #   u     = Fs x + Ku xa + u0
-    #   drift = Acl x + Kd xa + d0,   diffusion = Ccl x + Kc xa + c0
-    #   cost deviation = x - Ke xa - e0
-    # A term that reads the stored path xbar instead (the law's mean field
-    # or the coupling) has a zero K and sits in the constant tables.
-    Bm, D, G, Gam = spec.B, spec.D, spec.G, spec.Gamma
-    Fs, Fm, g, xb = (law.F_self_at(tgrid), law.F_mf_at(tgrid), law.g_at(tgrid),
-                     law.xbar_at(tgrid))
-    use_emp = law.mf_source == "empirical"
-    couple_emp = coupling == "empirical"
-    live = use_emp or couple_emp
-    Ku, u0 = (Fm, g) if use_emp else (0.0 * Fm, g + np.einsum("krn,kn->kr", Fm, xb))
-    cpl, cpl_xb = (1.0, 0.0 * xb) if couple_emp else (0.0, xb)
-    Acl, Kd = spec.A + Bm @ Fs, Bm @ Ku + cpl * G
-    d0 = u0 @ Bm.T + cpl_xb @ G.T + spec.f(tgrid)
-    Ccl, Kc = spec.C + D @ Fs, D @ Ku
-    c0 = u0 @ D.T + spec.sigma(tgrid)
-    Ke, e0 = cpl * Gam, cpl_xb @ Gam.T + spec.eta(tgrid)
+    cl = _closed_loop(spec, law, tgrid, coupling)
+    xb = law.xbar_at(tgrid)
+    live = any(np.any(M) for M in (cl.Aw, cl.Cw, cl.Fw, cl.Gw))
     finite = not spec.infinite_horizon and abs(T - spec.horizon) <= 1e-9
 
     reps = cfg.replications
@@ -203,13 +185,13 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
         for k in range(steps + 1):
             xavg = X.mean(axis=2)                       # (n, B)
             if live:
-                ou = (_apply(Ku[k], xavg) + u0[k][:, None])[:, :, None]
-                dx = (_apply(Kd[k], xavg) + d0[k][:, None])[:, :, None]
-                cx = (_apply(Kc[k], xavg) + c0[k][:, None])[:, :, None]
-                ex = (_apply(Ke, xavg) + e0[k][:, None])[:, :, None]
+                ou = (_apply(cl.Fw[k], xavg) + cl.u[k][:, None])[:, :, None]
+                dx = (_apply(cl.Aw[k], xavg) + cl.b[k][:, None])[:, :, None]
+                cx = (_apply(cl.Cw[k], xavg) + cl.c[k][:, None])[:, :, None]
+                ex = (_apply(cl.Gw[k], xavg) + cl.e[k][:, None])[:, :, None]
             else:
-                ou, dx, cx, ex = (v[k][:, None, None] for v in (u0, d0, c0, e0))
-            _apply(Fs[k], X, U)
+                ou, dx, cx, ex = (v[k][:, None, None] for v in (cl.u, cl.b, cl.c, cl.e))
+            _apply(cl.F[k], X, U)
             U += ou
             # running cost at the current knot
             np.subtract(X, ex, out=dev)
@@ -238,10 +220,10 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
                 for gen, row in zip(gens, rows):
                     gen.standard_normal(out=row[:size])
                 np.multiply(raw[:, :size].T, sqdt, out=dW[:size])
-            _apply(Acl[k], X, drift)
+            _apply(cl.A[k], X, drift)
             drift += dx
             drift *= dt
-            _apply(Ccl[k], X, diff)
+            _apply(cl.C[k], X, diff)
             diff += cx
             diff *= dW[k % block].reshape(B, N)
             X += drift
@@ -250,7 +232,7 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
                 b_idx, i_idx = np.argwhere(~(dev <= _DIVERGE).all(axis=0))[0]
                 raise DivergenceError(tgrid[k + 1], i_idx, done + b_idx)
         if finite:
-            xT = X.mean(axis=2) if couple_emp else xb[-1][:, None]
+            xT = X.mean(axis=2) if coupling == "empirical" else xb[-1][:, None]
             devT = X - (_apply(spec.Gamma0, xT) + spec.eta0[:, None])[:, :, None]
             cost += _quad(spec.H, devT, quad, tmp)
         agent_cost += cost.sum(axis=0)
@@ -266,7 +248,7 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     cons = float(rep_consist.mean())
     cons_se = float(rep_consist.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     if spec.infinite_horizon:
-        tail = _tail_bound(spec, law, T, end_integrand / reps)
+        tail = _tail_bound(spec, cl, end_integrand / reps)
     else:
         tail = 0.0
     return SimulationOutput(

@@ -6,12 +6,12 @@ information).  Gap curves pair decentralized and centralized runs under
 common random numbers, so the per-replication cost differences are the
 variance-reduced estimator of the gap.  Exact gap curves instead evaluate
 every cost from the exchangeable moment closure of the N-agent closed loop,
-whose size does not depend on N.  The closure carries a leading batch axis
-over (law, N) pairs, so a whole exact gap curve is one RK4 pass and a
-single exact cost is a batch of one.  The asymptotic per-agent optimum
-is evaluated in closed form from the two constant Riccati matrices, the
-offset, and a quadrature term m; the initial-state expectation reduces to
-a trace against the initial covariance.
+whose size does not depend on N, on the simulator's closed-loop tables.
+With a leading batch axis over (law, N) pairs, a whole exact gap curve is
+one `integrate_ode` pass and a single exact cost is a batch of one.  The
+asymptotic per-agent optimum is evaluated in closed form from the two
+constant Riccati matrices, the offset, and a quadrature term m; the
+initial-state expectation reduces to a trace against the initial covariance.
 """
 
 from __future__ import annotations
@@ -21,18 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, pinv, quadrature
-from .model import ProblemSpec
+from .linalg import DEFAULT_TOL, Tolerance, integrate_ode, quadrature, rk4_grid
+from .model import ProblemSpec, _check_population
 from .riccati import (
     RiccatiInfiniteSolution,
     SolverError,
+    _Pair,
+    _plant,
     solve_are,
     solve_are_N,
     solve_finite_limit,
     solve_finite_N,
 )
 from .simulator import SimConfig, SimulationOutput, simulate_population
-from .synthesis import build_law
+from .synthesis import _closed_loop, _ClosedLoop, build_law
 
 
 @dataclass
@@ -80,22 +82,17 @@ def gap_curve(spec: ProblemSpec, N_values, cfg: SimConfig,
     Both strategies at each N consume identical noise streams, so epsilon
     is estimated from paired per-replication differences.
     """
-    N_values = np.asarray(list(N_values), dtype=int)
+    Ns = [_check_population(N) for N in N_values]
     if spec.infinite_horizon:
         dec_sol = solve_are(spec, tol, t_sim=cfg.horizon_for(spec))
     else:
         dec_sol = solve_finite_limit(spec, tol)
     dec_law = build_law(dec_sol, spec, tol)
 
-    dec = np.empty(N_values.size)
-    cen = np.empty(N_values.size)
-    dec_se = np.empty(N_values.size)
-    cen_se = np.empty(N_values.size)
-    eps = np.empty(N_values.size)
-    eps_se = np.empty(N_values.size)
-    for j, N in enumerate(N_values):
-        out_d = simulate_population(spec, dec_law, cfg, N=int(N))
-        out_c = centralized_cost(spec, int(N), cfg, tol)
+    dec, cen, dec_se, cen_se, eps, eps_se = (np.empty(len(Ns)) for _ in range(6))
+    for j, N in enumerate(Ns):
+        out_d = simulate_population(spec, dec_law, cfg, N=N)
+        out_c = centralized_cost(spec, N, cfg, tol)
         dec[j] = out_d.social_cost / N
         cen[j] = out_c.social_cost / N
         dec_se[j] = out_d.social_se / N
@@ -104,7 +101,7 @@ def gap_curve(spec: ProblemSpec, N_values, cfg: SimConfig,
         eps[j] = float(diff.mean())
         reps = diff.size
         eps_se[j] = float(diff.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    return GapCurve(N_values, dec, cen, dec_se, cen_se, eps, eps_se)
+    return GapCurve(np.asarray(Ns), dec, cen, dec_se, cen_se, eps, eps_se)
 
 
 def _T(M):
@@ -136,79 +133,62 @@ def _trace_dot(W, M):
     return (M.reshape(*M.shape[:-2], 1, -1) @ W.reshape(-1, 1))[..., 0, 0]
 
 
-def _law_tables(spec: ProblemSpec, law, ts):
-    """One law's closed-loop tables at the stage times ts.
-
-    Drift A_cl x_i + mix x^(N) + b, diffusion a x_i + d x^(N) + s0 and
-    control Fs x_i + Fe x^(N) + u_off.  Built law by law, so a pair's
-    tables do not depend on the batch it is stacked into.
-    """
-    B, D = spec.B, spec.D
-    Fs, Fm, g = law.F_self_at(ts), law.F_mf_at(ts), law.g_at(ts)
-    if law.mf_source == "empirical":
-        Fe, u_off = Fm, g
-    else:
-        Fe, u_off = np.zeros_like(Fm), g + np.einsum("trn,tn->tr", Fm, law.xbar_at(ts))
-    return (spec.A + B @ Fs, B @ Fe + spec.G, spec.C + D @ Fs, D @ Fe,
-            u_off @ B.T + spec.f(ts), u_off @ D.T + spec.sigma(ts), Fs, Fe, u_off)
-
-
 def _closure_costs(spec: ProblemSpec, laws, Ns, step: float) -> np.ndarray:
     """Exact per-agent social costs of the pairs (laws[k], Ns[k]), in one pass.
 
     The agents start i.i.d. and share one symmetric law, so the closed loop
     is exchangeable: its first two moments are m = E x_i, S = E x_i x_i'
     and O = E x_i x_j' (i != j), and Y = S/N + (1 - 1/N) O is both
-    E x_i x^(N)' and E x^(N) x^(N)'.  With drift A_cl x_i + mix x^(N) + b
-    and diffusion a x_i + d x^(N) + s0, RK4 propagates
-        dm = (A_cl + mix) m + b,
-        dO = A_cl O + O A_cl' + mix Y + Y mix' + b m' + m b',
-        dS = (the same drift with S for O) + E (a x_i + d x^(N) + s0)(...)',
+    E x_i x^(N)' and E x^(N) x^(N)'.  With the law's closed loop (drift
+    A x_i + Aw x^(N) + b, diffusion C x_i + Cw x^(N) + c, see
+    `synthesis._closed_loop`),
+        dm = (A + Aw) m + b,
+        dO = A O + O A' + Aw Y + Y Aw' + b m' + m b',
+        dS = (the same drift with S for O) + E (C x_i + Cw x^(N) + c)(...)',
     a state of 2n^2 + n entries whatever N is.  Each pair is one row of a
-    leading batch axis: the law tables are stacked as (stages, K, ...), N
-    broadcasts as a (K, 1, 1) array, and one RK4 loop steps every row.
+    leading batch axis: the tables are built law by law and stacked as
+    (stages, K, ...), N broadcasts as a (K, 1, 1) array, and (m, S, O, cost)
+    of every row travel as one flat state through `integrate_ode`, which
+    raises BlowUpError, with its time, if the moments explode.
     """
     if spec.infinite_horizon:
         raise SolverError("moment propagation needs a finite horizon")
     for N in Ns:
-        if not isinstance(N, numbers.Integral) or N < 1:
-            raise ValueError(f"population size must be an integer >= 1, got {N!r}")
+        _check_population(N)
     if not (isinstance(step, numbers.Real) and 0.0 < step < np.inf):
         raise ValueError(f"step must be a positive finite number, got {step!r}")
     if not laws:
         return np.zeros(0)
     T = float(spec.horizon)
-    steps = max(1, int(round(T / step)))
-    h = T / steps
-    ts = np.linspace(0.0, T, 2 * steps + 1)   # RK4 stage times
-    A_cl, mix, a, d, b, s0, Fs, Fe, u_off = (
-        np.stack(tab, axis=1) for tab in zip(*(_law_tables(spec, law, ts) for law in laws)))
+    ts = rk4_grid(0.0, T, step)   # the stage times integrate_ode steps through
+    cl = _ClosedLoop(*(np.stack(tab, axis=1)
+                       for tab in zip(*(_closed_loop(spec, law, ts) for law in laws))))
     N = np.asarray(Ns, dtype=float)[:, None, None]
-    eta = spec.eta(ts)
-    I_n = np.eye(spec.n)
+    K, n = len(Ns), spec.n
+    I_n = np.eye(n)
+    e1, e2, e3 = K * n, K * n * (n + 1), K * n * (2 * n + 1)   # where m, S and O end
 
-    def rates(k, m, S, O):
+    def split(y):
+        return (y[:e1].reshape(K, n), y[e1:e2].reshape(K, n, n),
+                y[e2:e3].reshape(K, n, n), y[e3:])
+
+    def rate(k, y):
+        m, S, O, _ = split(y)
+        A, Aw, b = cl.A[k], cl.Aw[k], cl.b[k]
         Y = S / N + (1.0 - 1.0 / N) * O
-        mY, bm = mix[k] @ Y, _outer(b[k], m)
+        mY, bm = Aw @ Y, _outer(b, m)
         common = mY + _T(mY) + bm + _T(bm)
-        dm = _mv(A_cl[k] + mix[k], m) + b[k]
-        dS = A_cl[k] @ S + S @ _T(A_cl[k]) + common + _moment2(a[k], d[k], s0[k], m, S, Y)
-        dO = A_cl[k] @ O + O @ _T(A_cl[k]) + common
-        cost = (_trace_dot(spec.Q, _moment2(I_n, -spec.Gamma, -eta[k], m, S, Y))
-                + _trace_dot(spec.R, _moment2(Fs[k], Fe[k], u_off[k], m, S, Y)))
-        return dm, dS, dO, cost
+        dm = _mv(A + Aw, m) + b
+        dS = A @ S + S @ _T(A) + common + _moment2(cl.C[k], cl.Cw[k], cl.c[k], m, S, Y)
+        dO = A @ O + O @ _T(A) + common
+        cost = (_trace_dot(spec.Q, _moment2(I_n, -cl.Gw[k], -cl.e[k], m, S, Y))
+                + _trace_dot(spec.R, _moment2(cl.F[k], cl.Fw[k], cl.u[k], m, S, Y)))
+        return np.concatenate([dm.ravel(), dS.ravel(), dO.ravel(), cost])
 
-    K = len(Ns)
     m = np.tile(spec.x0_mean, (K, 1))
     O = _outer(m, m)
-    S, cost = O + spec.x0_cov, np.zeros(K)
-    for j in range(steps):
-        k1 = rates(2 * j, m, S, O)
-        k2 = rates(2 * j + 1, m + h / 2 * k1[0], S + h / 2 * k1[1], O + h / 2 * k1[2])
-        k3 = rates(2 * j + 1, m + h / 2 * k2[0], S + h / 2 * k2[1], O + h / 2 * k2[2])
-        k4 = rates(2 * j + 2, m + h * k3[0], S + h * k3[1], O + h * k3[2])
-        m, S, O, cost = (x + h / 6 * (r1 + 2 * r2 + 2 * r3 + r4)
-                         for x, r1, r2, r3, r4 in zip((m, S, O, cost), k1, k2, k3, k4))
+    y0 = np.concatenate([m.ravel(), (O + spec.x0_cov).ravel(), O.ravel(), np.zeros(K)])
+    m, S, O, cost = split(integrate_ode(rate, 0.0, T, y0, step)[1][-1])
     Y = S / N + (1.0 - 1.0 / N) * O
     return cost + _trace_dot(spec.H, _moment2(I_n, -spec.Gamma0, -spec.eta0, m, S, Y))
 
@@ -257,19 +237,17 @@ def asymptotic_value(spec: ProblemSpec, sol: RiccatiInfiniteSolution,
     implement.  Refuses when the integrand has not decayed by the end of
     the available grid (signals must be square-integrable).
     """
-    grid = sol.grid
-    P, Pi, Ups = sol.P, sol.Pi, sol.Upsilon
-    Ui = pinv(Ups, tol)
+    grid, P, Pi, s = sol.grid, sol.P, sol.Pi, sol.s
+    pair = _Pair(_plant(spec), P, Pi, None, tol)   # the limit form, M = P
     sig = spec.sigma(grid)
     f = spec.f(grid)
     eta = spec.eta(grid)
-    s = sol.s
-    w = s @ spec.B + sig @ (spec.D.T @ P).T   # rows: B's + D'P sigma
+    w = pair.offset_numerator(s, sig)   # rows: B's + D'P sigma
     integrand = (
         np.einsum("tn,nm,tm->t", sig, P, sig)
         + 2.0 * np.einsum("tn,tn->t", s, f)
         + np.einsum("tn,nm,tm->t", eta, spec.Q, eta)
-        - np.einsum("tr,rs,ts->t", w, Ui, w)
+        - np.einsum("tr,rs,ts->t", w, pair.Ui, w)
     )
     peak = float(np.max(np.abs(integrand)))
     tail_win = max(2, grid.size // 20)

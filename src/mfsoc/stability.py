@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, sym_sqrt_psd, symmetrize
-from .model import ProblemSpec, derive_weights
+from .model import ProblemSpec, _check_population, derive_weights
 from .riccati import (SolverError, _solution_pair, _solve_finite, check_ranges, solve_are,
                       solve_stochastic_are)
 
@@ -208,7 +208,7 @@ def check_uniform_convexity(spec: ProblemSpec, N_small: int = 2,
     if spec.infinite_horizon:
         raise SolverError("uniform-convexity check requires a finite horizon")
     try:
-        sol = _solve_finite(spec, tol, int(N_small), require_convex=False)
+        sol = _solve_finite(spec, tol, _check_population(N_small), require_convex=False)
     except SolverError as exc:
         if exc.escape_time is None:
             raise

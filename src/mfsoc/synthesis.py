@@ -1,17 +1,20 @@
-"""Control-law assembly.
+"""Control-law assembly, and the N-agent closed loop a law induces.
 
 Turns any Riccati solution (finite or infinite horizon, limit form or
-population-N form) into the gain/offset representation the simulator
-consumes: u_i(t) = F_self(t) x_i(t) + F_mf(t) w(t) + g(t), with
+population-N form) into the gain/offset representation
+u_i(t) = F_self(t) x_i(t) + F_mf(t) w(t) + g(t), with
 F_self = -Ups^+ (B'P + D'MC), F_mf = -Ups^+ B'K and
 g = -Ups^+ (B's + D'M sigma), where M = P + K/N (M = P in the limit form).
 w is the precomputed mean-field trajectory for a limit-form (decentralized)
 law and the live empirical average for a population-N (centralized) law.
+`_closed_loop` derives the closed loop's tables once, for both the Monte
+Carlo simulator and the exact moment closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,14 +64,45 @@ class ControlLaw:
         return grid_interp(self.grid, self.xbar, t)
 
 
-def _require_ranges(sol, spec, tol):
-    rep = check_ranges(sol, spec, tol)
-    if not rep.all_ok:
-        raise RangeConditionError(
-            "range conditions fail for: " + ", ".join(rep.failing())
-            + " (pseudoinverse feedback formula not valid)"
-        )
-    return rep
+class _ClosedLoop(NamedTuple):
+    """One agent's closed loop under a law, tabulated at stage times.
+
+    With w the live population average x^(N), agent i has drift
+    A x_i + Aw w + b, diffusion C x_i + Cw w + c, control F x_i + Fw w + u
+    and cost deviation x_i - Gw w - e.  A term that reads the law's stored
+    mean-field path (F_mf w for an "xbar" law; G w and Gamma w under
+    coupling="xbar") has a zero w-coefficient and is folded into b, c, u or e.
+    """
+
+    A: np.ndarray    # (t, n, n)
+    Aw: np.ndarray   # (t, n, n)
+    b: np.ndarray    # (t, n)
+    C: np.ndarray    # (t, n, n)
+    Cw: np.ndarray   # (t, n, n)
+    c: np.ndarray    # (t, n)
+    F: np.ndarray    # (t, r, n)
+    Fw: np.ndarray   # (t, r, n)
+    u: np.ndarray    # (t, r)
+    Gw: np.ndarray   # (t, n, n)
+    e: np.ndarray    # (t, n)
+
+
+def _closed_loop(spec: ProblemSpec, law: ControlLaw, ts,
+                 coupling: str = "empirical") -> _ClosedLoop:
+    """The closed loop of law at the times ts, coupled to x^(N) or to xbar."""
+    B, D, xb = spec.B, spec.D, law.xbar_at(ts)
+    F, Fm, g = law.F_self_at(ts), law.F_mf_at(ts), law.g_at(ts)
+    if law.mf_source == "empirical":
+        Fw, u = Fm, g
+    else:
+        Fw, u = 0.0 * Fm, g + np.einsum("trn,tn->tr", Fm, xb)
+    cw, xc = (1.0, 0.0 * xb) if coupling == "empirical" else (0.0, xb)
+    return _ClosedLoop(
+        A=spec.A + B @ F, Aw=B @ Fw + cw * spec.G, b=u @ B.T + xc @ spec.G.T + spec.f(ts),
+        C=spec.C + D @ F, Cw=D @ Fw, c=u @ D.T + spec.sigma(ts), F=F, Fw=Fw, u=u,
+        Gw=np.broadcast_to(cw * spec.Gamma, (len(ts),) + spec.Gamma.shape),
+        e=xc @ spec.Gamma.T + spec.eta(ts),
+    )
 
 
 def build_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
@@ -80,7 +114,10 @@ def build_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
     benchmark on the live empirical average.
     """
     if check:
-        _require_ranges(sol, spec, tol)
+        rep = check_ranges(sol, spec, tol)
+        if not rep.all_ok:
+            raise RangeConditionError("range conditions fail for: " + ", ".join(rep.failing())
+                                      + " (pseudoinverse feedback formula not valid)")
     finite = isinstance(sol, RiccatiFiniteSolution)
     pair = _solution_pair(sol, spec, tol)
     m, shape = sol.grid.size, (sol.grid.size, spec.r, spec.n)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfsoc.linalg import Tolerance
-from mfsoc.model import ProblemSpec, constant_signal
-from mfsoc.riccati import SolverError, solve_are, solve_finite_limit, solve_finite_N
+from mfsoc.linalg import BlowUpError, Tolerance
+from mfsoc.model import ProblemSpec, constant_signal, zero_signal
+from mfsoc.riccati import SolverError, solve_are, solve_are_N, solve_finite_limit, solve_finite_N
 from mfsoc.simulator import SimConfig, simulate_meanfield_type, simulate_population
 from mfsoc.social import (
     _closure_costs,
@@ -14,7 +14,7 @@ from mfsoc.social import (
     gap_curve,
     gap_curve_exact,
 )
-from mfsoc.synthesis import build_law
+from mfsoc.synthesis import ControlLaw, build_law
 
 
 def kronecker_cost(spec, law, N, step):
@@ -268,6 +268,38 @@ def test_closure_rejects_bad_population_or_step(spec_sec6_finite, sol_sec6_finit
     law = build_law(sol_sec6_finite, spec_sec6_finite)
     with pytest.raises(ValueError, match=match):
         expected_social_cost(spec_sec6_finite, law, N, step)
+
+
+@pytest.mark.parametrize("N", [2.5, 0, -2])
+@pytest.mark.parametrize("entry", ["solve_finite_N", "solve_are_N", "simulate_population",
+                                   "gap_curve"])
+def test_entry_points_refuse_bad_population(spec_sec6_finite, sol_sec6_finite, spec_wellposed,
+                                            entry, N):
+    calls = {
+        "solve_finite_N": lambda: solve_finite_N(spec_sec6_finite, N=N),
+        "solve_are_N": lambda: solve_are_N(spec_wellposed, t_sim=1.0, N=N),
+        "simulate_population": lambda: simulate_population(
+            spec_sec6_finite, build_law(sol_sec6_finite, spec_sec6_finite),
+            SimConfig(dt=1e-2), N=N),
+        "gap_curve": lambda: gap_curve(spec_sec6_finite, [N], SimConfig(dt=1e-2)),
+    }
+    with pytest.raises(ValueError, match="population size"):
+        calls[entry]()
+
+
+def test_closure_blow_up_raises_with_its_time():
+    # the own second moment grows like exp((2 A + C^2) t) = exp(89 t)
+    spec = ProblemSpec(
+        n=1, r=1, A=40.0, B=1.0, C=3.0, D=0.0, G=0.0, Q=1.0, R=1.0, Gamma=0.0,
+        f=zero_signal(1), sigma=zero_signal(1), eta=zero_signal(1),
+        x0_mean=[1.0], x0_cov=[[0.1]], N=2, horizon=1.0,
+    )
+    grid = np.linspace(0.0, 1.0, 3)
+    law = ControlLaw(grid=grid, F_self=np.zeros((3, 1, 1)), F_mf=np.zeros((3, 1, 1)),
+                     g=np.zeros((3, 1)), xbar=np.zeros((3, 1)))
+    with pytest.raises(BlowUpError) as info:
+        expected_social_cost(spec, law, N=2, step=1e-3)
+    assert 0.0 < info.value.time < 1.0
 
 
 def test_gap_curve_exact_rejects_fractional_population(spec_sec6_finite):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mfsoc.linalg import pinv
+from mfsoc.linalg import Tolerance, pinv, rk4_grid
 from mfsoc.model import ProblemSpec, zero_signal, constant_signal
-from mfsoc.riccati import check_ranges, solve_are, solve_are_N, solve_finite_N
-from mfsoc.synthesis import RangeConditionError, build_law
+from mfsoc.riccati import (check_ranges, solve_are, solve_are_N, solve_finite_limit,
+                           solve_finite_N)
+from mfsoc.synthesis import RangeConditionError, _closed_loop, build_law
 
 
 def test_infinite_law_gains(spec_wellposed, sol_wellposed):
@@ -107,3 +108,60 @@ def test_range_condition_refusal_population_form():
     assert not check_ranges(sol, spec).inclusions["feedback_gain"][0]
     with pytest.raises(RangeConditionError):
         build_law(sol, spec)
+
+
+def simulator_tables(spec, law, tgrid, coupling):
+    """Oracle: the simulator's own closed-loop block, as it stood before the
+    loop was derived once in `_closed_loop`.  Per knot, with xa the live
+    average, u = Fs x + Ku xa + u0, drift Acl x + Kd xa + d0, diffusion
+    Ccl x + Kc xa + c0 and cost deviation x - Ke xa - e0."""
+    Bm, D, G, Gam = spec.B, spec.D, spec.G, spec.Gamma
+    Fs, Fm, g, xb = (law.F_self_at(tgrid), law.F_mf_at(tgrid), law.g_at(tgrid),
+                     law.xbar_at(tgrid))
+    use_emp = law.mf_source == "empirical"
+    couple_emp = coupling == "empirical"
+    Ku, u0 = (Fm, g) if use_emp else (0.0 * Fm, g + np.einsum("krn,kn->kr", Fm, xb))
+    cpl, cpl_xb = (1.0, 0.0 * xb) if couple_emp else (0.0, xb)
+    Acl, Kd = spec.A + Bm @ Fs, Bm @ Ku + cpl * G
+    d0 = u0 @ Bm.T + cpl_xb @ G.T + spec.f(tgrid)
+    Ccl, Kc = spec.C + D @ Fs, D @ Ku
+    c0 = u0 @ D.T + spec.sigma(tgrid)
+    Ke, e0 = cpl * Gam, cpl_xb @ Gam.T + spec.eta(tgrid)
+    return dict(A=Acl, Aw=Kd, b=d0, C=Ccl, Cw=Kc, c=c0, F=Fs, Fw=Ku, u=u0,
+                Gw=np.broadcast_to(Ke, Acl.shape), e=e0)
+
+
+@pytest.mark.parametrize("coupling", ["empirical", "xbar"])
+@pytest.mark.parametrize("population", [None, 3])
+def test_closed_loop_matches_simulator_formulas(population, coupling):
+    rng = np.random.default_rng(12)
+
+    def mat(rows, cols):
+        return 0.5 * rng.standard_normal((rows, cols))
+
+    def pd(k):
+        M = mat(k, k)
+        return M @ M.T + 0.1 * np.eye(k)
+
+    n, r, T = 2, 2, 0.3
+    spec = ProblemSpec(
+        n=n, r=r, A=mat(n, n), B=mat(n, r), C=mat(n, n), D=mat(n, r),
+        G=mat(n, n), Q=pd(n), R=pd(r), Gamma=mat(n, n),
+        f=constant_signal(mat(n, 1)[:, 0]), sigma=constant_signal(mat(n, 1)[:, 0]),
+        eta=constant_signal(mat(n, 1)[:, 0]), x0_mean=mat(n, 1)[:, 0],
+        x0_cov=pd(n), N=3, horizon=T, H=pd(n), Gamma0=mat(n, n),
+        eta0=mat(n, 1)[:, 0],
+    )
+    tol = Tolerance(ode_step=T / 40)
+    sol = (solve_finite_limit(spec, tol) if population is None
+           else solve_finite_N(spec, tol, N=population))
+    law = build_law(sol, spec, tol)
+    assert law.mf_source == ("xbar" if population is None else "empirical")
+    assert np.all(law.F_mf != 0.0)
+    ts = rk4_grid(0.0, T, T / 17)
+    got = _closed_loop(spec, law, ts, coupling)._asdict()
+    want = simulator_tables(spec, law, ts, coupling)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].shape == want[name].shape, name
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
