@@ -6,7 +6,9 @@ the content hash of the problem file); numeric outputs are formatted
 deterministically so equal manifests yield byte-identical files.
 
 Exit codes: 0 success, 2 validation failure, 3 solver failure,
-4 simulation divergence, 64 usage error.
+4 simulation divergence, 64 usage error (a bad flag, or a value the
+library refuses with ``ValueError``, such as a step, dt or population size
+that is out of range).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import DEFAULT_TOL, Tolerance
-from .model import ProblemSpec, validate
+from .model import ModelError, ProblemSpec, validate
 from .riccati import (
     SolverError,
     check_ranges,
@@ -151,7 +153,7 @@ def _load(args):
 
 def _tol(args):
     step = getattr(args, "step", None)
-    if step:
+    if step is not None:
         return Tolerance(ode_step=float(step))
     return DEFAULT_TOL
 
@@ -249,10 +251,10 @@ def _cmd_simulate(args):
     tol = _tol(args)
     pin = np.atleast_2d(args.pin_P) if args.pin_P is not None else None
     T = args.T if spec.infinite_horizon else spec.horizon
-    _, law = _decentralized_law(spec, tol, T, pin)
     cfg = SimConfig(dt=args.dt, T_sim=T, replications=args.reps,
                     seed=args.seed, thinning=args.thinning)
-    N = args.N or spec.N
+    _, law = _decentralized_law(spec, tol, T, pin)
+    N = spec.N if args.N is None else args.N
     out_sim = simulate_population(spec, law, cfg, N=N,
                                   collect_agents=args.agents)
     out = _outdir(args)
@@ -461,6 +463,14 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except np.linalg.LinAlgError:   # a ValueError, but a numerical failure
+        raise
+    except ModelError as exc:
+        print(f"invalid problem: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 Pseudoinverse with an explicit rank cutoff, the second-moment (Kronecker)
 lift used for mean-square stability tests, Hurwitz tests, a fixed-step RK4
 integrator whose rate reads its time dependence by stage index from tables
-on ``rk4_grid``, and trapezoidal quadrature.  All functions are pure and
+on ``rk4_grid``, the same RK4 for a linear ODE with a constant matrix as an
+affine step map evaluated by a doubling scan (``affine_rk4``), a
+matrix-vector product over a long axis by broadcast multiply-adds
+(``matvec``), and trapezoidal quadrature.  All functions are pure and
 deterministic; everything operates on plain numpy arrays.
 """
 
@@ -48,8 +51,9 @@ class Tolerance:
     def __post_init__(self):
         if not (0 < self.rank_cutoff < 1):
             raise LinalgError("rank_cutoff must lie in (0, 1)")
-        if self.residual_tol <= 0 or self.ode_step <= 0:
-            raise LinalgError("residual_tol and ode_step must be positive")
+        if not (0 < self.residual_tol < np.inf and 0 < self.ode_step < np.inf):
+            raise LinalgError(f"residual_tol and ode_step must be positive finite numbers, "
+                              f"got {self.residual_tol!r} and {self.ode_step!r}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -186,6 +190,69 @@ def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None):
             raise BlowUpError(ts[j + 2])
         ys[k + 1] = y
     return ts[::2].copy(), ys
+
+
+def matvec(M, V, out=None):
+    """M @ V over V's leading axis, as broadcast multiply-adds (no BLAS)."""
+    shape = (-1,) + (1,) * (V.ndim - 1)
+    out = np.multiply(M[:, 0].reshape(shape), V[0], out=out)
+    for j in range(1, V.shape[0]):
+        out += M[:, j].reshape(shape) * V[j]
+    return out
+
+
+def affine_rk4(L, q, t0: float, t1: float, y0, step: float):
+    """Classical RK4 on y' = L y + q(t) for a constant matrix L.
+
+    Returns the same knots as ``integrate_ode`` with the rate
+    ``L @ y + q[j]``: ``q`` holds the forcing on ``rk4_grid(t0, t1, step)``,
+    shape (stages, d).  One RK4 step of a linear ODE is affine,
+    y_{k+1} = R y_k + c_k, with R = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24
+    and c_k the step taken from the zero state.  All c_k are formed at once,
+    and the recurrence is evaluated by a doubling scan (Hillis & Steele):
+    z[s:] += R^s z[:-s] for s = 1, 2, 4, ..., so log2(steps) vectorized
+    rounds replace the step loop.  Products over the step axis are
+    broadcast multiply-adds, so no call hands a long stack to BLAS.
+
+    Raises :class:`BlowUpError` with the time of the first knot whose state
+    is non-finite or has norm above 1e12, as ``integrate_ode`` does.
+    """
+    L = _as_matrix(L)
+    y0 = np.asarray(y0, dtype=float).ravel()
+    ts = rk4_grid(t0, t1, step)
+    steps = ts.size // 2
+    z = np.empty((y0.size, steps + 1))   # by component: matvec runs along the knots
+    z[:, 0] = y0
+    if steps > 0:
+        h = (t1 - t0) / steps
+        qT = np.asarray(q, dtype=float).reshape(ts.size, -1).T
+        q0, q1, q2 = qT[:, :-1:2], qT[:, 1::2], qT[:, 2::2]
+        # c_k: the four stages from the zero state, all steps at once
+        c = z[:, 1:]
+        c[...] = q0
+        k = matvec(h / 2 * L, q0)
+        k += q1
+        c += 2 * k
+        k = matvec(h / 2 * L, k)
+        k += q1
+        c += 2 * k
+        k = matvec(h * L, k)
+        k += q2
+        c += k
+        c *= h / 6
+        hL = h * L
+        eye = np.eye(y0.size)
+        R = eye + hL @ (eye + hL @ (eye + hL @ (eye + hL / 4) / 3) / 2)
+        with np.errstate(over="ignore", invalid="ignore"):   # a blow-up is reported below
+            s = 1
+            while s <= steps:
+                z[:, s:] += matvec(R, z[:, :-s])
+                R = R @ R
+                s *= 2
+        bad = ~(np.einsum("ik,ik->k", z[:, 1:], z[:, 1:]) <= 1e24)  # also NaN and inf
+        if bad.any():
+            raise BlowUpError(ts[2 * (int(np.argmax(bad)) + 1)])
+    return ts[::2].copy(), np.ascontiguousarray(z.T)
 
 
 def quadrature(values, grid=None, dx: float | None = None) -> float:

@@ -11,12 +11,14 @@ algebraic pair in either form (pseudo-transient continuation from
 scaled-identity seeds: implicit-Euler steps of the pseudo-time flow with
 the analytic Jacobian, the lifted closed-loop operator, that become Newton
 steps as the residual falls; the limit form solves P, then Pi), the L2
-offset s(t), and the mean-field ODE.  The time dependence of every
-integration (the signals, the interpolated triple, the offset forcing) is
-tabulated once on the RK4 stage grid of ``linalg.rk4_grid``, and the rates
-read those tables by stage index.  All solvers use the pseudoinverse of
-Upsilon so exactly singular control weights are handled, and every
-solution carries the range-inclusion report the feedback formulas require.
+offset s(t), and the mean-field ODE; these last two are linear with the
+constant aggregate loop, so ``linalg.affine_rk4`` steps them by a doubling
+scan.  The time dependence of every integration (the signals, the
+interpolated triple, the offset forcing) is tabulated once on the RK4
+stage grid of ``linalg.rk4_grid``, and the rates read those tables by
+stage index.  All solvers use the pseudoinverse of Upsilon so exactly
+singular control weights are handled, and every solution carries the
+range-inclusion report the feedback formulas require.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import (
     BlowUpError,
     DEFAULT_TOL,
     Tolerance,
+    affine_rk4,
     integrate_ode,
     is_hurwitz,
     kron,
@@ -529,7 +532,8 @@ def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
     g = pair.offset_forcing(spec.f(tb), spec.sigma(tb), dw.eta_bar(tb))
     del tb
     s_far = -np.linalg.solve(Hcl.T, g[0])
-    ts, ss = integrate_ode(lambda j, s: -(Hcl.T @ s + g[j]), t_far, 0.0, s_far, tol.ode_step)
+    np.negative(g, out=g)   # ds/dt = -Hcl's - g
+    ts, ss = affine_rk4(-Hcl.T, g, t_far, 0.0, s_far, tol.ode_step)
     del g
     ts, ss = ts[::-1], ss[::-1]   # ascending in time
     keep = ts <= t_sim + 1e-12
@@ -537,7 +541,7 @@ def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
 
     tf = rk4_grid(0.0, t_sim, tol.ode_step)
     Acl, c = pair.mean_map(grid_interp(grid, s_traj, tf), spec.f(tf), spec.sigma(tf))
-    tx, xs = integrate_ode(lambda j, x: Acl @ x + c[j], 0.0, t_sim, spec.x0_mean, tol.ode_step)
+    tx, xs = affine_rk4(Acl, c, 0.0, t_sim, spec.x0_mean, tol.ode_step)
     # resample s on the xbar grid so both live on one uniform grid
     s_on = grid_interp(grid, s_traj, tx)
     return tx, s_on, xs, absc

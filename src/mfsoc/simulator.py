@@ -12,9 +12,9 @@ chunk keeps its streams open and draws their increments one time block at
 a time into two reused buffers, so its width does not depend on the
 horizon; a stream drawn in pieces yields the same normals as one draw.  The
 state is held as (n, replications, agents) and each step is a few
-broadcast multiply-adds, without BLAS, with `synthesis._closed_loop`'s tables.
-All reductions are plain array means in fixed index order, so outputs are
-bit-identical for a given configuration.
+broadcast multiply-adds (`linalg.matvec`, without BLAS), with
+`synthesis._closed_loop`'s tables.  All reductions are plain array means in
+fixed index order, so outputs are bit-identical for a given configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import lift_msq, spectral_abscissa
+from .linalg import lift_msq, matvec, spectral_abscissa
 from .model import ProblemSpec, _check_population, agent_rng, initial_chol
 from .synthesis import ControlLaw, _closed_loop
 
@@ -51,8 +51,8 @@ class SimConfig:
     thinning: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.thinning < 1:
@@ -83,19 +83,10 @@ class SimulationOutput:
     controls: np.ndarray | None = None       # (agents, m, r), replication 0
 
 
-def _apply(M, V, out=None):
-    """M @ V over V's leading axis, as broadcast multiply-adds (no BLAS)."""
-    shape = (-1,) + (1,) * (V.ndim - 1)
-    out = np.multiply(M[:, 0].reshape(shape), V[0], out=out)
-    for j in range(1, V.shape[0]):
-        out += M[:, j].reshape(shape) * V[j]
-    return out
-
-
 def _quad(M, V, out, tmp):
     """out = V' M V over V's leading axis; tmp is scratch shaped like out."""
     for i in range(V.shape[0]):
-        _apply(M[i:i + 1], V, tmp[None])
+        matvec(M[i:i + 1], V, tmp[None])
         if i == 0:
             np.multiply(tmp, V[0], out=out)
         else:
@@ -124,6 +115,9 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     """
     if coupling not in ("empirical", "xbar"):
         raise ValueError("coupling must be 'empirical' or 'xbar'")
+    if coupling == "xbar" and law.mf_source == "empirical":
+        raise ValueError("coupling='xbar' needs a law with a stored mean-field path; "
+                         "a centralized law (mf_source 'empirical') has none")
     N = _check_population(spec.N if N is None else N)
     n, r = spec.n, spec.r
     T = cfg.horizon_for(spec)
@@ -170,7 +164,7 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
         z0 = np.empty((W, n))
         for gen, row in zip(gens, z0):
             gen.standard_normal(out=row)
-        X = (spec.x0_mean[:, None] + _apply(L0, z0.T)).reshape(n, B, N)
+        X = (spec.x0_mean[:, None] + matvec(L0, z0.T)).reshape(n, B, N)
         block = max(1, min(steps, _BLOCK_ELEMS // W))
         raw = np.empty((W, block))
         rows = list(raw)
@@ -185,13 +179,13 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
         for k in range(steps + 1):
             xavg = X.mean(axis=2)                       # (n, B)
             if live:
-                ou = (_apply(cl.Fw[k], xavg) + cl.u[k][:, None])[:, :, None]
-                dx = (_apply(cl.Aw[k], xavg) + cl.b[k][:, None])[:, :, None]
-                cx = (_apply(cl.Cw[k], xavg) + cl.c[k][:, None])[:, :, None]
-                ex = (_apply(cl.Gw[k], xavg) + cl.e[k][:, None])[:, :, None]
+                ou = (matvec(cl.Fw[k], xavg) + cl.u[k][:, None])[:, :, None]
+                dx = (matvec(cl.Aw[k], xavg) + cl.b[k][:, None])[:, :, None]
+                cx = (matvec(cl.Cw[k], xavg) + cl.c[k][:, None])[:, :, None]
+                ex = (matvec(cl.Gw[k], xavg) + cl.e[k][:, None])[:, :, None]
             else:
                 ou, dx, cx, ex = (v[k][:, None, None] for v in (cl.u, cl.b, cl.c, cl.e))
-            _apply(cl.F[k], X, U)
+            matvec(cl.F[k], X, U)
             U += ou
             # running cost at the current knot
             np.subtract(X, ex, out=dev)
@@ -220,10 +214,10 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
                 for gen, row in zip(gens, rows):
                     gen.standard_normal(out=row[:size])
                 np.multiply(raw[:, :size].T, sqdt, out=dW[:size])
-            _apply(cl.A[k], X, drift)
+            matvec(cl.A[k], X, drift)
             drift += dx
             drift *= dt
-            _apply(cl.C[k], X, diff)
+            matvec(cl.C[k], X, diff)
             diff += cx
             diff *= dW[k % block].reshape(B, N)
             X += drift
@@ -233,7 +227,7 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
                 raise DivergenceError(tgrid[k + 1], i_idx, done + b_idx)
         if finite:
             xT = X.mean(axis=2) if coupling == "empirical" else xb[-1][:, None]
-            devT = X - (_apply(spec.Gamma0, xT) + spec.eta0[:, None])[:, :, None]
+            devT = X - (matvec(spec.Gamma0, xT) + spec.eta0[:, None])[:, :, None]
             cost += _quad(spec.H, devT, quad, tmp)
         agent_cost += cost.sum(axis=0)
         rep_social[done:done + B] = cost.sum(axis=1)

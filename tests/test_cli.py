@@ -25,6 +25,11 @@ def test_validate_rejects_bad_spec(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(bad))
     assert main(["validate", str(p)]) == 2
+    # a file that does not parse into a problem is invalid too, not a crash
+    bad["f"] = {"kind": "no-such-signal"}
+    p.write_text(json.dumps(bad))
+    assert main(["validate", str(p)]) == 2
+    assert main(["simulate", str(p), "--outdir", str(tmp_path / "s")]) == 2
 
 
 def test_usage_errors():
@@ -76,6 +81,22 @@ def test_simulate_summary(tmp_path):
     assert len(summary["individual_costs"]) == 5
     traj = (out / "trajectories.csv").read_text().splitlines()
     assert traj[1].split(",")[:2] == ["t", "agent"]
+
+
+@pytest.mark.parametrize("probe", [
+    ["--N", "0"], ["--N", "-2"],
+    ["--step", "0"], ["--step", "-0.001"], ["--step", "nan"],
+    ["--dt", "nan"], ["--dt", "0"],
+    ["--reps", "0"], ["--thinning", "0"],
+])
+def test_simulate_refuses_bad_numbers_with_usage_exit(tmp_path, capsys, probe):
+    # an out-of-range number is refused with a message, never replaced by a
+    # default and never left to fail inside the library
+    rc = main(["simulate", SEC6_FIN, "--outdir", str(tmp_path / "s"), "--reps", "2",
+               "--dt", "0.01"] + probe)
+    assert rc == 64
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s").exists()
 
 
 def test_gap_csv(tmp_path):

@@ -5,6 +5,7 @@ from mfsoc.linalg import (
     BlowUpError,
     LinalgError,
     Tolerance,
+    affine_rk4,
     integrate_ode,
     is_hurwitz,
     kron,
@@ -150,6 +151,51 @@ def test_rk4_blowup():
     with pytest.raises(BlowUpError) as exc:
         integrate_ode(nan_from_half, 0.0, 1.0, np.array([1.0, 2.0]), 0.1)
     assert exc.value.time == pytest.approx(0.5)
+
+
+def _random_affine_problem(seed, d, steps, hurwitz):
+    """Constant L with spectral abscissa -0.5 (Hurwitz) or +0.5, forcing on
+    the stage grid of [0, 1] and a start state."""
+    rng = np.random.default_rng(seed)
+    L = rng.standard_normal((d, d))
+    L -= (spectral_abscissa(L) + (0.5 if hurwitz else -0.5)) * np.eye(d)
+    q = rng.standard_normal((2 * steps + 1, d))
+    return L, q, rng.standard_normal(d)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 1000, 1023, 1025])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("backward", [False, True])
+def test_affine_rk4_matches_integrate_ode(steps, d, backward):
+    t0, t1 = (1.0, 0.0) if backward else (0.0, 1.0)
+    for hurwitz in (True, False):
+        L, q, y0 = _random_affine_problem(steps * 10 + d, d, steps, hurwitz)
+        knots, ys = affine_rk4(L, q, t0, t1, y0, 1.0 / steps)
+        want_knots, want = integrate_ode(lambda j, y: L @ y + q[j], t0, t1, y0, 1.0 / steps)
+        np.testing.assert_array_equal(knots, want_knots)
+        assert ys.shape == want.shape == (steps + 1, d)
+        assert np.max(np.abs(ys - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_affine_rk4_blowup_reports_first_failing_knot():
+    # exponential growth e^{40 t} crosses the 1e12 norm bound near t = 0.69
+    L, q = 40.0 * np.eye(2), np.zeros((2001, 2))
+    y0 = np.array([1.0, -1.0])
+    with pytest.raises(BlowUpError) as want:
+        integrate_ode(lambda j, y: L @ y + q[j], 0.0, 1.0, y0, 1e-3)
+    with pytest.raises(BlowUpError) as got:
+        affine_rk4(L, q, 0.0, 1.0, y0, 1e-3)
+    assert got.value.time == want.value.time < 0.7
+    # forcing that turns NaN from stage 10 (t = 0.5) fails at the end of the
+    # step that read it, not at the last knot
+    L = -np.eye(2)
+    q = np.zeros((21, 2))
+    q[10:] = np.nan
+    with pytest.raises(BlowUpError) as want:
+        integrate_ode(lambda j, y: L @ y + q[j], 0.0, 1.0, y0, 0.1)
+    with pytest.raises(BlowUpError) as got:
+        affine_rk4(L, q, 0.0, 1.0, y0, 0.1)
+    assert got.value.time == want.value.time == pytest.approx(0.5)
 
 
 def test_quadrature_linear_exact():

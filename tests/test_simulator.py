@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfsoc.model import ProblemSpec, agent_rng, constant_signal, initial_chol, zero_signal
-from mfsoc.riccati import solve_finite_limit
+from mfsoc.riccati import solve_finite_limit, solve_finite_N
 from mfsoc.simulator import (
     DivergenceError,
     SimConfig,
@@ -155,6 +155,18 @@ def test_meanfield_type_uses_stored_trajectory(spec_sec6_finite, sol_sec6_finite
     # the consistency statistic is against the same stored path the coupling
     # used, so it measures only the single agent's own fluctuation
     assert out.consistency_error > 0.0
+
+
+def test_xbar_coupling_refuses_centralized_law(spec_sec6_finite):
+    # a centralized law stores no mean-field path (its xbar is all zero), so
+    # coupling to it would silently simulate against a zero mean field
+    law = build_law(solve_finite_N(spec_sec6_finite, N=10), spec_sec6_finite)
+    assert law.mf_source == "empirical"
+    cfg = SimConfig(dt=1e-2, replications=2, seed=1)
+    with pytest.raises(ValueError, match="mean-field path"):
+        simulate_population(spec_sec6_finite, law, cfg, N=10, coupling="xbar")
+    with pytest.raises(ValueError, match="mean-field path"):
+        simulate_meanfield_type(spec_sec6_finite, law, cfg)
 
 
 def evaluate_cost(grid, X, U, ref, spec: ProblemSpec):
