@@ -6,9 +6,10 @@ the content hash of the problem file); numeric outputs are formatted
 deterministically so equal manifests yield byte-identical files.
 
 Exit codes: 0 success, 2 validation failure, 3 solver failure,
-4 simulation divergence, 64 usage error (a bad flag, or a value the
-library refuses with ``ValueError``, such as a step, dt or population size
-that is out of range).
+4 simulation divergence, 64 usage error (a bad flag, a flag value out of
+its range, which is refused with the flag's name before anything runs, or
+a value the library refuses with ``ValueError``, such as more agents to
+record than the population has).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import DEFAULT_TOL, Tolerance
-from .model import ModelError, ProblemSpec, validate
+from .model import ModelError, ProblemSpec, _check_count, _check_positive, validate
 from .riccati import (
     SolverError,
     check_ranges,
@@ -54,6 +55,21 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _checked(parse, check):
+    """argparse type: parse the text, then apply the library's own check, so
+    a refused value is reported with its flag before anything runs."""
+    def convert(text):
+        try:
+            return check(parse(text), "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_POSITIVE = _checked(float, _check_positive)
+_COUNT = _checked(int, _check_count)
 
 
 def _fmt(x) -> str:
@@ -381,14 +397,14 @@ def _cmd_reproduce(args):
 def _add_common(p, sim=False):
     p.add_argument("spec", help="problem JSON file")
     p.add_argument("--outdir", default=None, help="output directory (default $MFSOC_OUTDIR or ./out)")
-    p.add_argument("--step", type=float, default=None, help="Riccati/ODE integration step")
-    p.add_argument("--max-rows", dest="max_rows", type=int, default=2000)
+    p.add_argument("--step", type=_POSITIVE, default=None, help="Riccati/ODE integration step")
+    p.add_argument("--max-rows", dest="max_rows", type=_COUNT, default=2000)
     if sim:
-        p.add_argument("--dt", type=float, default=1e-3)
-        p.add_argument("--T", type=float, default=20.0, help="simulation/truncation horizon")
-        p.add_argument("--reps", type=int, default=100)
+        p.add_argument("--dt", type=_POSITIVE, default=1e-3)
+        p.add_argument("--T", type=_POSITIVE, default=20.0, help="simulation/truncation horizon")
+        p.add_argument("--reps", type=_COUNT, default=100)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--thinning", type=int, default=10)
+        p.add_argument("--thinning", type=_COUNT, default=10)
 
 
 def build_parser() -> _Parser:
@@ -408,19 +424,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve-infinite", help="algebraic equations + offset")
     _add_common(p)
-    p.add_argument("--T", type=float, default=20.0)
+    p.add_argument("--T", type=_POSITIVE, default=20.0)
     p.add_argument("--pin-P", dest="pin_P", type=float, default=None,
                    help="bypass the first equation with a given scalar value")
     p.set_defaults(func=_cmd_solve_infinite)
 
     p = sub.add_parser("check", help="stability/convexity battery")
     _add_common(p)
-    p.add_argument("--T", type=float, default=20.0)
+    p.add_argument("--T", type=_POSITIVE, default=20.0)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("simulate", help="closed-loop population simulation")
     _add_common(p, sim=True)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_COUNT, default=None)
     p.add_argument("--agents", type=int, default=0, help="trajectories to export")
     p.add_argument("--pin-P", dest="pin_P", type=float, default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -432,14 +448,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("value", help="asymptotic per-agent optimum")
     _add_common(p)
-    p.add_argument("--T", type=float, default=20.0)
+    p.add_argument("--T", type=_POSITIVE, default=20.0)
     p.add_argument("--pin-P", dest="pin_P", type=float, default=None)
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("reproduce-paper", help="full benchmark pipeline")
     _add_common(p, sim=True)
     p.add_argument("--N-list", dest="N_list", default="1,2,5,10,20,50")
-    p.add_argument("--fig3-T", dest="fig3_T", type=float, default=0.2,
+    p.add_argument("--fig3-T", dest="fig3_T", type=_POSITIVE, default=0.2,
                    help="finite horizon used for the gap benchmark")
     p.set_defaults(func=_cmd_reproduce)
     return parser

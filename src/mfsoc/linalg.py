@@ -1,13 +1,13 @@
 """Dense linear-algebra kernel shared by every other module.
 
 Pseudoinverse with an explicit rank cutoff, the second-moment (Kronecker)
-lift used for mean-square stability tests, Hurwitz tests, a fixed-step RK4
-integrator whose rate reads its time dependence by stage index from tables
-on ``rk4_grid``, the same RK4 for a linear ODE with a constant matrix as an
-affine step map evaluated by a doubling scan (``affine_rk4``), a
-matrix-vector product over a long axis by broadcast multiply-adds
-(``matvec``), and trapezoidal quadrature.  All functions are pure and
-deterministic; everything operates on plain numpy arrays.
+lift used for mean-square stability tests, Hurwitz tests, one RK4 step
+(``_rk4_step``, whose rate reads tables on ``rk4_grid`` by stage index)
+run by a step loop for nonlinear ODEs (``integrate_ode``) and, for linear
+ones, as per-step affine maps applied by a doubling scan (``affine_rk4``),
+broadcast matrix-vector products (``matvec``), and trapezoidal quadrature.
+All functions are pure and deterministic; everything operates on plain
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ DEFAULT_TOL = Tolerance()
 
 
 def _as_matrix(M) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return M
+    return np.atleast_2d(np.asarray(M, dtype=float))
 
 
 def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -154,6 +153,15 @@ def rk4_grid(t0: float, t1: float, step: float) -> np.ndarray:
     return ts
 
 
+def _rk4_step(rate, j, y, h):
+    """One classical RK4 step of length h from the knot at stage index j."""
+    k1 = rate(j, y)
+    k2 = rate(j + 1, y + (h / 2) * k1)
+    k3 = rate(j + 1, y + (h / 2) * k2)
+    k4 = rate(j + 2, y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None):
     """Classical fixed-step RK4 on a uniform grid including both endpoints.
 
@@ -173,106 +181,92 @@ def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None):
     steps = ts.size // 2
     ys = np.empty((steps + 1, y0.size))
     ys[0] = y0
-    if steps == 0:
-        return ts, ys
-    h = (t1 - t0) / steps
-    y = y0.copy()
+    h = (t1 - t0) / max(steps, 1)
     for k in range(steps):
-        j = 2 * k
-        k1 = rate(j, y)
-        k2 = rate(j + 1, y + (h / 2) * k1)
-        k3 = rate(j + 1, y + (h / 2) * k2)
-        k4 = rate(j + 2, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = _rk4_step(rate, 2 * k, ys[k], h)
         if project is not None:
             y = project(y)
         if not (y @ y <= 1e24):  # also true for NaN and inf
-            raise BlowUpError(ts[j + 2])
+            raise BlowUpError(ts[2 * k + 2])
         ys[k + 1] = y
     return ts[::2].copy(), ys
 
 
 def matvec(M, V, out=None):
-    """M @ V over V's leading axis, as broadcast multiply-adds (no BLAS)."""
-    shape = (-1,) + (1,) * (V.ndim - 1)
-    out = np.multiply(M[:, 0].reshape(shape), V[0], out=out)
+    """M @ V over V's leading axis, as broadcast multiply-adds (no BLAS); axes
+    of M past its second broadcast against V's trailing ones (one M per step)."""
+    ix = (None,) * (V.ndim - M.ndim + 1)
+    out = np.multiply(M[(slice(None), 0) + ix], V[0], out=out)
     for j in range(1, V.shape[0]):
-        out += M[:, j].reshape(shape) * V[j]
+        out += M[(slice(None), j) + ix] * V[j]
     return out
 
 
-def affine_rk4(L, q, t0: float, t1: float, y0, step: float):
-    """Classical RK4 on y' = L y + q(t) for a constant matrix L.
+_SCAN_ELEMS = 1 << 14   # probe-state entries in one block of steps, d(d + 1) per step and row
 
-    Returns the same knots as ``integrate_ode`` with the rate
-    ``L @ y + q[j]``: ``q`` holds the forcing on ``rk4_grid(t0, t1, step)``,
-    shape (stages, d).  One RK4 step of a linear ODE is affine,
-    y_{k+1} = R y_k + c_k, with R = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24
-    and c_k the step taken from the zero state.  All c_k are formed at once,
-    and the recurrence is evaluated by a doubling scan (Hillis & Steele):
-    z[s:] += R^s z[:-s] for s = 1, 2, 4, ..., so log2(steps) vectorized
-    rounds replace the step loop.  Products over the step axis are
-    broadcast multiply-adds, so no call hands a long stack to BLAS.
+
+def affine_rk4(rate, t0: float, t1: float, y0, step: float):
+    """Classical RK4 on a linear ODE y' = L(t) y + q(t), as an affine step map.
+
+    Returns the knots and states of ``integrate_ode`` with the same rate.
+    ``y0`` may carry leading batch axes before its state axis of length d.
+    The rate must be affine in y and act on each batch row alone; it gets a
+    (steps,) array of stage indices and states of shape
+    (d + 1, steps, *y0.shape), so tables indexed by the stages broadcast.
+    One RK4 step is y_{k+1} = R_k y_k + c_k: for a block of steps at once,
+    ``_rk4_step`` from the zero state gives every c_k, and from the d unit
+    states every column of R_k.  The block's recurrence is evaluated by a
+    doubling scan (Hillis & Steele): z[s:] += R[s:] z[:-s] and
+    R[s:] = R[s:] R[:-s] for s = 1, 2, 4, ..., and its last knot starts the
+    next block.  Products over the step axis are broadcast multiply-adds
+    (``matvec``), never BLAS calls.
 
     Raises :class:`BlowUpError` with the time of the first knot whose state
     is non-finite or has norm above 1e12, as ``integrate_ode`` does.
     """
-    L = _as_matrix(L)
-    y0 = np.asarray(y0, dtype=float).ravel()
+    y0 = np.asarray(y0, dtype=float)
+    d = y0.shape[-1]
     ts = rk4_grid(t0, t1, step)
     steps = ts.size // 2
-    z = np.empty((y0.size, steps + 1))   # by component: matvec runs along the knots
-    z[:, 0] = y0
-    if steps > 0:
-        h = (t1 - t0) / steps
-        qT = np.asarray(q, dtype=float).reshape(ts.size, -1).T
-        q0, q1, q2 = qT[:, :-1:2], qT[:, 1::2], qT[:, 2::2]
-        # c_k: the four stages from the zero state, all steps at once
-        c = z[:, 1:]
-        c[...] = q0
-        k = matvec(h / 2 * L, q0)
-        k += q1
-        c += 2 * k
-        k = matvec(h / 2 * L, k)
-        k += q1
-        c += 2 * k
-        k = matvec(h * L, k)
-        k += q2
-        c += k
-        c *= h / 6
-        hL = h * L
-        eye = np.eye(y0.size)
-        R = eye + hL @ (eye + hL @ (eye + hL @ (eye + hL / 4) / 3) / 2)
+    h = (t1 - t0) / max(steps, 1)
+    ys = np.empty((steps + 1,) + y0.shape)
+    ys[0] = y0
+    probes = np.eye(d + 1, d, -1).reshape((d + 1,) + (1,) * y0.ndim + (d,))
+    block = max(1, _SCAN_ELEMS // (d * (d + 1)))
+    for k0 in range(0, steps, block):
+        S = min(block, steps - k0)
         with np.errstate(over="ignore", invalid="ignore"):   # a blow-up is reported below
+            F = _rk4_step(rate, 2 * np.arange(k0, k0 + S),
+                          np.broadcast_to(probes, (d + 1, S) + y0.shape), h)
+            z = np.moveaxis(F[0], -1, 0).copy()                   # c: (d, S, ...)
+            R = np.moveaxis(F[1:] - F[0], -1, 0).copy()           # (d, d, S, ...)
+            z[:, 0] += matvec(R[:, :, 0], np.moveaxis(ys[k0], -1, 0))
             s = 1
-            while s <= steps:
-                z[:, s:] += matvec(R, z[:, :-s])
-                R = R @ R
+            while s < S:
+                z[:, s:] += matvec(R[:, :, s:], z[:, :-s])
+                if 2 * s < S:
+                    R[:, :, s:] = matvec(R[:, :, s:], R[:, :, :-s])
                 s *= 2
-        bad = ~(np.einsum("ik,ik->k", z[:, 1:], z[:, 1:]) <= 1e24)  # also NaN and inf
+            bad = ~((z * z).reshape(d, S, -1).sum(axis=(0, 2)) <= 1e24)   # also NaN and inf
         if bad.any():
-            raise BlowUpError(ts[2 * (int(np.argmax(bad)) + 1)])
-    return ts[::2].copy(), np.ascontiguousarray(z.T)
+            raise BlowUpError(ts[2 * (k0 + int(np.argmax(bad)) + 1)])
+        ys[k0 + 1:k0 + S + 1] = np.moveaxis(z, 0, -1)
+    return ts[::2].copy(), ys
 
 
-def quadrature(values, grid=None, dx: float | None = None) -> float:
-    """Composite trapezoid on a uniform grid (exact for linear integrands)."""
+def quadrature(values, grid) -> float:
+    """Composite trapezoid on a grid (exact for linear integrands)."""
     values = np.asarray(values, dtype=float)
     if values.shape[0] < 2:
         raise LinalgError("quadrature: need at least 2 samples")
-    if grid is not None:
-        return float(np.trapezoid(values, x=np.asarray(grid, dtype=float), axis=0))
-    if dx is None:
-        raise LinalgError("quadrature: provide grid or dx")
-    return float(np.trapezoid(values, dx=dx, axis=0))
+    return float(np.trapezoid(values, x=np.asarray(grid, dtype=float), axis=0))
 
 
 def symmetrize(M) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def sym_sqrt_psd(M, clip: float = 0.0) -> np.ndarray:
+def sym_sqrt_psd(M) -> np.ndarray:
     """Symmetric PSD square root; small negative eigenvalues are clipped."""
     w, V = np.linalg.eigh(symmetrize(_as_matrix(M)))
-    w = np.clip(w, clip, None)
-    return (V * np.sqrt(w)) @ V.T
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T

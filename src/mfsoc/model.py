@@ -343,11 +343,22 @@ def require_valid(spec: ProblemSpec):
         raise ModelError("; ".join(str(v) for v in violations))
 
 
+def _check_count(x, name):
+    """x itself, or ValueError unless it is an integer >= 1."""
+    if not isinstance(x, numbers.Integral) or x < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
+    return x
+
+
 def _check_population(N):
-    """N itself, or ValueError unless it is an integer >= 1."""
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise ValueError(f"population size must be an integer >= 1, got {N!r}")
-    return N
+    return _check_count(N, "population size")
+
+
+def _check_positive(x, name):
+    """x itself, or ValueError unless it is a positive finite number."""
+    if not (isinstance(x, numbers.Real) and 0 < x < np.inf):
+        raise ValueError(f"{name} must be a positive finite number, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ algebraic pair in either form (pseudo-transient continuation from
 scaled-identity seeds: implicit-Euler steps of the pseudo-time flow with
 the analytic Jacobian, the lifted closed-loop operator, that become Newton
 steps as the residual falls; the limit form solves P, then Pi), the L2
-offset s(t), and the mean-field ODE; these last two are linear with the
-constant aggregate loop, so ``linalg.affine_rk4`` steps them by a doubling
-scan.  The time dependence of every integration (the signals, the
-interpolated triple, the offset forcing) is tabulated once on the RK4
-stage grid of ``linalg.rk4_grid``, and the rates read those tables by
-stage index.  All solvers use the pseudoinverse of Upsilon so exactly
-singular control weights are handled, and every solution carries the
-range-inclusion report the feedback formulas require.
+offset s(t), and the mean-field ODE.  Only the nonlinear triple runs
+``linalg.integrate_ode``'s step loop; the linear offset and mean fields
+(``_Pair.mean_path``) go through ``linalg.affine_rk4``.  Every
+integration's time dependence (the signals, the interpolated triple, the
+offset forcing) is tabulated once on ``linalg.rk4_grid``'s stage grid and
+read by stage index.  All solvers use the pseudoinverse of Upsilon so
+exactly singular control weights are handled, and every solution carries
+the range-inclusion report the feedback formulas require.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .linalg import (
     rk4_grid,
     symmetrize,
 )
-from .model import ProblemSpec, DerivedWeights, _check_population, derive_weights, require_valid
+from .model import (ProblemSpec, DerivedWeights, _check_population, _check_positive, derive_weights,
+                    require_valid)
 
 
 class SolverError(RuntimeError):
@@ -252,11 +253,14 @@ class _Pair:
         g -= eta_bar
         return g
 
-    def mean_map(self, s, f, sig):
-        """(Acl, c) of the mean equation dxbar/dt = Acl xbar + c, with
-        c = f - B Ups^+ (B's + D'M sigma); all may carry a leading time axis."""
-        c = f - (self.plant.B @ self.Ui @ self.offset_numerator(s, sig)[..., None])[..., 0]
-        return self.aggregate_loop[0], c
+    def mean_path(self, spec, s, ts, step):
+        """Knots and xbar of dxbar/dt = Acl xbar + f - B Ups^+ (B's + D'M sigma)
+        from x0_mean on the stage grid ts; s and the pair may be tabulated on it."""
+        w = self.offset_numerator(s, spec.sigma(ts))
+        c = spec.f(ts) - (self.plant.B @ self.Ui @ w[..., None])[..., 0]
+        Acl = np.broadcast_to(self.aggregate_loop[0], c.shape + c.shape[-1:])
+        return affine_rk4(lambda j, x: np.einsum("...ij,...j->...i", Acl[j], x) + c[j],
+                          ts[0], ts[-1], spec.x0_mean, step)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +407,7 @@ def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance
     """
     ts = rk4_grid(0.0, spec.horizon, tol.ode_step)
     P, K, s, _ = sol.at(ts)
-    Acl, c = _Pair(_plant(spec), P, P + K, sol.population, tol).mean_map(
-        s, spec.f(ts), spec.sigma(ts))
-    return integrate_ode(lambda j, x: Acl[j] @ x + c[j], 0.0, spec.horizon,
-                         spec.x0_mean, tol.ode_step)
+    return _Pair(_plant(spec), P, P + K, sol.population, tol).mean_path(spec, s, ts, tol.ode_step)
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +534,15 @@ def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
     del tb
     s_far = -np.linalg.solve(Hcl.T, g[0])
     np.negative(g, out=g)   # ds/dt = -Hcl's - g
-    ts, ss = affine_rk4(-Hcl.T, g, t_far, 0.0, s_far, tol.ode_step)
+    ts, ss = affine_rk4(lambda j, y: np.einsum("ji,...j->...i", -Hcl, y) + g[j],
+                        t_far, 0.0, s_far, tol.ode_step)
     del g
     ts, ss = ts[::-1], ss[::-1]   # ascending in time
     keep = ts <= t_sim + 1e-12
     grid, s_traj = ts[keep], ss[keep]
 
     tf = rk4_grid(0.0, t_sim, tol.ode_step)
-    Acl, c = pair.mean_map(grid_interp(grid, s_traj, tf), spec.f(tf), spec.sigma(tf))
-    tx, xs = affine_rk4(Acl, c, 0.0, t_sim, spec.x0_mean, tol.ode_step)
+    tx, xs = pair.mean_path(spec, grid_interp(grid, s_traj, tf), tf, tol.ode_step)
     # resample s on the xbar grid so both live on one uniform grid
     s_on = grid_interp(grid, s_traj, tx)
     return tx, s_on, xs, absc
@@ -558,6 +559,7 @@ def _solve_steady(spec: ProblemSpec, tol: Tolerance, t_sim: float, N: int | None
     require_valid(spec)
     if not spec.infinite_horizon:
         raise SolverError("infinite-horizon solver called on a finite-horizon problem")
+    _check_positive(t_sim, "t_sim")
     dw = derive_weights(spec)
     plant = _plant(spec, dw)
     P = None

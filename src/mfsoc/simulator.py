@@ -19,12 +19,14 @@ fixed index order, so outputs are bit-identical for a given configuration.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import lift_msq, matvec, spectral_abscissa
-from .model import ProblemSpec, _check_population, agent_rng, initial_chol
+from .model import (ProblemSpec, _check_count, _check_population, _check_positive, agent_rng,
+                    initial_chol)
 from .synthesis import ControlLaw, _closed_loop
 
 _MAX_WIDTH = 20000      # replications x agents stepped together
@@ -51,12 +53,11 @@ class SimConfig:
     thinning: int = 10
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
+        _check_positive(self.dt, "dt")
+        if self.T_sim is not None:
+            _check_positive(self.T_sim, "T_sim")
+        _check_count(self.replications, "replications")
+        _check_count(self.thinning, "thinning")
 
     def horizon_for(self, spec: ProblemSpec) -> float:
         if self.T_sim is not None:
@@ -119,6 +120,8 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
         raise ValueError("coupling='xbar' needs a law with a stored mean-field path; "
                          "a centralized law (mf_source 'empirical') has none")
     N = _check_population(spec.N if N is None else N)
+    if not (isinstance(collect_agents, numbers.Integral) and 0 <= collect_agents <= N):
+        raise ValueError(f"collect_agents must be an integer in 0..N = {N}, got {collect_agents!r}")
     n, r = spec.n, spec.r
     T = cfg.horizon_for(spec)
     dt = cfg.dt

@@ -7,22 +7,22 @@ common random numbers, so the per-replication cost differences are the
 variance-reduced estimator of the gap.  Exact gap curves instead evaluate
 every cost from the exchangeable moment closure of the N-agent closed loop,
 whose size does not depend on N, on the simulator's closed-loop tables.
-With a leading batch axis over (law, N) pairs, a whole exact gap curve is
-one `integrate_ode` pass and a single exact cost is a batch of one.  The
-asymptotic per-agent optimum is evaluated in closed form from the two
-constant Riccati matrices, the offset, and a quadrature term m; the
-initial-state expectation reduces to a trace against the initial covariance.
+The closure is linear and goes through `linalg.affine_rk4`; with a batch
+axis over (law, N) pairs, a whole exact gap curve is one pass and a single
+exact cost is a batch of one.  The asymptotic per-agent optimum is
+evaluated in closed form from the two constant Riccati matrices, the
+offset, and a quadrature term m; the initial-state expectation reduces to
+a trace against the initial covariance.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, integrate_ode, quadrature, rk4_grid
-from .model import ProblemSpec, _check_population
+from .linalg import DEFAULT_TOL, Tolerance, affine_rk4, quadrature, rk4_grid
+from .model import ProblemSpec, _check_population, _check_positive
 from .riccati import (
     RiccatiInfiniteSolution,
     SolverError,
@@ -146,31 +146,29 @@ def _closure_costs(spec: ProblemSpec, laws, Ns, step: float) -> np.ndarray:
         dO = A O + O A' + Aw Y + Y Aw' + b m' + m b',
         dS = (the same drift with S for O) + E (C x_i + Cw x^(N) + c)(...)',
     a state of 2n^2 + n entries whatever N is.  Each pair is one row of a
-    leading batch axis: the tables are built law by law and stacked as
-    (stages, K, ...), N broadcasts as a (K, 1, 1) array, and (m, S, O, cost)
-    of every row travel as one flat state through `integrate_ode`, which
-    raises BlowUpError, with its time, if the moments explode.
+    batch axis: the tables are built law by law and stacked as
+    (stages, K, ...), N broadcasts as a (K, 1, 1) array, and the rows
+    (m, S, O, cost) of a (K, 2n^2 + n + 1) state go through `affine_rk4`,
+    which raises BlowUpError, with its time, if the moments explode.
     """
     if spec.infinite_horizon:
         raise SolverError("moment propagation needs a finite horizon")
     for N in Ns:
         _check_population(N)
-    if not (isinstance(step, numbers.Real) and 0.0 < step < np.inf):
-        raise ValueError(f"step must be a positive finite number, got {step!r}")
+    _check_positive(step, "step")
     if not laws:
         return np.zeros(0)
     T = float(spec.horizon)
-    ts = rk4_grid(0.0, T, step)   # the stage times integrate_ode steps through
+    ts = rk4_grid(0.0, T, step)   # the stage times affine_rk4 steps through
     cl = _ClosedLoop(*(np.stack(tab, axis=1)
                        for tab in zip(*(_closed_loop(spec, law, ts) for law in laws))))
     N = np.asarray(Ns, dtype=float)[:, None, None]
     K, n = len(Ns), spec.n
     I_n = np.eye(n)
-    e1, e2, e3 = K * n, K * n * (n + 1), K * n * (2 * n + 1)   # where m, S and O end
 
     def split(y):
-        return (y[:e1].reshape(K, n), y[e1:e2].reshape(K, n, n),
-                y[e2:e3].reshape(K, n, n), y[e3:])
+        m, S, O, cost = np.split(y, [n, n * (n + 1), n * (2 * n + 1)], axis=-1)
+        return m, S.reshape(*m.shape[:-1], n, n), O.reshape(*m.shape[:-1], n, n), cost[..., 0]
 
     def rate(k, y):
         m, S, O, _ = split(y)
@@ -183,12 +181,15 @@ def _closure_costs(spec: ProblemSpec, laws, Ns, step: float) -> np.ndarray:
         dO = A @ O + O @ _T(A) + common
         cost = (_trace_dot(spec.Q, _moment2(I_n, -cl.Gw[k], -cl.e[k], m, S, Y))
                 + _trace_dot(spec.R, _moment2(cl.F[k], cl.Fw[k], cl.u[k], m, S, Y)))
-        return np.concatenate([dm.ravel(), dS.ravel(), dO.ravel(), cost])
+        lead = dm.shape[:-1]
+        return np.concatenate([dm, dS.reshape(*lead, -1), dO.reshape(*lead, -1),
+                               cost[..., None]], axis=-1)
 
     m = np.tile(spec.x0_mean, (K, 1))
     O = _outer(m, m)
-    y0 = np.concatenate([m.ravel(), (O + spec.x0_cov).ravel(), O.ravel(), np.zeros(K)])
-    m, S, O, cost = split(integrate_ode(rate, 0.0, T, y0, step)[1][-1])
+    y0 = np.concatenate([m, (O + spec.x0_cov).reshape(K, -1), O.reshape(K, -1),
+                         np.zeros((K, 1))], axis=1)
+    m, S, O, cost = split(affine_rk4(rate, 0.0, T, y0, step)[1][-1])
     Y = S / N + (1.0 - 1.0 / N) * O
     return cost + _trace_dot(spec.H, _moment2(I_n, -spec.Gamma0, -spec.eta0, m, S, Y))
 

@@ -84,18 +84,26 @@ def test_simulate_summary(tmp_path):
 
 
 @pytest.mark.parametrize("probe", [
-    ["--N", "0"], ["--N", "-2"],
-    ["--step", "0"], ["--step", "-0.001"], ["--step", "nan"],
-    ["--dt", "nan"], ["--dt", "0"],
-    ["--reps", "0"], ["--thinning", "0"],
+    ("simulate", SEC6_FIN, ["--N", "0"]), ("simulate", SEC6_FIN, ["--N", "-2"]),
+    ("simulate", SEC6_FIN, ["--step", "0"]), ("simulate", SEC6_FIN, ["--step", "-0.001"]),
+    ("simulate", SEC6_FIN, ["--step", "nan"]),
+    ("simulate", SEC6_FIN, ["--dt", "nan"]), ("simulate", SEC6_FIN, ["--dt", "0"]),
+    ("simulate", SEC6_FIN, ["--reps", "0"]), ("simulate", SEC6_FIN, ["--thinning", "0"]),
+    ("simulate", WELL, ["--T", "-1"]),
+    ("solve-infinite", WELL, ["--T", "0"]),
+    ("simulate", SEC6_FIN, ["--agents", "100", "--N", "5"]),
+    ("solve-finite", SEC6_FIN, ["--max-rows", "0"]),
 ])
 def test_simulate_refuses_bad_numbers_with_usage_exit(tmp_path, capsys, probe):
-    # an out-of-range number is refused with a message, never replaced by a
-    # default and never left to fail inside the library
-    rc = main(["simulate", SEC6_FIN, "--outdir", str(tmp_path / "s"), "--reps", "2",
-               "--dt", "0.01"] + probe)
+    # an out-of-range number is refused with a message that names its flag,
+    # never replaced by a default and never left to fail inside the library
+    command, problem, flags = probe
+    base = ["--reps", "2", "--dt", "0.01"] if command == "simulate" else []
+    rc = main([command, problem, "--outdir", str(tmp_path / "s")] + base + flags)
     assert rc == 64
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert flags[0].lstrip("-") in err.splitlines()[0]
     assert not (tmp_path / "s").exists()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfsoc import linalg
 from mfsoc.linalg import (
     BlowUpError,
     LinalgError,
@@ -163,6 +164,36 @@ def _random_affine_problem(seed, d, steps, hurwitz):
     return L, q, rng.standard_normal(d)
 
 
+def _constant_rate(L, q):
+    """affine_rk4's rate for y' = L y + q, q tabulated on the stage grid."""
+    return lambda j, y: np.einsum("ij,...j->...i", L, y) + q[j]
+
+
+def _tabulated_rate(L, q):
+    """affine_rk4's rate for y' = L(t) y + q(t), both tabulated on the stage
+    grid; a batch row b reads L[:, b] and q[:, b]."""
+    return lambda j, y: np.einsum("...ij,...j->...i", L[j], y) + q[j]
+
+
+def _random_tabulated_problem(seed, d, steps, batch=()):
+    """A smooth time-varying L (and forcing) on the stage grid of one unit
+    of time, whose matrices do not commute from stage to stage."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, 2 * steps + 1).reshape((-1,) + (1,) * (len(batch) + 2))
+    L0, L1, L2 = (rng.standard_normal(batch + (d, d)) for _ in range(3))
+    L = L0 - np.eye(d) + L1 * np.sin(3.0 * t) + L2 * np.cos(5.0 * t)
+    q = rng.standard_normal(batch + (d,)) * np.exp(-t[..., 0])
+    return L, q, rng.standard_normal(batch + (d,))
+
+
+def _oracle(L, q, t0, t1, y0, step):
+    """integrate_ode's knots and states, batch row by batch row."""
+    rows = [integrate_ode(lambda j, y: L[(j,) + b] @ y + q[(j,) + b], t0, t1, y0[b], step)
+            for b in np.ndindex(y0.shape[:-1])]
+    ys = np.stack([ys for _, ys in rows], axis=1)
+    return rows[0][0], ys.reshape(ys.shape[:1] + y0.shape)
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3, 1000, 1023, 1025])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("backward", [False, True])
@@ -170,7 +201,7 @@ def test_affine_rk4_matches_integrate_ode(steps, d, backward):
     t0, t1 = (1.0, 0.0) if backward else (0.0, 1.0)
     for hurwitz in (True, False):
         L, q, y0 = _random_affine_problem(steps * 10 + d, d, steps, hurwitz)
-        knots, ys = affine_rk4(L, q, t0, t1, y0, 1.0 / steps)
+        knots, ys = affine_rk4(_constant_rate(L, q), t0, t1, y0, 1.0 / steps)
         want_knots, want = integrate_ode(lambda j, y: L @ y + q[j], t0, t1, y0, 1.0 / steps)
         np.testing.assert_array_equal(knots, want_knots)
         assert ys.shape == want.shape == (steps + 1, d)
@@ -184,7 +215,7 @@ def test_affine_rk4_blowup_reports_first_failing_knot():
     with pytest.raises(BlowUpError) as want:
         integrate_ode(lambda j, y: L @ y + q[j], 0.0, 1.0, y0, 1e-3)
     with pytest.raises(BlowUpError) as got:
-        affine_rk4(L, q, 0.0, 1.0, y0, 1e-3)
+        affine_rk4(_constant_rate(L, q), 0.0, 1.0, y0, 1e-3)
     assert got.value.time == want.value.time < 0.7
     # forcing that turns NaN from stage 10 (t = 0.5) fails at the end of the
     # step that read it, not at the last knot
@@ -194,16 +225,89 @@ def test_affine_rk4_blowup_reports_first_failing_knot():
     with pytest.raises(BlowUpError) as want:
         integrate_ode(lambda j, y: L @ y + q[j], 0.0, 1.0, y0, 0.1)
     with pytest.raises(BlowUpError) as got:
-        affine_rk4(L, q, 0.0, 1.0, y0, 0.1)
+        affine_rk4(_constant_rate(L, q), 0.0, 1.0, y0, 0.1)
     assert got.value.time == want.value.time == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_affine_rk4_tabulated_matches_integrate_ode(d, backward, batch):
+    t0, t1 = (1.0, 0.0) if backward else (0.0, 1.0)
+    L, q, y0 = _random_tabulated_problem(d + 7 * len(batch), d, 200, batch)
+    knots, ys = affine_rk4(_tabulated_rate(L, q), t0, t1, y0, 5e-3)
+    want_knots, want = _oracle(L, q, t0, t1, y0, 5e-3)
+    np.testing.assert_array_equal(knots, want_knots)
+    assert ys.shape == want.shape == (201,) + batch + (d,)
+    assert np.max(np.abs(ys - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("steps", [15, 16, 17, 31, 32, 33])
+def test_affine_rk4_carries_across_blocks(monkeypatch, steps):
+    # blocks of 8 steps: the counts sit just below, at and above a boundary
+    d = 3
+    monkeypatch.setattr(linalg, "_SCAN_ELEMS", 8 * d * (d + 1))
+    L, q, y0 = _random_tabulated_problem(steps, d, steps, (2,))
+    for t0, t1 in ((0.0, 1.0), (1.0, 0.0)):
+        knots, ys = affine_rk4(_tabulated_rate(L, q), t0, t1, y0, 1.0 / steps)
+        want_knots, want = _oracle(L, q, t0, t1, y0, 1.0 / steps)
+        np.testing.assert_array_equal(knots, want_knots)
+        assert np.max(np.abs(ys - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_affine_rk4_matches_scipy_on_smooth_time_varying_system():
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def L(t):
+        return np.array([[-1.0 + 0.5 * np.sin(t), 0.25 * t, 0.0],
+                         [-0.3 * np.cos(2.0 * t), -0.5, 1.0],
+                         [0.2, -np.sin(t), -0.8]])
+
+    def q(t):
+        return np.array([np.sin(t), np.exp(-t), 1.0])
+
+    y0, T = np.array([1.0, -0.5, 2.0]), 2.0
+    ref = solve_ivp(lambda t, y: L(t) @ y + q(t), (0.0, T), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True).sol
+    errs = []
+    for step in (0.02, 0.01):
+        ts = rk4_grid(0.0, T, step)
+        Ls, qs = np.stack([L(t) for t in ts]), np.stack([q(t) for t in ts])
+        knots, ys = affine_rk4(_tabulated_rate(Ls, qs), 0.0, T, y0, step)
+        errs.append(np.max(np.abs(ys - ref(knots).T)) / np.max(np.abs(ys)))
+    # RK4's global error is O(h^4): halving the step divides it by about 16
+    assert errs[0] < 1e-7 and errs[0] / errs[1] > 12.0
+
+
+def test_affine_rk4_blowup_in_a_later_block(monkeypatch):
+    # blocks of 64 steps; e^{40 t} crosses the 1e12 norm bound near knot
+    # 690, in block 10, which must report that knot and not the block's last
+    monkeypatch.setattr(linalg, "_SCAN_ELEMS", 64 * 2 * 3)
+    L = 40.0 * np.eye(2) + np.array([[0.0, 1.0], [-1.0, 0.0]]) * np.sin(
+        np.linspace(0.0, 3.0, 2001))[:, None, None]
+    q, y0 = np.zeros((2001, 2)), np.array([1.0, -1.0])
+    with pytest.raises(BlowUpError) as want:
+        integrate_ode(lambda j, y: L[j] @ y + q[j], 0.0, 1.0, y0, 1e-3)
+    with pytest.raises(BlowUpError) as got:
+        affine_rk4(_tabulated_rate(L, q), 0.0, 1.0, y0, 1e-3)
+    assert got.value.time == want.value.time < 0.7
+    assert round(want.value.time * 1000) % 64 != 0
+
+
+def test_affine_rk4_batch_rows_equal_batches_of_one(monkeypatch):
+    monkeypatch.setattr(linalg, "_SCAN_ELEMS", 16 * 3 * 4)   # several blocks
+    L, q, y0 = _random_tabulated_problem(11, 3, 50, (4,))
+    _, ys = affine_rk4(_tabulated_rate(L, q), 0.0, 1.0, y0, 0.02)
+    for b in range(4):
+        _, row = affine_rk4(_tabulated_rate(L[:, b], q[:, b]), 0.0, 1.0, y0[b], 0.02)
+        np.testing.assert_array_equal(ys[:, b], row)
 
 
 def test_quadrature_linear_exact():
     grid = np.linspace(0.0, 2.0, 41)
     assert quadrature(3.0 * grid + 1.0, grid=grid) == pytest.approx(8.0)
-    assert quadrature(np.ones(11), dx=0.1) == pytest.approx(1.0)
     with pytest.raises(LinalgError):
-        quadrature(np.array([1.0]), dx=0.1)
+        quadrature(np.array([1.0]), grid=[0.0])
 
 
 def test_symmetrize_and_sqrt():

@@ -287,6 +287,33 @@ def test_entry_points_refuse_bad_population(spec_sec6_finite, sol_sec6_finite, s
         calls[entry]()
 
 
+@pytest.mark.parametrize("entry, value, match", [
+    ("solve_are", -1.0, "t_sim"), ("solve_are", 0.0, "t_sim"),
+    ("solve_are", float("nan"), "t_sim"), ("solve_are", float("inf"), "t_sim"),
+    ("solve_are_N", 0, "t_sim"), ("solve_are_N", float("inf"), "t_sim"),
+    ("SimConfig.T_sim", -1.0, "T_sim"), ("SimConfig.T_sim", 0.0, "T_sim"),
+    ("SimConfig.T_sim", float("nan"), "T_sim"),
+    ("SimConfig.replications", 2.5, "replications"), ("SimConfig.replications", 0, "replications"),
+    ("SimConfig.thinning", 2.5, "thinning"), ("SimConfig.thinning", -1, "thinning"),
+    ("collect_agents", 6, "collect_agents"), ("collect_agents", -1, "collect_agents"),
+    ("collect_agents", 1.5, "collect_agents"),
+])
+def test_entry_points_refuse_bad_horizons_and_counts(spec_sec6_finite, sol_sec6_finite,
+                                                     spec_wellposed, entry, value, match):
+    calls = {
+        "solve_are": lambda: solve_are(spec_wellposed, t_sim=value),
+        "solve_are_N": lambda: solve_are_N(spec_wellposed, t_sim=value, N=5),
+        "SimConfig.T_sim": lambda: SimConfig(T_sim=value),
+        "SimConfig.replications": lambda: SimConfig(replications=value),
+        "SimConfig.thinning": lambda: SimConfig(thinning=value),
+        "collect_agents": lambda: simulate_population(
+            spec_sec6_finite, build_law(sol_sec6_finite, spec_sec6_finite),
+            SimConfig(dt=1e-2), N=5, collect_agents=value),
+    }
+    with pytest.raises(ValueError, match=match):
+        calls[entry]()
+
+
 def test_closure_blow_up_raises_with_its_time():
     # the own second moment grows like exp((2 A + C^2) t) = exp(89 t)
     spec = ProblemSpec(
