@@ -350,6 +350,13 @@ def _check_count(x, name):
     return x
 
 
+def _check_natural(x, name):
+    """x itself, or ValueError unless it is an integer >= 0."""
+    if not isinstance(x, numbers.Integral) or x < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {x!r}")
+    return x
+
+
 def _check_population(N):
     return _check_count(N, "population size")
 
@@ -358,6 +365,13 @@ def _check_positive(x, name):
     """x itself, or ValueError unless it is a positive finite number."""
     if not (isinstance(x, numbers.Real) and 0 < x < np.inf):
         raise ValueError(f"{name} must be a positive finite number, got {x!r}")
+    return x
+
+
+def _check_finite(x, name):
+    """x itself, or ValueError unless it is a finite number."""
+    if not (isinstance(x, numbers.Real) and -np.inf < x < np.inf):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
     return x
 
 

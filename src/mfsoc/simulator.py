@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import lift_msq, matvec, spectral_abscissa
-from .model import (ProblemSpec, _check_count, _check_population, _check_positive, agent_rng,
-                    initial_chol)
+from .model import (ProblemSpec, _check_count, _check_natural, _check_population,
+                    _check_positive, agent_rng, initial_chol)
 from .synthesis import ControlLaw, _closed_loop
 
 _MAX_WIDTH = 20000      # replications x agents stepped together
@@ -57,6 +57,7 @@ class SimConfig:
         if self.T_sim is not None:
             _check_positive(self.T_sim, "T_sim")
         _check_count(self.replications, "replications")
+        _check_natural(self.seed, "seed")
         _check_count(self.thinning, "thinning")
 
     def horizon_for(self, spec: ProblemSpec) -> float:

@@ -1,8 +1,11 @@
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from mfsoc.cli import main
 
@@ -93,18 +96,72 @@ def test_simulate_summary(tmp_path):
     ("solve-infinite", WELL, ["--T", "0"]),
     ("simulate", SEC6_FIN, ["--agents", "100", "--N", "5"]),
     ("solve-finite", SEC6_FIN, ["--max-rows", "0"]),
+    ("simulate", SEC6_FIN, ["--seed", "-1"]),
+    ("reproduce-paper", SEC6, ["--seed", "-1", "--N-list", "1,2", "--T", "2"]),
+    ("gap", SEC6_FIN, ["--N-list", "0,2"]), ("gap", SEC6_FIN, ["--N-list", "1,x"]),
+    ("solve-infinite", SEC6, ["--pin-P", "nan", "--T", "10"]),
+    ("simulate", SEC6_FIN, ["--agents", "-1"]),
 ])
 def test_simulate_refuses_bad_numbers_with_usage_exit(tmp_path, capsys, probe):
     # an out-of-range number is refused with a message that names its flag,
     # never replaced by a default and never left to fail inside the library
     command, problem, flags = probe
-    base = ["--reps", "2", "--dt", "0.01"] if command == "simulate" else []
+    base = ["--reps", "2", "--dt", "0.01"] if command in ("simulate", "reproduce-paper") else []
     rc = main([command, problem, "--outdir", str(tmp_path / "s")] + base + flags)
     assert rc == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert flags[0].lstrip("-") in err.splitlines()[0]
     assert not (tmp_path / "s").exists()
+
+
+def test_failed_reproduce_leaves_no_outdir(tmp_path, capsys):
+    # the gap benchmark fails on a horizon past the convexity limit, after
+    # the Riccati solve and the figures' simulation have run: nothing of
+    # them is written, manifest included
+    out = tmp_path / "r"
+    rc = main(["reproduce-paper", SEC6, "--outdir", str(out), "--fig3-T", "5",
+               "--N-list", "1,2", "--reps", "2", "--dt", "0.01", "--T", "2"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("solver failure: ")
+    assert not out.exists()
+
+
+_SIMULATE_FLAGS = {
+    # flag: (valid value, 0, a negative value, then nan and inf for a float
+    # flag or a fraction for an integer flag); sets, never ranges, so no draw
+    # asks for an unbounded number of steps or agents
+    "--N": ("3", "0", "-2", "1.5"),
+    "--reps": ("2", "0", "-1", "2.5"),
+    "--dt": ("0.01", "0", "-0.01", "nan", "inf"),
+    "--step": ("0.001", "0", "-0.001", "nan", "inf"),
+    "--thinning": ("5", "0", "-1", "0.5"),
+    "--seed": ("7", "0", "-1", "1.5"),
+    "--agents": ("1", "0", "-1", "0.5"),
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(draw={flag: values[0] for flag, values in _SIMULATE_FLAGS.items()})
+@given(draw=st.fixed_dictionaries({
+    # the valid value is drawn about half the time, so that some runs get
+    # past the parser and into the solver and the simulator
+    flag: st.just(values[0]) | st.sampled_from(values)
+    for flag, values in _SIMULATE_FLAGS.items()}))
+def test_simulate_flags_fail_only_by_documented_exits(tmp_path, draw):
+    out = tmp_path / "s"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = ["simulate", SEC6_FIN, "--outdir", str(out)]
+    for flag, value in draw.items():
+        argv += [flag, value]
+    rc = main(argv)
+    event(f"exit {rc}")
+    assert rc in (0, 2, 3, 4, 64)
+    if rc == 64:
+        assert not out.exists()
+    if rc == 0:
+        assert {"manifest.json", "summary.json"} <= {f.name for f in out.iterdir()}
 
 
 def test_gap_csv(tmp_path):

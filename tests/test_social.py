@@ -297,6 +297,7 @@ def test_entry_points_refuse_bad_population(spec_sec6_finite, sol_sec6_finite, s
     ("SimConfig.thinning", 2.5, "thinning"), ("SimConfig.thinning", -1, "thinning"),
     ("collect_agents", 6, "collect_agents"), ("collect_agents", -1, "collect_agents"),
     ("collect_agents", 1.5, "collect_agents"),
+    ("SimConfig.seed", -1, "seed"), ("SimConfig.seed", 1.5, "seed"),
 ])
 def test_entry_points_refuse_bad_horizons_and_counts(spec_sec6_finite, sol_sec6_finite,
                                                      spec_wellposed, entry, value, match):
@@ -306,6 +307,7 @@ def test_entry_points_refuse_bad_horizons_and_counts(spec_sec6_finite, sol_sec6_
         "SimConfig.T_sim": lambda: SimConfig(T_sim=value),
         "SimConfig.replications": lambda: SimConfig(replications=value),
         "SimConfig.thinning": lambda: SimConfig(thinning=value),
+        "SimConfig.seed": lambda: SimConfig(seed=value),
         "collect_agents": lambda: simulate_population(
             spec_sec6_finite, build_law(sol_sec6_finite, spec_sec6_finite),
             SimConfig(dt=1e-2), N=5, collect_agents=value),
