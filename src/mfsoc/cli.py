@@ -54,12 +54,22 @@ _REFERENCE_P = 0.6808
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message, parser):
+        super().__init__(message)
+        self.parser = parser   # the (sub)command parser that refused the input
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand refuses a flag it does not know itself, so the error
+        # carries its usage rather than the root parser's
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
 
 def _checked(parse, check):
@@ -396,7 +406,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
         if args.command == "validate":

@@ -7,18 +7,23 @@ replication, agent): agent i's Brownian path is identical across control
 strategies and across population sizes, which gives common random numbers
 for cost comparisons by construction.
 
-Replications are stepped in chunks of at most _MAX_WIDTH agents in all.  A
-chunk keeps its streams open and draws their increments one time block at
-a time into two reused buffers, so its width does not depend on the
-horizon; a stream drawn in pieces yields the same normals as one draw.  The
-state is held as (n, replications, agents) and each step is a few
-broadcast multiply-adds (`linalg.matvec`, without BLAS), with
-`synthesis._closed_loop`'s tables.  All reductions are plain array means in
+The simulator runs a batch of (law, N) pairs, and `simulate_population` is
+a batch of one.  Replications are stepped in chunks of at most _MAX_WIDTH
+agents of the widest pair.  A chunk builds the max(N) streams of each
+replication once, keeps them open and draws their increments one time
+block at a time into two reused buffers, so its width does not depend on
+the horizon; a stream drawn in pieces yields the same normals as one draw.
+Every pair steps on the first N columns of the same increments, so a gap
+curve draws each shared stream once, in one pass.  Each pair's state is
+held as (n, replications, agents) and each step is a few broadcast
+multiply-adds (`linalg.matvec`, without BLAS), with its own
+`synthesis._closed_loop` tables.  All reductions are plain array means in
 fixed index order, so outputs are bit-identical for a given configuration.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -106,6 +111,39 @@ def _tail_bound(spec, cl, integrand_end):
     return float(integrand_end / (-absc))
 
 
+class _Run:
+    """One (law, N) pair of a batch: its closed-loop tables, its accumulators
+    over replications and, within a chunk, its own state."""
+
+    def __init__(self, spec, law, N, tgrid, coupling, reps, m_thin, collect_agents):
+        cl = self.cl = _closed_loop(spec, law, tgrid, coupling)
+        self.N = N
+        self.xb = law.xbar_at(tgrid)
+        self.live = any(np.any(M) for M in (cl.Aw, cl.Cw, cl.Fw, cl.Gw))
+        self.agent_cost = np.zeros(N)
+        self.rep_social = np.empty(reps)
+        self.rep_consist = np.empty(reps)
+        self.sm_state = np.zeros(m_thin)
+        self.sm_ctrl = np.zeros(m_thin)
+        self.traj = np.zeros((collect_agents, m_thin, spec.n)) if collect_agents else None
+        self.ctrls = np.zeros((collect_agents, m_thin, spec.r)) if collect_agents else None
+        self.end_integrand = 0.0
+
+    def begin(self, X0, bufs, r):
+        """Enter a chunk: the first N agents of the shared (n, B, max N)
+        initial state, and the step scratch (U, dev, drift, diff, quad, tmp)
+        as leading slices of the shared flat buffers."""
+        n, B, _ = X0.shape
+        N = self.N
+        self.X = X0[:, :, :N].copy()
+        self.cost = np.zeros((B, N))
+        self.consist = np.zeros(B)
+        self.lrun, self.prev_l = np.empty((B, N)), np.empty((B, N))
+        self.prev_c = None
+        shapes = [(r, B, N)] + [(n, B, N)] * 3 + [(B, N)] * 2
+        self.scratch = [buf[:math.prod(s)].reshape(s) for buf, s in zip(bufs, shapes)]
+
+
 def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
                         N: int | None = None, coupling: str = "empirical",
                         collect_agents: int = 0) -> SimulationOutput:
@@ -115,28 +153,50 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     average x^(N).  coupling="xbar": the precomputed mean-field trajectory
     replaces it (the single-agent mean-field-type system).
     """
+    return _simulate(spec, [(law, spec.N if N is None else N)], cfg, coupling,
+                     collect_agents)[0]
+
+
+def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empirical",
+              collect_agents: int = 0) -> list[SimulationOutput]:
+    """Simulate every (law, N) pair of pairs on one draw of the shared noise.
+
+    Per chunk of replications the max(N) streams of each replication are
+    built once and each time block is drawn once; every pair steps its own
+    (n, B, N) state on the first N columns of the increments, with its own
+    closed-loop tables, so each pair's arithmetic is that of its call
+    alone.  Chunks are sized by the widest pair, so a pair's sums over
+    replications (its individual costs and second moments) move by rounding
+    from its call alone only when that sizing splits its replications
+    differently; per-replication results do not move.  coupling and
+    collect_agents apply to every pair.  A divergence raises for the pair
+    that diverges first in time (first in order at the same step).
+    """
     if coupling not in ("empirical", "xbar"):
         raise ValueError("coupling must be 'empirical' or 'xbar'")
-    if coupling == "xbar" and law.mf_source == "empirical":
-        raise ValueError("coupling='xbar' needs a law with a stored mean-field path; "
-                         "a centralized law (mf_source 'empirical') has none")
-    N = _check_population(spec.N if N is None else N)
-    if not (isinstance(collect_agents, numbers.Integral) and 0 <= collect_agents <= N):
-        raise ValueError(f"collect_agents must be an integer in 0..N = {N}, got {collect_agents!r}")
+    checked = []
+    for law, N in pairs:
+        if coupling == "xbar" and law.mf_source == "empirical":
+            raise ValueError("coupling='xbar' needs a law with a stored mean-field path; "
+                             "a centralized law (mf_source 'empirical') has none")
+        N = _check_population(N)
+        if not (isinstance(collect_agents, numbers.Integral) and 0 <= collect_agents <= N):
+            raise ValueError(f"collect_agents must be an integer in 0..N = {N}, "
+                             f"got {collect_agents!r}")
+        checked.append((law, N))
+    if not checked:
+        return []
     n, r = spec.n, spec.r
     T = cfg.horizon_for(spec)
     dt = cfg.dt
     steps = max(1, int(round(T / dt)))
     tgrid = dt * np.arange(steps + 1)
     tgrid[-1] = T
-
-    cl = _closed_loop(spec, law, tgrid, coupling)
-    xb = law.xbar_at(tgrid)
-    live = any(np.any(M) for M in (cl.Aw, cl.Cw, cl.Fw, cl.Gw))
     finite = not spec.infinite_horizon and abs(T - spec.horizon) <= 1e-9
 
     reps = cfg.replications
-    chunk = max(1, min(reps, _MAX_WIDTH // N))
+    N_max = max(N for _, N in checked)
+    chunk = max(1, min(reps, _MAX_WIDTH // N_max))
     L0 = initial_chol(spec)
     sqdt = np.sqrt(dt)
     w = 0.5 * dt
@@ -144,126 +204,124 @@ def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
     thin_idx = np.arange(0, steps + 1, cfg.thinning)
     if thin_idx[-1] != steps:
         thin_idx = np.append(thin_idx, steps)
-    m_thin = thin_idx.size
     thin_mask = np.zeros(steps + 1, dtype=bool)
     thin_mask[thin_idx] = True
     thin_pos = np.cumsum(thin_mask) - 1
+    runs = [_Run(spec, law, N, tgrid, coupling, reps, thin_idx.size, collect_agents)
+            for law, N in checked]
 
-    agent_cost = np.zeros(N)
-    rep_social = np.empty(reps)
-    rep_consist = np.empty(reps)
-    sm_state = np.zeros(m_thin)
-    sm_ctrl = np.zeros(m_thin)
-    traj = np.zeros((collect_agents, m_thin, n)) if collect_agents else None
-    ctrls = np.zeros((collect_agents, m_thin, r)) if collect_agents else None
-    end_integrand = 0.0
+    def advance(run, k, dW_k):
+        """Knot k of one pair: controls, running cost and records, then the
+        Euler step to k + 1 on the first N columns of the (B, max N) dW_k."""
+        cl, X, N = run.cl, run.X, run.N
+        U, dev, drift, diff, quad, tmp = run.scratch
+        lrun, prev_l = run.lrun, run.prev_l
+        xavg = X.mean(axis=2)                       # (n, B)
+        if run.live:
+            ou = (matvec(cl.Fw[k], xavg) + cl.u[k][:, None])[:, :, None]
+            dx = (matvec(cl.Aw[k], xavg) + cl.b[k][:, None])[:, :, None]
+            cx = (matvec(cl.Cw[k], xavg) + cl.c[k][:, None])[:, :, None]
+            ex = (matvec(cl.Gw[k], xavg) + cl.e[k][:, None])[:, :, None]
+        else:
+            ou, dx, cx, ex = (v[k][:, None, None] for v in (cl.u, cl.b, cl.c, cl.e))
+        matvec(cl.F[k], X, U)
+        U += ou
+        # running cost at the current knot
+        np.subtract(X, ex, out=dev)
+        _quad(spec.Q, dev, lrun, tmp)
+        lrun += _quad(spec.R, U, quad, tmp)
+        cerr = np.sum((xavg - run.xb[k][:, None]) ** 2, axis=0)
+        if run.prev_c is not None:
+            np.add(prev_l, lrun, out=tmp)
+            tmp *= w
+            run.cost += tmp
+            run.consist += w * (run.prev_c + cerr)
+        run.prev_c = cerr
+        if thin_mask[k]:
+            j = thin_pos[k]
+            run.sm_state[j] += np.sum(X * X) / N
+            run.sm_ctrl[j] += np.sum(U * U) / N
+            if collect_agents and done == 0:
+                run.traj[:, j] = X[:, 0, :collect_agents].T
+                run.ctrls[:, j] = U[:, 0, :collect_agents].T
+        if k == steps:
+            run.end_integrand += float(np.mean(np.abs(lrun))) * X.shape[1]
+            return
+        run.lrun, run.prev_l = prev_l, lrun
+        matvec(cl.A[k], X, drift)
+        drift += dx
+        drift *= dt
+        matvec(cl.C[k], X, diff)
+        diff += cx
+        diff *= dW_k[:, :N]
+        X += drift
+        X += diff
+        if not np.abs(X, out=dev).max() <= _DIVERGE:     # also catches NaN
+            b_idx, i_idx = np.argwhere(~(dev <= _DIVERGE).all(axis=0))[0]
+            raise DivergenceError(tgrid[k + 1], i_idx, done + b_idx)
 
     done = 0
     while done < reps:
         B = min(chunk, reps - done)
-        W = B * N
-        # one stream per (replication, agent), row w = b N + i; each stream
-        # gives its n initial normals first, then its increments in order
-        gens = [agent_rng(cfg.seed, done + b, i) for b in range(B) for i in range(N)]
+        W = B * N_max
+        # one stream per (replication, agent), row w = b max(N) + i; each
+        # stream gives its n initial normals first, then its increments in order
+        gens = [agent_rng(cfg.seed, done + b, i) for b in range(B) for i in range(N_max)]
         z0 = np.empty((W, n))
         for gen, row in zip(gens, z0):
             gen.standard_normal(out=row)
-        X = (spec.x0_mean[:, None] + matvec(L0, z0.T)).reshape(n, B, N)
+        X0 = (spec.x0_mean[:, None] + matvec(L0, z0.T)).reshape(n, B, N_max)
         block = max(1, min(steps, _BLOCK_ELEMS // W))
         raw = np.empty((W, block))
         rows = list(raw)
         dW = np.empty((block, W))
-
-        cost = np.zeros((B, N))
-        consist = np.zeros(B)
-        U = np.empty((r, B, N))
-        dev, drift, diff = (np.empty((n, B, N)) for _ in range(3))
-        lrun, prev_l, quad, tmp = (np.empty((B, N)) for _ in range(4))
-        prev_c = None
+        bufs = [np.empty(k * W) for k in (r, n, n, n, 1, 1)]
+        for run in runs:
+            run.begin(X0, bufs, r)
         for k in range(steps + 1):
-            xavg = X.mean(axis=2)                       # (n, B)
-            if live:
-                ou = (matvec(cl.Fw[k], xavg) + cl.u[k][:, None])[:, :, None]
-                dx = (matvec(cl.Aw[k], xavg) + cl.b[k][:, None])[:, :, None]
-                cx = (matvec(cl.Cw[k], xavg) + cl.c[k][:, None])[:, :, None]
-                ex = (matvec(cl.Gw[k], xavg) + cl.e[k][:, None])[:, :, None]
-            else:
-                ou, dx, cx, ex = (v[k][:, None, None] for v in (cl.u, cl.b, cl.c, cl.e))
-            matvec(cl.F[k], X, U)
-            U += ou
-            # running cost at the current knot
-            np.subtract(X, ex, out=dev)
-            _quad(spec.Q, dev, lrun, tmp)
-            lrun += _quad(spec.R, U, quad, tmp)
-            cerr = np.sum((xavg - xb[k][:, None]) ** 2, axis=0)
-            if prev_c is not None:
-                np.add(prev_l, lrun, out=tmp)
-                tmp *= w
-                cost += tmp
-                consist += w * (prev_c + cerr)
-            prev_c = cerr
-            if thin_mask[k]:
-                j = thin_pos[k]
-                sm_state[j] += np.sum(X * X) / N
-                sm_ctrl[j] += np.sum(U * U) / N
-                if collect_agents and done == 0:
-                    traj[:, j] = X[:, 0, :collect_agents].T
-                    ctrls[:, j] = U[:, 0, :collect_agents].T
-            if k == steps:
-                end_integrand += float(np.mean(np.abs(lrun))) * B
-                break
-            lrun, prev_l = prev_l, lrun
-            if k % block == 0:
+            if k < steps and k % block == 0:
                 size = min(block, steps - k)
                 for gen, row in zip(gens, rows):
                     gen.standard_normal(out=row[:size])
                 np.multiply(raw[:, :size].T, sqdt, out=dW[:size])
-            matvec(cl.A[k], X, drift)
-            drift += dx
-            drift *= dt
-            matvec(cl.C[k], X, diff)
-            diff += cx
-            diff *= dW[k % block].reshape(B, N)
-            X += drift
-            X += diff
-            if not np.abs(X, out=dev).max() <= _DIVERGE:     # also catches NaN
-                b_idx, i_idx = np.argwhere(~(dev <= _DIVERGE).all(axis=0))[0]
-                raise DivergenceError(tgrid[k + 1], i_idx, done + b_idx)
-        if finite:
-            xT = X.mean(axis=2) if coupling == "empirical" else xb[-1][:, None]
-            devT = X - (matvec(spec.Gamma0, xT) + spec.eta0[:, None])[:, :, None]
-            cost += _quad(spec.H, devT, quad, tmp)
-        agent_cost += cost.sum(axis=0)
-        rep_social[done:done + B] = cost.sum(axis=1)
-        rep_consist[done:done + B] = consist
+            dW_k = dW[k % block].reshape(B, N_max)
+            for run in runs:
+                advance(run, k, dW_k)
+        for run in runs:
+            cost = run.cost
+            if finite:
+                X = run.X
+                xT = X.mean(axis=2) if coupling == "empirical" else run.xb[-1][:, None]
+                devT = X - (matvec(spec.Gamma0, xT) + spec.eta0[:, None])[:, :, None]
+                cost += _quad(spec.H, devT, *run.scratch[4:])
+            run.agent_cost += cost.sum(axis=0)
+            run.rep_social[done:done + B] = cost.sum(axis=1)
+            run.rep_consist[done:done + B] = run.consist
         done += B
 
-    agent_cost /= reps
-    sm_state /= reps
-    sm_ctrl /= reps
-    social = float(agent_cost.sum())
-    social_se = float(rep_social.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    cons = float(rep_consist.mean())
-    cons_se = float(rep_consist.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    if spec.infinite_horizon:
-        tail = _tail_bound(spec, cl, end_integrand / reps)
-    else:
-        tail = 0.0
-    return SimulationOutput(
-        grid=tgrid[thin_idx],
-        individual_costs=agent_cost,
-        social_cost=social,
-        social_se=social_se,
-        rep_social=rep_social,
-        consistency_error=cons,
-        consistency_se=cons_se,
-        rep_consistency=rep_consist,
-        state_second_moment=sm_state,
-        control_second_moment=sm_ctrl,
-        tail_bound=tail,
-        trajectories=traj,
-        controls=ctrls,
-    )
+    outs = []
+    for run in runs:
+        run.agent_cost /= reps
+        run.sm_state /= reps
+        run.sm_ctrl /= reps
+        rep_social, rep_consist = run.rep_social, run.rep_consist
+        outs.append(SimulationOutput(
+            grid=tgrid[thin_idx],
+            individual_costs=run.agent_cost,
+            social_cost=float(run.agent_cost.sum()),
+            social_se=float(rep_social.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+            rep_social=rep_social,
+            consistency_error=float(rep_consist.mean()),
+            consistency_se=float(rep_consist.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0,
+            rep_consistency=rep_consist,
+            state_second_moment=run.sm_state,
+            control_second_moment=run.sm_ctrl,
+            tail_bound=(_tail_bound(spec, run.cl, run.end_integrand / reps)
+                        if spec.infinite_horizon else 0.0),
+            trajectories=run.traj,
+            controls=run.ctrls,
+        ))
+    return outs
 
 
 def simulate_meanfield_type(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig) -> SimulationOutput:

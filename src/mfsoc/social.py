@@ -4,15 +4,17 @@ The centralized cost simulates the population under the population-N
 feedback (which requires the live empirical average, i.e. centralized
 information).  Gap curves pair decentralized and centralized runs under
 common random numbers, so the per-replication cost differences are the
-variance-reduced estimator of the gap.  Exact gap curves instead evaluate
-every cost from the exchangeable moment closure of the N-agent closed loop,
-whose size does not depend on N, on the simulator's closed-loop tables.
-The closure is linear and goes through `linalg.affine_rk4`; with a batch
-axis over (law, N) pairs, a whole exact gap curve is one pass and a single
-exact cost is a batch of one.  The asymptotic per-agent optimum is
-evaluated in closed form from the two constant Riccati matrices, the
-offset, and a quadrature term m; the initial-state expectation reduces to
-a trace against the initial covariance.
+variance-reduced estimator of the gap; every run of a curve steps in one
+simulator pass on one draw of each agent's stream.  Exact gap curves
+instead evaluate every cost from the exchangeable moment closure of the
+N-agent closed loop, whose size does not depend on N, on the simulator's
+closed-loop tables.  The closure is linear and goes through
+`linalg.affine_rk4`; with a batch axis over (law, N) pairs, a whole exact
+gap curve is one pass and a single exact cost is a batch of one.  The
+asymptotic per-agent optimum is evaluated in closed form from the two
+constant Riccati matrices, the offset, and a quadrature term m; the
+initial-state expectation reduces to a trace against the initial
+covariance.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .riccati import (
     solve_finite_limit,
     solve_finite_N,
 )
-from .simulator import SimConfig, SimulationOutput, simulate_population
+from .simulator import SimConfig, SimulationOutput, _simulate, simulate_population
 from .synthesis import _closed_loop, _ClosedLoop, build_law
 
 
@@ -64,14 +66,21 @@ class AsymptoticValue:
         return self.quad_spread + self.quad_mean + self.lin_offset + self.m
 
 
+def _centralized_law(spec: ProblemSpec, N: int, t_sim: float | None,
+                     tol: Tolerance = DEFAULT_TOL):
+    """The population-N optimal feedback; t_sim is the infinite-horizon
+    solve's pseudo-time and is not read on a finite horizon."""
+    if spec.infinite_horizon:
+        sol = solve_are_N(spec, tol, t_sim=t_sim, N=N)
+    else:
+        sol = solve_finite_N(spec, tol, N=N)
+    return build_law(sol, spec, tol)
+
+
 def centralized_cost(spec: ProblemSpec, N: int, cfg: SimConfig,
                      tol: Tolerance = DEFAULT_TOL) -> SimulationOutput:
     """Monte Carlo social cost under the population-N optimal feedback."""
-    if spec.infinite_horizon:
-        sol = solve_are_N(spec, tol, t_sim=cfg.horizon_for(spec), N=N)
-    else:
-        sol = solve_finite_N(spec, tol, N=N)
-    law = build_law(sol, spec, tol)
+    law = _centralized_law(spec, N, cfg.horizon_for(spec), tol)
     return simulate_population(spec, law, cfg, N=N)
 
 
@@ -80,19 +89,22 @@ def gap_curve(spec: ProblemSpec, N_values, cfg: SimConfig,
     """Per-agent cost gap between decentralized and centralized strategies.
 
     Both strategies at each N consume identical noise streams, so epsilon
-    is estimated from paired per-replication differences.
+    is estimated from paired per-replication differences.  Every law is
+    built first, and then all 2 len(N_values) runs go through one
+    `simulator._simulate` pass, which draws each shared stream once.
     """
     Ns = [_check_population(N) for N in N_values]
+    t_sim = cfg.horizon_for(spec)
     if spec.infinite_horizon:
-        dec_sol = solve_are(spec, tol, t_sim=cfg.horizon_for(spec))
+        dec_sol = solve_are(spec, tol, t_sim=t_sim)
     else:
         dec_sol = solve_finite_limit(spec, tol)
     dec_law = build_law(dec_sol, spec, tol)
+    cen_laws = [_centralized_law(spec, N, t_sim, tol) for N in Ns]
+    outs = _simulate(spec, [(dec_law, N) for N in Ns] + list(zip(cen_laws, Ns)), cfg)
 
     dec, cen, dec_se, cen_se, eps, eps_se = (np.empty(len(Ns)) for _ in range(6))
-    for j, N in enumerate(Ns):
-        out_d = simulate_population(spec, dec_law, cfg, N=N)
-        out_c = centralized_cost(spec, N, cfg, tol)
+    for j, (N, out_d, out_c) in enumerate(zip(Ns, outs, outs[len(Ns):])):
         dec[j] = out_d.social_cost / N
         cen[j] = out_c.social_cost / N
         dec_se[j] = out_d.social_se / N
@@ -217,7 +229,7 @@ def gap_curve_exact(spec: ProblemSpec, N_values, step: float = 2e-4,
     """
     Ns = list(N_values)
     dec_law = build_law(solve_finite_limit(spec, tol), spec, tol)
-    cen_laws = [build_law(solve_finite_N(spec, tol, N=N), spec, tol) for N in Ns]
+    cen_laws = [_centralized_law(spec, N, None, tol) for N in Ns]
     costs = _closure_costs(spec, [dec_law] * len(Ns) + cen_laws, Ns + Ns, step)
     dec, cen = costs[:len(Ns)], costs[len(Ns):]
     zero = np.zeros(len(Ns))

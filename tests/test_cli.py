@@ -40,6 +40,21 @@ def test_usage_errors():
     assert main(["solve-finite"]) == 64  # missing spec argument
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["reproduce-paper", SEC6, "--seed", "-1"], "usage: mfsoc reproduce-paper "),
+    (["simulate"], "usage: mfsoc simulate "),
+    (["gap", SEC6_FIN, "--no-such-flag", "1"], "usage: mfsoc gap "),
+    (["no-such-command"], "usage: mfsoc [-h]"),
+])
+def test_usage_error_shows_the_refusing_parsers_usage(capsys, argv, usage):
+    # a refused subcommand flag is explained by that subcommand's usage, which
+    # lists the flag, not by the root parser's
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert usage in err
+
+
 def test_solve_finite_outputs(tmp_path):
     out = tmp_path / "o"
     assert main(["solve-finite", EX1, "--outdir", str(out)]) == 0

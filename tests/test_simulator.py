@@ -243,3 +243,92 @@ def test_zero_problem_zero_cost():
     out = simulate_population(spec, zero_law(1.0), SimConfig(dt=1e-2, replications=2), N=2)
     assert out.social_cost == 0.0
     assert out.consistency_error == 0.0
+
+
+FIELDS = ("rep_social", "rep_consistency", "individual_costs", "state_second_moment",
+          "control_second_moment", "trajectories", "controls")
+PER_REPLICATION = ("rep_social", "rep_consistency", "trajectories", "controls")
+
+
+def mixed_pairs(spec, sol):
+    # decentralized and centralized laws at N = 1, 3 and 7, interleaved so that
+    # neither the laws nor the N come in order
+    dec = build_law(sol, spec)
+    cen = {N: build_law(solve_finite_N(spec, N=N), spec) for N in (1, 3, 7)}
+    return [(dec, 3), (cen[7], 7), (dec, 1), (cen[1], 1), (dec, 7), (cen[3], 3)]
+
+
+def assert_batch_matches_calls_alone(spec, pairs, cfg, coupling, exact):
+    import mfsoc.simulator as sim
+    batch = sim._simulate(spec, pairs, cfg, coupling, collect_agents=1)
+    assert len(batch) == len(pairs)
+    for (law, N), got in zip(pairs, batch):
+        want = simulate_population(spec, law, cfg, N=N, coupling=coupling, collect_agents=1)
+        for field in FIELDS:
+            if field in exact:
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
+                                              err_msg=f"{field}, N={N}")
+            else:
+                np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                           rtol=1e-12, atol=0.0, err_msg=f"{field}, N={N}")
+
+
+@pytest.mark.parametrize("widths, exact", [
+    (None, FIELDS), ((1, 3 * 7), FIELDS), ((14, 3 * 14), PER_REPLICATION),
+], ids=["one-chunk", "equal-chunks", "wider-chunks-alone"])
+def test_batch_equals_batches_of_one(monkeypatch, spec_sec6_finite, sol_sec6_finite,
+                                     widths, exact):
+    # one-chunk: the defaults.  equal-chunks: _MAX_WIDTH 1 gives every call
+    # one-replication chunks, and 3-step time blocks leave the last of 20
+    # partial.  wider-chunks-alone: the batch steps 2 replications at a time
+    # (14 // 7), a pair alone up to 14 // N, so only sums over replications
+    # may move, by rounding
+    import mfsoc.simulator as sim
+    if widths is not None:
+        monkeypatch.setattr(sim, "_MAX_WIDTH", widths[0])
+        monkeypatch.setattr(sim, "_BLOCK_ELEMS", widths[1])
+    cfg = SimConfig(dt=1e-2, replications=5, seed=3, thinning=3)
+    pairs = mixed_pairs(spec_sec6_finite, sol_sec6_finite)
+    assert_batch_matches_calls_alone(spec_sec6_finite, pairs, cfg, "empirical", exact)
+    # xbar coupling needs a stored mean field: the decentralized pairs only
+    dec_pairs = [(law, N) for law, N in pairs if law.mf_source == "xbar"]
+    assert_batch_matches_calls_alone(spec_sec6_finite, dec_pairs, cfg, "xbar", exact)
+
+
+def test_batch_checks_every_pair(spec_sec6_finite, sol_sec6_finite):
+    import mfsoc.simulator as sim
+    pairs = mixed_pairs(spec_sec6_finite, sol_sec6_finite)
+    cfg = SimConfig(dt=1e-2)
+    with pytest.raises(ValueError, match="mean-field path"):
+        sim._simulate(spec_sec6_finite, pairs, cfg, coupling="xbar")
+    with pytest.raises(ValueError, match="population size"):
+        sim._simulate(spec_sec6_finite, pairs + [(pairs[0][0], 0)], cfg)
+    with pytest.raises(ValueError, match="collect_agents"):
+        sim._simulate(spec_sec6_finite, pairs, cfg, collect_agents=2)   # N = 1 is there
+    assert sim._simulate(spec_sec6_finite, [], cfg) == []
+
+
+@pytest.mark.parametrize("max_width", [None, 1])
+def test_batch_divergence_is_the_pairs_own(monkeypatch, max_width):
+    # a law that leaves A = 12, C = 3 unchecked diverges; one with F = -20
+    # keeps the state decaying.  The batch reports the diverging pair's own
+    # (time, agent, replication), as its call alone does
+    import mfsoc.simulator as sim
+    if max_width is not None:
+        monkeypatch.setattr(sim, "_MAX_WIDTH", max_width)
+    spec = ProblemSpec(
+        n=1, r=1, A=12.0, B=1.0, C=3.0, D=0.0, G=0.0, Q=1.0, R=1.0, Gamma=0.0,
+        f=zero_signal(1), sigma=zero_signal(1), eta=zero_signal(1),
+        x0_mean=[1.0], x0_cov=[[0.0]], N=3, horizon=3.0,
+    )
+    stable = zero_law(3.0)
+    stable.F_self[:] = -20.0
+    cfg = SimConfig(dt=1e-2, replications=4, seed=11)
+    with pytest.raises(DivergenceError) as alone:
+        simulate_population(spec, zero_law(3.0), cfg, N=3)
+    with pytest.raises(DivergenceError) as batch:
+        sim._simulate(spec, [(stable, 7), (zero_law(3.0), 3)], cfg)
+    assert ((batch.value.time, batch.value.agent, batch.value.replication)
+            == (alone.value.time, alone.value.agent, alone.value.replication))
+    out = simulate_population(spec, stable, cfg, N=7)
+    assert np.isfinite(out.social_cost)

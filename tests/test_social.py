@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfsoc.linalg import BlowUpError, Tolerance
-from mfsoc.model import ProblemSpec, constant_signal, zero_signal
+from mfsoc.model import ProblemSpec, agent_rng, constant_signal, zero_signal
 from mfsoc.riccati import SolverError, solve_are, solve_are_N, solve_finite_limit, solve_finite_N
 from mfsoc.simulator import SimConfig, simulate_meanfield_type, simulate_population
 from mfsoc.social import (
@@ -133,6 +133,37 @@ def test_gap_curve_pairing(spec_sec6_finite):
     # the decentralized strategy can only lose against the optimum
     # (up to Monte Carlo resolution)
     assert np.all(curve.epsilon > -3.0 * curve.epsilon_se - 1e-12)
+
+
+@pytest.mark.parametrize("reps", [1, 30])
+def test_gap_curve_matches_per_call_oracle(spec_sec6_finite, reps):
+    # the oracle is gap_curve's definition from one simulate_population call
+    # for the decentralized law and one centralized_cost call per N
+    Ns, cfg = [1, 3, 8], SimConfig(dt=2e-3, replications=reps, seed=19)
+    curve = gap_curve(spec_sec6_finite, Ns, cfg)
+    dec = build_law(solve_finite_limit(spec_sec6_finite), spec_sec6_finite)
+    for j, N in enumerate(Ns):
+        out_d = simulate_population(spec_sec6_finite, dec, cfg, N=N)
+        out_c = centralized_cost(spec_sec6_finite, N, cfg)
+        diff = (out_d.rep_social - out_c.rep_social) / N
+        se = diff.std(ddof=1) / np.sqrt(reps) if reps > 1 else 0.0
+        assert curve.epsilon[j] == diff.mean() and curve.epsilon_se[j] == se, N
+        assert curve.decentralized[j] == out_d.social_cost / N, N
+        assert curve.centralized[j] == out_c.social_cost / N, N
+
+
+def test_gap_curve_builds_each_stream_once(monkeypatch, spec_sec6_finite):
+    import mfsoc.simulator as sim
+    built = []
+
+    def counting(seed, replication, agent):
+        built.append((seed, replication, agent))
+        return agent_rng(seed, replication, agent)
+
+    monkeypatch.setattr(sim, "agent_rng", counting)
+    reps = 7
+    gap_curve(spec_sec6_finite, [2, 5, 3], SimConfig(dt=1e-2, replications=reps, seed=4))
+    assert sorted(built) == [(4, b, i) for b in range(reps) for i in range(5)]
 
 
 def test_expected_cost_matches_monte_carlo(spec_sec6_finite):
