@@ -15,9 +15,9 @@ Exit codes: 0 success, 2 validation failure, 3 solver failure,
 its range, which is refused with the flag's name before anything runs, or
 a value the library refuses with ``ValueError``, such as more agents to
 record than the population has).  Ranges: --N, --reps, --thinning,
---max-rows and every --N-list entry are integers >= 1; --seed and --agents
-integers >= 0; --step, --dt, --T and --fig3-T positive finite numbers;
---pin-P a finite number.
+--max-rows (solve-finite and solve-infinite only) and every --N-list entry
+are integers >= 1; --seed and --agents integers >= 0; --step, --dt, --T and
+--fig3-T positive finite numbers; --pin-P a finite number.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .riccati import (SolverError, check_ranges, solve_are, solve_finite_N,
                       solve_finite_limit)
 from .simulator import DivergenceError, SimConfig, simulate_population
 from .social import asymptotic_value, gap_curve
-from .stability import _stability_report, _try_solve_are, stability_report
+from .stability import stability_report
 from .synthesis import build_law
 
 EXIT_OK = 0
@@ -102,6 +102,8 @@ def _fmt(x) -> str:
 
 
 def _json_default(obj):
+    if isinstance(obj, complex):   # before np.generic: complex128 is a complex
+        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"not serializable: {type(obj)}")
@@ -290,11 +292,11 @@ def _cmd_value(args):
 def _cmd_reproduce(args):
     spec = _load(args)
     tol = _tol(args)
-    # infinite-horizon solve; fall back to the published reference root when
-    # the equation admits no root of its own (recorded in the output).  The
-    # unpinned outcome is handed on to the stability battery.
-    are = _try_solve_are(spec, tol, args.T)
-    sol, _ = are
+    # the stability battery makes the one unpinned infinite-horizon solve;
+    # fall back to the published reference root when the equation admits no
+    # root of its own (recorded in the output)
+    check = stability_report(spec, tol, t_sim=args.T)
+    sol = check.solution
     pinned = sol is None
     if pinned:
         sol = solve_are(spec, tol, t_sim=args.T, pin_P=_REFERENCE_P * np.eye(spec.n))
@@ -330,7 +332,7 @@ def _cmd_reproduce(args):
                                           law.xbar_at(sim.grid)[:, 0]])),
         "fig3.csv": _gap_csv(curve),
         "value.json": value,
-        "check.json": _stability_report(spec, tol, are).to_json(),
+        "check.json": check.to_json(),
     }, None
 
 
@@ -338,7 +340,6 @@ def _add_common(p, sim=False):
     p.add_argument("spec", help="problem JSON file")
     p.add_argument("--outdir", default=None, help="output directory (default $MFSOC_OUTDIR or ./out)")
     p.add_argument("--step", type=_POSITIVE, default=None, help="Riccati/ODE integration step")
-    p.add_argument("--max-rows", dest="max_rows", type=_COUNT, default=2000)
     if sim:
         p.add_argument("--dt", type=_POSITIVE, default=1e-3)
         p.add_argument("--T", type=_POSITIVE, default=20.0, help="simulation/truncation horizon")
@@ -357,12 +358,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve-finite", help="finite-horizon backward triple")
     _add_common(p)
+    p.add_argument("--max-rows", dest="max_rows", type=_COUNT, default=2000)
     p.add_argument("--population", action="store_true",
                    help="solve the population-N form instead of the limit form")
     p.set_defaults(func=_cmd_solve_finite)
 
     p = sub.add_parser("solve-infinite", help="algebraic equations + offset")
     _add_common(p)
+    p.add_argument("--max-rows", dest="max_rows", type=_COUNT, default=2000)
     p.add_argument("--T", type=_POSITIVE, default=20.0)
     p.add_argument("--pin-P", dest="pin_P", type=_FINITE, default=None,
                    help="bypass the first equation with a given scalar value")

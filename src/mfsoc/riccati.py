@@ -2,8 +2,9 @@
 
 Pi = P + K, and the diffusion sees M = P + K/N; the limit form is N = None,
 where M = P.  The pair algebra (Upsilon = R + D'MD, the gain numerators,
-the P equation and the aggregate equation for Pi, the closed loops and the
-offset forcing) is written once, in ``_Pair``, and every solver reads it.
+the P equation and the aggregate equation for Pi, their Riccati LMI blocks,
+the closed loops and the offset forcing) is written once, in ``_Pair``, and
+every solver and the stability battery read it.
 
 Finite horizon: the coupled backward triple (P, K, s) in either form, plus
 the deterministic mean-field trajectory it induces.  Infinite horizon: the
@@ -193,18 +194,32 @@ class _Pair:
     def Theta(self):
         return self.plant.B.T @ self.Pi + self.DMC
 
+    def _linear_P(self):
+        """A'P + PA + C'MC + Q, the P equation without its quadratic term."""
+        p = self.plant
+        return p.A.T @ self.P + self.P @ p.A + self.CMC + p.Q
+
+    def _linear_Pi(self):
+        """(A+G)'Pi + Pi(A+G) + C'MC + Q - Q_Gamma, likewise for Pi."""
+        p = self.plant
+        return p.AG.T @ self.Pi + self.Pi @ p.AG + (p.Q_agg + self.CMC)
+
     def residual_P(self):
         """A'P + PA + C'MC + Q - Psi' Ups^+ Psi."""
-        p = self.plant
-        return (p.A.T @ self.P + self.P @ p.A + self.CMC + p.Q
-                - self.Psi.T @ self.Ui @ self.Psi)
+        return self._linear_P() - self.Psi.T @ self.Ui @ self.Psi
 
     def residual_Pi(self):
         """The aggregate equation (A+G)'Pi + Pi(A+G) + C'MC + Q - Q_Gamma
         - Theta' Ups^+ Theta: the sum of the P and K equations."""
-        p = self.plant
-        return (p.AG.T @ self.Pi + self.Pi @ p.AG + (p.Q_agg + self.CMC)
-                - self.Theta.T @ self.Ui @ self.Theta)
+        return self._linear_Pi() - self.Theta.T @ self.Ui @ self.Theta
+
+    def lmi_blocks(self):
+        """The Riccati LMI blocks of Ait Rami and Zhou (IEEE TAC 45(6), 2000)
+        at this point, [[A'P + PA + C'MC + Q, Psi'], [Psi, Ups]] for P and
+        [[(A+G)'Pi + Pi(A+G) + C'MC + Q - Q_Gamma, Theta'], [Theta, Ups]] for
+        Pi; each residual is the Schur complement of its block's Ups."""
+        return (np.block([[self._linear_P(), self.Psi.T], [self.Psi, self.Ups]]),
+                np.block([[self._linear_Pi(), self.Theta.T], [self.Theta, self.Ups]]))
 
     def residuals(self, free_P, free_Pi):
         """The free unknowns' symmetrized residuals as one vector, P's first."""

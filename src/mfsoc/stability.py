@@ -10,6 +10,12 @@ diffusion it reduces to the deterministic PBH test.  Uniform convexity of
 the social cost is certified at any population size from the
 population-N Riccati pair, whose control weight is the block of the
 stacked N*n-dimensional equation's symmetric solution.
+
+``stability_report`` is the one battery: it runs each of these checks
+once, plus, on an infinite horizon, one unpinned algebraic solve, which it
+keeps for its caller, and the equivalence-theorem verdicts, which
+``theorem_verdicts`` reads from it.  The set-membership blocks are the
+pair algebra's Riccati LMI blocks (``riccati._Pair.lmi_blocks``).
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, sym_sqrt_psd, symmetrize
-from .model import ProblemSpec, _check_population, derive_weights
-from .riccati import (SolverError, _solution_pair, _solve_finite, check_ranges, solve_are,
-                      solve_stochastic_are)
+from .model import ProblemSpec, _check_population
+from .riccati import (RiccatiInfiniteSolution, SolverError, _Pair, _plant, _solution_pair,
+                      _solve_finite, check_ranges, solve_are, solve_stochastic_are)
 
 
 def check_ms_stable(A, C, tol: Tolerance = DEFAULT_TOL):
@@ -120,23 +126,14 @@ class StabilityReport:
     convexity: tuple = None          # (verdict string, witness)
     theorem_ii: tuple = None         # (bool, detail)
     theorem_iii: tuple = None
+    # the unpinned infinite-horizon solve, None without a root; not serialized
+    solution: RiccatiInfiniteSolution | None = None
 
     def to_json(self):
-        def enc(v):
-            if isinstance(v, (np.floating, float)):
-                return float(v)
-            if isinstance(v, (np.bool_, bool)):
-                return bool(v)
-            if isinstance(v, complex):
-                return {"re": v.real, "im": v.imag}
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, tuple):
-                return [enc(x) for x in v]
-            if isinstance(v, dict):
-                return {k: enc(x) for k, x in v.items()}
-            return v
-        return {k: enc(v) for k, v in self.__dict__.items() if v is not None}
+        """The verdicts that were evaluated; numpy values are left to the
+        JSON encoder."""
+        return {k: v for k, v in self.__dict__.items()
+                if v is not None and k != "solution"}
 
 
 def check_detectability_suite(spec: ProblemSpec, P_candidate=None, Pi_candidate=None,
@@ -144,7 +141,8 @@ def check_detectability_suite(spec: ProblemSpec, P_candidate=None, Pi_candidate=
     """Observability/detectability battery: PBH tests, stochastic surrogate,
     and set-membership of the supplied candidates.
 
-    Returns (a5prime: dict, membership: dict).
+    The S1 and S2 blocks are the Riccati LMI blocks of the limit-form pair
+    at (P, Pi).  Returns (a5prime: dict, membership: dict).
     """
     A, B, C, D, G = spec.A, spec.B, spec.C, spec.D, spec.G
     Q, R, Gam = spec.Q, spec.R, spec.Gamma
@@ -161,31 +159,27 @@ def check_detectability_suite(spec: ProblemSpec, P_candidate=None, Pi_candidate=
     a5p["AG_sqrtQ_IminusGamma_observable"] = (obs_ok, wit2)
 
     membership = {}
-    if P_candidate is not None:
-        Pb = symmetrize(np.atleast_2d(np.asarray(P_candidate, dtype=float)))
-        Q_P = symmetrize(A.T @ Pb + Pb @ A + C.T @ Pb @ C + Q)
-        R_P = symmetrize(R + D.T @ Pb @ D)
-        Hmat = np.block([[Q_P, Pb @ B + C.T @ Pb @ D], [B.T @ Pb + D.T @ Pb @ C, R_P]])
-        h_min = float(np.linalg.eigvalsh(symmetrize(Hmat)).min())
-        # kernel inclusion ker(R_P) within ker(B) and ker(D)
-        w, V = np.linalg.eigh(R_P)
-        kerR = V[:, np.abs(w) <= tol.rank_cutoff * (1.0 + np.abs(w).max())]
-        ker_res = float(np.linalg.norm(B @ kerR) + np.linalg.norm(D @ kerR)) if kerR.size else 0.0
-        det_P, witP = exact_detectable(A, C, sym_sqrt_psd(Q_P), tol)
-        membership["S1"] = {
-            "H_psd": (h_min >= -tol.residual_tol, h_min),
-            "kernel_inclusion": (ker_res <= tol.residual_tol, ker_res),
-            "exactly_detectable": (det_P, witP),
-        }
-    if Pi_candidate is not None and P_candidate is not None:
-        Pib = symmetrize(np.atleast_2d(np.asarray(Pi_candidate, dtype=float)))
-        Pb = symmetrize(np.atleast_2d(np.asarray(P_candidate, dtype=float)))
-        dw = derive_weights(spec)
-        Q_Pi = symmetrize((A + G).T @ Pib + Pib @ (A + G) + C.T @ Pb @ C + Q - dw.Q_Gamma)
-        R_P = symmetrize(R + D.T @ Pb @ D)
-        Mmat = np.block([[Q_Pi, Pib @ B + C.T @ Pb @ D], [B.T @ Pib + D.T @ Pb @ C, R_P]])
-        m_min = float(np.linalg.eigvalsh(symmetrize(Mmat)).min())
-        det_Pi, witPi = pbh_observable(A + G, sym_sqrt_psd(Q_Pi), tol, detect_only=True)
+    if P_candidate is None:
+        return a5p, membership
+    P, Pi = (X if X is None else symmetrize(np.atleast_2d(np.asarray(X, dtype=float)))
+             for X in (P_candidate, Pi_candidate))
+    pair = _Pair(_plant(spec), P, P if Pi is None else Pi, None, tol)
+    Hmat, Mmat = (symmetrize(X) for X in pair.lmi_blocks())
+    Q_P, R_P = Hmat[:n, :n], Hmat[n:, n:]
+    h_min = float(np.linalg.eigvalsh(Hmat).min())
+    # kernel inclusion ker(R_P) within ker(B) and ker(D)
+    w, V = np.linalg.eigh(R_P)
+    kerR = V[:, np.abs(w) <= tol.rank_cutoff * (1.0 + np.abs(w).max())]
+    ker_res = float(np.linalg.norm(B @ kerR) + np.linalg.norm(D @ kerR)) if kerR.size else 0.0
+    det_P, witP = exact_detectable(A, C, sym_sqrt_psd(Q_P), tol)
+    membership["S1"] = {
+        "H_psd": (h_min >= -tol.residual_tol, h_min),
+        "kernel_inclusion": (ker_res <= tol.residual_tol, ker_res),
+        "exactly_detectable": (det_P, witP),
+    }
+    if Pi_candidate is not None:
+        m_min = float(np.linalg.eigvalsh(Mmat).min())
+        det_Pi, witPi = pbh_observable(A + G, sym_sqrt_psd(Mmat[:n, :n]), tol, detect_only=True)
         membership["S2"] = {
             "M_psd": (m_min >= -tol.residual_tol, m_min),
             "detectable": (det_Pi, witPi),
@@ -221,97 +215,69 @@ def check_uniform_convexity(spec: ProblemSpec, N_small: int = 2,
     return "indeterminate", min_ups
 
 
-def _aggregate_hurwitz(spec: ProblemSpec, sol, tol: Tolerance):
-    """Hurwitz test of the individual closed-loop matrix plus the coupling G."""
-    return is_hurwitz(_solution_pair(sol, spec, tol).individual_loop()[0] + spec.G, tol)
-
-
-def _try_solve_are(spec: ProblemSpec, tol: Tolerance, t_sim: float):
-    """(solution, None) or (None, the SolverError)."""
-    try:
-        return solve_are(spec, tol, t_sim), None
-    except SolverError as exc:
-        return None, exc
-
-
-def _theorem_verdicts(spec: ProblemSpec, sol, err, stab, pair, tol: Tolerance):
-    """Verdicts from an ARE outcome, a check_stabilizable result and a
-    pbh_stabilizable result computed once by the caller."""
-    if sol is None:
-        verdict_ii = (False, f"solver: {err}")
-    else:
-        rep = check_ranges(sol, spec, tol)
-        hur, absc = _aggregate_hurwitz(spec, sol, tol)
-        if not rep.all_ok:
-            verdict_ii = (False, f"range inclusions fail: {rep.failing()}")
-        elif not hur:
-            verdict_ii = (False, f"aggregate matrix abscissa {absc:.3g}")
-        else:
-            verdict_ii = (True, f"residuals ({sol.residual_P:.2g}, {sol.residual_Pi:.2g}), abscissa {absc:.3g}")
-
-    stab_ok, _, diag = stab
-    pair_ok, wit = pair
-    if not stab_ok:
-        verdict_iii = (False, f"noisy pair not stabilizable: {diag}")
-    elif not pair_ok:
-        verdict_iii = (False, f"averaged pair not stabilizable (witness {wit})")
-    elif sol is None:
-        verdict_iii = (False, "Hurwitz condition unevaluable: no Riccati solution")
-    else:
-        verdict_iii = (hur, f"abscissa {absc:.3g}")
-    return verdict_ii, verdict_iii
-
-
-def theorem_verdicts(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20.0):
-    """Equivalence-theorem verdicts for the infinite-horizon problem.
-
-    (ii): the two algebraic equations and the offset admit solutions with
-    Upsilon >= 0, the range inclusions hold, and the individual closed-loop
-    matrix plus the coupling matrix is Hurwitz.
-    (iii): both stabilizability conditions hold AND that same Hurwitz
-    condition holds.  The theorem asserts (ii) <=> (iii); disagreement is a
-    library bug or an assumption violation worth surfacing.
-    Returns ((ok_ii, detail_ii), (ok_iii, detail_iii)).
-    """
-    sol, err = _try_solve_are(spec, tol, t_sim)
-    stab = check_stabilizable(spec.A, spec.B, spec.C, spec.D, tol)
-    pair = pbh_stabilizable(spec.A + spec.G, spec.B, tol)
-    return _theorem_verdicts(spec, sol, err, stab, pair, tol)
-
-
 def stability_report(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
                      t_sim: float = 20.0) -> StabilityReport:
-    """Full battery behind the check subcommand."""
-    are = _try_solve_are(spec, tol, t_sim) if spec.infinite_horizon else None
-    return _stability_report(spec, tol, are)
+    """The battery behind the check subcommand and ``theorem_verdicts``.
 
-
-def _stability_report(spec: ProblemSpec, tol: Tolerance, are) -> StabilityReport:
-    """The battery with the infinite-horizon outcome of _try_solve_are
-    supplied by a caller that has already run it (None on a finite horizon)."""
-    rep = StabilityReport()
-    rep.ms_stable = check_ms_stable(spec.A, spec.C, tol)
-    stab = check_stabilizable(spec.A, spec.B, spec.C, spec.D, tol)
-    rep.stabilizable = (stab[0], stab[2])
-    pair = pbh_stabilizable(spec.A + spec.G, spec.B, tol)
-    rep.pair_AG_B_stabilizable = pair
-
-    P_cand = Pi_cand = None
+    Every horizon: mean-square stability of [A, C], both stabilizability
+    conditions, and the observability suite.  A finite horizon adds the
+    uniform-convexity verdict.  An infinite horizon adds the unpinned
+    algebraic solve, kept in ``solution`` (None when there is no root); the
+    Hurwitz test of the individual closed-loop matrix plus the coupling G
+    (A6); the set membership of (P, Pi); and the equivalence-theorem
+    verdicts.  (ii): the two algebraic equations and the offset admit
+    solutions with Upsilon >= 0, the range inclusions hold, and that
+    matrix is Hurwitz.  (iii): both stabilizability conditions hold AND
+    that same Hurwitz condition holds.  The theorem asserts (ii) <=> (iii);
+    disagreement is a library bug or an assumption violation worth
+    surfacing.
+    """
+    rep = StabilityReport(ms_stable=check_ms_stable(spec.A, spec.C, tol))
+    stab_ok, _, diag = check_stabilizable(spec.A, spec.B, spec.C, spec.D, tol)
+    rep.stabilizable = (stab_ok, diag)
+    pair_ok, wit = rep.pair_AG_B_stabilizable = pbh_stabilizable(spec.A + spec.G, spec.B, tol)
+    sol = None
     if spec.infinite_horizon:
-        sol, err = are
-        if sol is None:
-            rep.A6_holds = (False, f"unevaluable: {err}")
+        try:
+            sol = rep.solution = solve_are(spec, tol, t_sim)
+        except SolverError as exc:
+            rep.A6_holds = (False, f"unevaluable: {exc}")
+            rep.theorem_ii = (False, f"solver: {exc}")
         else:
-            P_cand, Pi_cand = sol.P, sol.Pi
-            rep.A6_holds = _aggregate_hurwitz(spec, sol, tol)
-        rep.theorem_ii, rep.theorem_iii = _theorem_verdicts(spec, sol, err, stab, pair, tol)
+            hur, absc = rep.A6_holds = is_hurwitz(
+                _solution_pair(sol, spec, tol).individual_loop()[0] + spec.G, tol)
+            ranges = check_ranges(sol, spec, tol)
+            if not ranges.all_ok:
+                rep.theorem_ii = (False, f"range inclusions fail: {ranges.failing()}")
+            elif not hur:
+                rep.theorem_ii = (False, f"aggregate matrix abscissa {absc:.3g}")
+            else:
+                rep.theorem_ii = (True, f"residuals ({sol.residual_P:.2g}, "
+                                        f"{sol.residual_Pi:.2g}), abscissa {absc:.3g}")
+        if not stab_ok:
+            rep.theorem_iii = (False, f"noisy pair not stabilizable: {diag}")
+        elif not pair_ok:
+            rep.theorem_iii = (False, f"averaged pair not stabilizable (witness {wit})")
+        elif sol is None:
+            rep.theorem_iii = (False, "Hurwitz condition unevaluable: no Riccati solution")
+        else:
+            rep.theorem_iii = (hur, f"abscissa {absc:.3g}")
     else:
         try:
             rep.convexity = check_uniform_convexity(spec, 2, tol)
         except SolverError as exc:
             rep.convexity = ("indeterminate", str(exc))
 
-    a5p, membership = check_detectability_suite(spec, P_cand, Pi_cand, tol)
-    rep.A5prime = a5p
-    rep.S_membership = membership
+    rep.A5prime, rep.S_membership = check_detectability_suite(
+        spec, *(() if sol is None else (sol.P, sol.Pi)), tol=tol)
     return rep
+
+
+def theorem_verdicts(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20.0):
+    """The equivalence-theorem verdicts of ``stability_report`` for an
+    infinite-horizon problem: ((ok_ii, detail_ii), (ok_iii, detail_iii)).
+    A finite-horizon problem raises SolverError, as ``solve_are`` does."""
+    if not spec.infinite_horizon:
+        raise SolverError("equivalence-theorem verdicts called on a finite-horizon problem")
+    rep = stability_report(spec, tol, t_sim)
+    return rep.theorem_ii, rep.theorem_iii

@@ -105,19 +105,18 @@ def _closed_loop(spec: ProblemSpec, law: ControlLaw, ts,
     )
 
 
-def build_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
-              check: bool = True) -> ControlLaw:
+def build_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> ControlLaw:
     """Feedback law from a finite or infinite, limit-form or population-N solution.
 
     A limit-form solution (population None) gives the decentralized law on
     the stored mean field; a population-N solution gives the centralized
-    benchmark on the live empirical average.
+    benchmark on the live empirical average.  A solution whose range
+    conditions fail is refused with RangeConditionError.
     """
-    if check:
-        rep = check_ranges(sol, spec, tol)
-        if not rep.all_ok:
-            raise RangeConditionError("range conditions fail for: " + ", ".join(rep.failing())
-                                      + " (pseudoinverse feedback formula not valid)")
+    rep = check_ranges(sol, spec, tol)
+    if not rep.all_ok:
+        raise RangeConditionError("range conditions fail for: " + ", ".join(rep.failing())
+                                  + " (pseudoinverse feedback formula not valid)")
     finite = isinstance(sol, RiccatiFiniteSolution)
     pair = _solution_pair(sol, spec, tol)
     m, shape = sol.grid.size, (sol.grid.size, spec.r, spec.n)

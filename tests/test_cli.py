@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+import mfsoc.riccati
+import mfsoc.stability
 from mfsoc.cli import main
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -116,6 +118,8 @@ def test_simulate_summary(tmp_path):
     ("gap", SEC6_FIN, ["--N-list", "0,2"]), ("gap", SEC6_FIN, ["--N-list", "1,x"]),
     ("solve-infinite", SEC6, ["--pin-P", "nan", "--T", "10"]),
     ("simulate", SEC6_FIN, ["--agents", "-1"]),
+    # --max-rows belongs to solve-finite and solve-infinite only
+    ("gap", SEC6_FIN, ["--max-rows", "5"]), ("check", WELL, ["--max-rows", "5"]),
 ])
 def test_simulate_refuses_bad_numbers_with_usage_exit(tmp_path, capsys, probe):
     # an out-of-range number is refused with a message that names its flag,
@@ -128,6 +132,47 @@ def test_simulate_refuses_bad_numbers_with_usage_exit(tmp_path, capsys, probe):
     assert err.startswith("error: ")
     assert flags[0].lstrip("-") in err.splitlines()[0]
     assert not (tmp_path / "s").exists()
+
+
+def test_check_encodes_a_complex_witness(tmp_path):
+    # A has eigenvalues 0.5 +- i and B = 0, so (A + G, B) is not
+    # stabilizable and its PBH witness is a complex eigenvalue
+    zero = {"kind": "constant", "value": [0.0, 0.0]}
+    problem = {
+        "n": 2, "r": 1, "A": [[0.5, -1.0], [1.0, 0.5]], "B": [[0.0], [0.0]],
+        "C": [[0.0, 0.0], [0.0, 0.0]], "D": [[0.0], [0.0]], "G": [[0.0, 0.0], [0.0, 0.0]],
+        "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]], "Gamma": [[0.0, 0.0], [0.0, 0.0]],
+        "f": zero, "sigma": zero, "eta": zero, "x0_mean": [0.0, 0.0],
+        "x0_cov": [[1.0, 0.0], [0.0, 1.0]], "N": 10, "horizon": "infinite",
+    }
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(problem))
+    out = tmp_path / "c"
+    assert main(["check", str(path), "--outdir", str(out)]) == 0
+    ok, witness = json.loads((out / "check.json").read_text())["pair_AG_B_stabilizable"]
+    assert ok is False
+    assert witness["re"] == 0.5 and abs(witness["im"]) == 1.0
+
+
+def test_reproduce_solves_the_unpinned_pair_once(tmp_path, monkeypatch):
+    # sec6's equation has no root: one unpinned solve, made by the stability
+    # battery and handed on, then one pinned to the reference root
+    calls = {"steady": 0, "stabilizable": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mfsoc.riccati, "_solve_steady",
+                        counted("steady", mfsoc.riccati._solve_steady))
+    monkeypatch.setattr(mfsoc.stability, "check_stabilizable",
+                        counted("stabilizable", mfsoc.stability.check_stabilizable))
+    rc = main(["reproduce-paper", SEC6, "--outdir", str(tmp_path / "r"), "--N-list", "1,2,5",
+               "--reps", "5", "--dt", "0.005", "--T", "6", "--seed", "3"])
+    assert rc == 0
+    assert calls == {"steady": 2, "stabilizable": 1}
 
 
 def test_failed_reproduce_leaves_no_outdir(tmp_path, capsys):

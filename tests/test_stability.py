@@ -3,7 +3,7 @@ import pytest
 
 from mfsoc.linalg import Tolerance, is_hurwitz, lift_msq
 from mfsoc.model import ProblemSpec, constant_signal, zero_signal
-from mfsoc.riccati import solve_finite_N
+from mfsoc.riccati import SolverError, solve_finite_N
 from mfsoc.stability import (
     check_detectability_suite,
     check_ms_stable,
@@ -176,6 +176,11 @@ def test_theorem_verdicts_agree_unsolvable(spec_sec6):
     # no algebraic solution exists; both sides of the equivalence must fail
     (ok_ii, _), (ok_iii, _) = theorem_verdicts(spec_sec6, FAST, t_sim=10.0)
     assert ok_ii == ok_iii == False
+
+
+def test_theorem_verdicts_refuse_a_finite_horizon(spec_sec6_finite):
+    with pytest.raises(SolverError, match="finite-horizon"):
+        theorem_verdicts(spec_sec6_finite, FAST)
 
 
 def test_stability_report_shapes(spec_wellposed):
