@@ -10,14 +10,16 @@ A run that fails writes nothing into ``--outdir``, manifest included.
 Numeric outputs are formatted deterministically so equal manifests yield
 byte-identical files.
 
-Exit codes: 0 success, 2 validation failure, 3 solver failure,
-4 simulation divergence, 64 usage error (a bad flag, a flag value out of
-its range, which is refused with the flag's name before anything runs, or
-a value the library refuses with ``ValueError``, such as more agents to
-record than the population has).  Ranges: --N, --reps, --thinning,
---max-rows (solve-finite and solve-infinite only) and every --N-list entry
-are integers >= 1; --seed and --agents integers >= 0; --step, --dt, --T and
---fig3-T positive finite numbers; --pin-P a finite number.
+Exit codes: 0 success, 2 validation failure (a problem file that does not
+parse into a problem, or whose problem is invalid), 3 solver failure,
+4 simulation divergence, 64 usage error (a bad flag, a problem file that
+cannot be read, a flag value out of its range, which is refused with the
+flag's name before anything runs, or a value the library refuses with
+``ValueError``, such as more agents to record than the population has).
+Ranges: --N, --reps, --thinning, --max-rows (solve-finite and
+solve-infinite only) and every --N-list entry are integers >= 1; --seed
+and --agents integers >= 0; --step, --dt, --T and --fig3-T positive finite
+numbers; --pin-P a finite number.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ def _checked(parse, check):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
+
+
+def _readable(path):
+    """argparse type of the problem file: its path, refused unless it opens."""
+    try:
+        open(path).close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path}: {exc.strerror}") from None
+    return path
 
 
 def _sizes(text, name="--N-list"):
@@ -337,7 +348,7 @@ def _cmd_reproduce(args):
 
 
 def _add_common(p, sim=False):
-    p.add_argument("spec", help="problem JSON file")
+    p.add_argument("spec", type=_readable, help="problem JSON file")
     p.add_argument("--outdir", default=None, help="output directory (default $MFSOC_OUTDIR or ./out)")
     p.add_argument("--step", type=_POSITIVE, default=None, help="Riccati/ODE integration step")
     if sim:
@@ -354,7 +365,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a problem file")
-    p.add_argument("spec")
+    p.add_argument("spec", type=_readable)
 
     p = sub.add_parser("solve-finite", help="finite-horizon backward triple")
     _add_common(p)

@@ -6,14 +6,18 @@ dx_i = (A x_i + B u_i + G x^(N) + f) dt + (C x_i + D u_i + sigma) dW_i, the
 quadratic weights (Q, R, Gamma, and the terminal triple H, Gamma0, eta0 for
 finite horizons), the deterministic signals f, sigma, eta, the initial-state
 law, and the population size.  Signals are closed-form descriptors rather
-than opaque callbacks so problems round-trip through JSON.
+than opaque callbacks so problems round-trip through JSON.  Each array
+field's shape, the weights, the terminal data and each signal kind's
+parameters are declared once, in tables read by construction (which also
+takes JSON values), JSON and validate().  Data that does not parse into a
+problem raises ModelError, naming the field.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +28,23 @@ class ModelError(ValueError):
     """Structurally invalid problem data."""
 
 
-_SIGNAL_KINDS = ("constant", "exponential", "rational", "sampled", "sum", "scaled")
+# each signal kind and its parameters, in the order to_json writes them; the
+# most axes each numeric parameter may have (the terms are signals)
+_SIGNAL_KINDS = {"constant": ("value",), "exponential": ("a", "b"), "rational": ("a", "c"),
+                 "sampled": ("times", "values"), "sum": ("terms",)}
+_SIGNAL_AXES = {"value": 1, "a": 1, "b": 0, "c": 0, "times": 1, "values": 2}
+
+
+def _signal_param(p, x):
+    """Parameter p from Python or JSON: a float for b and c, else an array."""
+    if x is None:
+        raise ModelError("missing")
+    if p == "terms":
+        return tuple(t if isinstance(t, Signal) else Signal.from_json(t) for t in x)
+    a = np.asarray(x, dtype=float)
+    if a.ndim > _SIGNAL_AXES[p] or not np.all(np.isfinite(a)):
+        raise ModelError(f"must be a finite {('number', 'vector', 'table')[_SIGNAL_AXES[p]]}")
+    return np.atleast_1d(a) if _SIGNAL_AXES[p] else float(a)
 
 
 @dataclass(frozen=True)
@@ -37,8 +57,9 @@ class Signal:
       rational     a / (t + c), c > 0
       sampled      linear interpolation on a strictly increasing grid,
                    clamped outside the grid
-      sum          pointwise sum of sub-signals
-      scaled       matrix @ inner signal (used for derived weights)
+      sum          pointwise sum of sub-signals of one dimension
+
+    A parameter that is not finite, or does not fit, is a ModelError.
     """
 
     kind: str
@@ -49,30 +70,33 @@ class Signal:
     times: np.ndarray | None = None
     values: np.ndarray | None = None
     terms: tuple["Signal", ...] = ()
-    matrix: np.ndarray | None = None
-    inner: "Signal | None" = None
 
     def __post_init__(self):
         if self.kind not in _SIGNAL_KINDS:
             raise ModelError(f"unknown signal kind {self.kind!r}")
+        for p in _SIGNAL_KINDS[self.kind]:
+            try:
+                object.__setattr__(self, p, _signal_param(p, getattr(self, p)))
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"{self.kind} signal parameter {p!r}: {exc}") from None
         if self.kind == "rational" and not self.c > 0:
             raise ModelError("rational signal requires c > 0")
         if self.kind == "sampled":
-            t = np.asarray(self.times, dtype=float)
-            if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+            if self.times.size < 2 or np.any(np.diff(self.times) <= 0):
                 raise ModelError("sampled signal requires a strictly increasing grid")
+            # stored one row per time; given so or transposed, or 1-d for dim 1
+            rows = np.atleast_2d(self.values)
+            rows = rows if rows.shape[0] == self.times.size else rows.T
+            if rows.shape[0] != self.times.size:
+                raise ModelError(f"{len(rows)} sampled values for {self.times.size} times")
+            object.__setattr__(self, "values", rows)
+        if self.kind == "sum" and len({t.dim for t in self.terms}) != 1:
+            dims = [t.dim for t in self.terms]
+            raise ModelError(f"sum signal needs one or more terms of one dim, got dims {dims}")
 
     @property
     def dim(self) -> int:
-        if self.kind == "constant":
-            return np.atleast_1d(self.value).size
-        if self.kind in ("exponential", "rational"):
-            return np.atleast_1d(self.a).size
-        if self.kind == "sampled":
-            return np.atleast_2d(self.values).shape[-1] if np.asarray(self.values).ndim > 1 else 1
-        if self.kind == "sum":
-            return self.terms[0].dim
-        return np.atleast_2d(self.matrix).shape[0]
+        return self(0.0).size
 
     def __call__(self, t):
         """Evaluate at scalar t or a 1-d array of times.
@@ -84,81 +108,66 @@ class Signal:
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
         if self.kind == "constant":
-            out = np.broadcast_to(np.atleast_1d(self.value), (tt.size, self.dim)).copy()
+            out = np.broadcast_to(self.value, (tt.size, self.value.size)).copy()
         elif self.kind == "exponential":
-            out = np.exp(self.b * tt)[:, None] * np.atleast_1d(self.a)[None, :]
+            out = np.exp(self.b * tt)[:, None] * self.a[None, :]
         elif self.kind == "rational":
-            out = (1.0 / (tt + self.c))[:, None] * np.atleast_1d(self.a)[None, :]
+            out = (1.0 / (tt + self.c))[:, None] * self.a[None, :]
         elif self.kind == "sampled":
-            grid = np.asarray(self.times, dtype=float)
-            vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-            if vals.shape[0] != grid.size:
-                vals = vals.T
-            out = np.column_stack(
-                [np.interp(tt, grid, vals[:, j]) for j in range(vals.shape[1])]
-            )
-        elif self.kind == "sum":
+            out = np.column_stack([np.interp(tt, self.times, self.values[:, j])
+                                   for j in range(self.values.shape[1])])
+        else:  # sum
             out = sum(term(tt) for term in self.terms)
-        else:  # scaled
-            out = self.inner(tt) @ np.atleast_2d(self.matrix).T
         return out[0] if scalar else out
 
     # -- JSON round trip -------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": np.atleast_1d(self.value).tolist()}
-        if self.kind == "exponential":
-            return {"kind": "exponential", "a": np.atleast_1d(self.a).tolist(), "b": self.b}
-        if self.kind == "rational":
-            return {"kind": "rational", "a": np.atleast_1d(self.a).tolist(), "c": self.c}
-        if self.kind == "sampled":
-            return {
-                "kind": "sampled",
-                "times": np.asarray(self.times).tolist(),
-                "values": np.asarray(self.values).tolist(),
-            }
-        if self.kind == "sum":
-            return {"kind": "sum", "terms": [s.to_json() for s in self.terms]}
-        raise ModelError("scaled signals are internal and not serialized")
+        out = {"kind": self.kind}
+        for p in _SIGNAL_KINDS[self.kind]:
+            x = getattr(self, p)
+            out[p] = [t.to_json() for t in x] if p == "terms" else np.asarray(x).tolist()
+        return out
 
     @staticmethod
     def from_json(obj) -> "Signal":
-        if isinstance(obj, (int, float)):
-            return Signal("constant", value=np.atleast_1d(float(obj)))
-        kind = obj["kind"]
-        if kind == "constant":
-            return Signal("constant", value=np.atleast_1d(np.asarray(obj["value"], dtype=float)))
-        if kind == "exponential":
-            return Signal("exponential", a=np.atleast_1d(np.asarray(obj["a"], dtype=float)), b=float(obj["b"]))
-        if kind == "rational":
-            return Signal("rational", a=np.atleast_1d(np.asarray(obj["a"], dtype=float)), c=float(obj["c"]))
-        if kind == "sampled":
-            return Signal(
-                "sampled",
-                times=np.asarray(obj["times"], dtype=float),
-                values=np.asarray(obj["values"], dtype=float),
-            )
-        if kind == "sum":
-            return Signal("sum", terms=tuple(Signal.from_json(s) for s in obj["terms"]))
-        raise ModelError(f"unknown signal kind {kind!r}")
+        """A signal from its JSON object; a bare number is a constant."""
+        if isinstance(obj, numbers.Real):
+            return constant_signal(obj)
+        if not isinstance(obj, dict):
+            raise ModelError(f"a signal is a number or an object, got {type(obj).__name__}")
+        kind = obj.get("kind")
+        return Signal(kind, **{p: obj.get(p) for p in _SIGNAL_KINDS.get(kind, ())})
 
 
 def constant_signal(vec) -> Signal:
-    return Signal("constant", value=np.atleast_1d(np.asarray(vec, dtype=float)))
+    return Signal("constant", value=vec)
 
 
 def zero_signal(dim: int) -> Signal:
     return constant_signal(np.zeros(dim))
 
 
-_SYM_SLACK = 1e-10
-
-
 def _nearly_symmetric(M) -> bool:
     """Square with asymmetry at most 1e-10 relative to the norm."""
-    return (M.shape[0] == M.shape[1]
-            and np.max(np.abs(M - M.T)) <= _SYM_SLACK * (1.0 + np.linalg.norm(M)))
+    return (M.ndim == 2 and M.shape[0] == M.shape[1]
+            and np.max(np.abs(M - M.T)) <= 1e-10 * (1.0 + np.linalg.norm(M)))
+
+
+# each array field's shape in n and r, in the order validate() reports them;
+# the weights, stored exactly symmetric within the slack; the terminal data,
+# zero when missing
+_ARRAYS = {"A": "nn", "C": "nn", "G": "nn", "Gamma": "nn", "Gamma0": "nn", "Q": "nn",
+           "H": "nn", "B": "nr", "D": "nr", "R": "rr", "x0_cov": "nn", "x0_mean": "n",
+           "eta0": "n"}
+_WEIGHTS = ("Q", "R", "H", "x0_cov")
+_TERMINAL = ("H", "Gamma0", "eta0")
+_SIGNALS = ("f", "sigma", "eta")
+
+
+def _integral(x):
+    """A number with an integer value as an int; anything else as it is."""
+    return int(x) if isinstance(x, float) and x.is_integer() else x
 
 
 @dataclass
@@ -192,25 +201,29 @@ class ProblemSpec:
     eta0: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("A", "B", "C", "D", "G", "Q", "R", "Gamma"):
-            setattr(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        self.x0_mean = np.atleast_1d(np.asarray(self.x0_mean, dtype=float))
-        self.x0_cov = np.atleast_2d(np.asarray(self.x0_cov, dtype=float))
-        if self.H is None:
-            self.H = np.zeros((self.n, self.n))
-        if self.Gamma0 is None:
-            self.Gamma0 = np.zeros((self.n, self.n))
-        if self.eta0 is None:
-            self.eta0 = np.zeros(self.n)
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        self.Gamma0 = np.atleast_2d(np.asarray(self.Gamma0, dtype=float))
-        self.eta0 = np.atleast_1d(np.asarray(self.eta0, dtype=float))
+        for name in (*_ARRAYS, *_SIGNALS):
+            try:
+                setattr(self, name, self._read(name, getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"{name}: {exc}") from None
+
+    def _read(self, name, x):
+        if x is None and name not in _TERMINAL:
+            raise ModelError("missing")
+        if name in _SIGNALS:
+            return x if isinstance(x, Signal) else Signal.from_json(x)
+        if x is None:
+            x = np.zeros(self._shape(name) or ())
+        M = np.asarray(x, dtype=float)
+        M = np.atleast_2d(M) if len(_ARRAYS[name]) == 2 else np.atleast_1d(M)
         # weights symmetric up to the slack are stored exactly symmetric;
         # larger asymmetry is kept for validate() to report
-        for name in ("Q", "R", "H", "x0_cov"):
-            M = getattr(self, name)
-            if _nearly_symmetric(M):
-                setattr(self, name, symmetrize(M))
+        return symmetrize(M) if name in _WEIGHTS and _nearly_symmetric(M) else M
+
+    def _shape(self, name):
+        """The shape of array field `name`; None while n or r is not an integer."""
+        shape = tuple(getattr(self, axis) for axis in _ARRAYS[name])
+        return shape if all(isinstance(s, numbers.Integral) for s in shape) else None
 
     @property
     def infinite_horizon(self) -> bool:
@@ -223,53 +236,25 @@ class ProblemSpec:
     # -- JSON round trip -------------------------------------------------
 
     def to_json(self) -> dict:
-        horizon = "infinite" if self.infinite_horizon else {"finite": self.horizon}
         return {
-            "n": self.n,
-            "r": self.r,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-            "D": self.D.tolist(),
-            "G": self.G.tolist(),
-            "Q": self.Q.tolist(),
-            "R": self.R.tolist(),
-            "Gamma": self.Gamma.tolist(),
-            "Gamma0": self.Gamma0.tolist(),
-            "H": self.H.tolist(),
-            "f": self.f.to_json(),
-            "sigma": self.sigma.to_json(),
-            "eta": self.eta.to_json(),
-            "eta0": self.eta0.tolist(),
-            "x0_mean": self.x0_mean.tolist(),
-            "x0_cov": self.x0_cov.tolist(),
-            "N": self.N,
-            "horizon": horizon,
+            "n": self.n, "r": self.r, "N": self.N,
+            **{name: getattr(self, name).tolist() for name in _ARRAYS},
+            **{name: getattr(self, name).to_json() for name in _SIGNALS},
+            "horizon": "infinite" if self.infinite_horizon else {"finite": self.horizon},
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "ProblemSpec":
+    def from_json(obj) -> "ProblemSpec":
+        """A problem from its JSON object; a ModelError names what is wrong."""
+        if not isinstance(obj, dict):
+            raise ModelError(f"a problem is a JSON object, got {type(obj).__name__}")
         horizon = obj.get("horizon", "infinite")
-        if horizon == "infinite":
-            T = None
-        elif isinstance(horizon, dict) and "finite" in horizon:
-            T = float(horizon["finite"])
-        else:
+        if horizon != "infinite" and not (isinstance(horizon, dict) and "finite" in horizon):
             raise ModelError('horizon must be "infinite" or {"finite": T}')
-        return ProblemSpec(
-            n=int(obj["n"]),
-            r=int(obj["r"]),
-            A=obj["A"], B=obj["B"], C=obj["C"], D=obj["D"], G=obj["G"],
-            Q=obj["Q"], R=obj["R"], Gamma=obj["Gamma"],
-            Gamma0=obj.get("Gamma0"), H=obj.get("H"), eta0=obj.get("eta0"),
-            f=Signal.from_json(obj["f"]),
-            sigma=Signal.from_json(obj["sigma"]),
-            eta=Signal.from_json(obj["eta"]),
-            x0_mean=obj["x0_mean"],
-            x0_cov=obj["x0_cov"],
-            N=int(obj["N"]),
-            horizon=T,
-        )
+        T = None if horizon == "infinite" else horizon["finite"]
+        return ProblemSpec(**{k: _integral(obj.get(k)) for k in ("n", "r", "N")},
+                           **{k: obj.get(k) for k in (*_ARRAYS, *_SIGNALS)},
+                           horizon=float(T) if isinstance(T, numbers.Real) else T)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -279,7 +264,10 @@ class ProblemSpec:
     @staticmethod
     def load(path) -> "ProblemSpec":
         with open(path) as fh:
-            return ProblemSpec.from_json(json.load(fh))
+            try:
+                return ProblemSpec.from_json(json.load(fh))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ModelError(f"{path} is not JSON: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -299,41 +287,33 @@ def validate(spec: ProblemSpec) -> list[Violation]:
     already removed when the spec was constructed.
     """
     out: list[Violation] = []
-    n, r = spec.n, spec.r
-    shapes = {
-        "A": (n, n), "C": (n, n), "G": (n, n), "Gamma": (n, n), "Gamma0": (n, n),
-        "Q": (n, n), "H": (n, n), "B": (n, r), "D": (n, r), "R": (r, r),
-        "x0_cov": (n, n),
-    }
-    for name, shape in shapes.items():
-        M = getattr(spec, name)
-        if M.shape != shape:
+    for name in _ARRAYS:
+        M, shape = getattr(spec, name), spec._shape(name)
+        if shape is not None and M.shape != shape:
             out.append(Violation("dimension", f"{name} has shape {M.shape}, expected {shape}"))
-            continue
-        if not np.all(np.isfinite(M)):
+        elif not np.all(np.isfinite(M)):
             out.append(Violation("non_finite", f"{name} contains NaN/Inf"))
-    for name, size in (("x0_mean", n), ("eta0", n)):
-        v = getattr(spec, name)
-        if v.shape != (size,):
-            out.append(Violation("dimension", f"{name} has shape {v.shape}, expected ({size},)"))
-    for name in ("f", "sigma", "eta"):
+    for name in _SIGNALS if isinstance(spec.n, numbers.Integral) else ():
         sig = getattr(spec, name)
-        if sig.dim != n:
-            out.append(Violation("dimension", f"signal {name} has dim {sig.dim}, expected {n}"))
-    for name in ("Q", "R", "H"):
+        if sig.dim != spec.n:
+            out.append(Violation("dimension", f"signal {name} has dim {sig.dim}, expected {spec.n}"))
+    for name in _WEIGHTS:
         M = getattr(spec, name)
-        if M.shape[0] == M.shape[1] and not _nearly_symmetric(M):
+        if M.ndim == 2 and M.shape[0] == M.shape[1] and not _nearly_symmetric(M):
             skew = np.max(np.abs(M - M.T))
             out.append(Violation("asymmetry", f"{name} is asymmetric (max skew {skew:.3g})"))
-    if spec.x0_cov.shape == (n, n):
-        if not _nearly_symmetric(spec.x0_cov):
-            out.append(Violation("asymmetry", "x0_cov is asymmetric"))
-        elif np.min(np.linalg.eigvalsh(spec.x0_cov)) < -1e-10:
-            out.append(Violation("not_psd", "x0_cov has a negative eigenvalue"))
-    if spec.N < 1:
-        out.append(Violation("population", f"N must be >= 1, got {spec.N}"))
-    if spec.horizon is not None and not spec.horizon > 0:
-        out.append(Violation("horizon", f"finite horizon must be positive, got {spec.horizon}"))
+    if (spec.x0_cov.shape == spec._shape("x0_cov") and _nearly_symmetric(spec.x0_cov)
+            and np.min(np.linalg.eigvalsh(spec.x0_cov)) < -1e-10):
+        out.append(Violation("not_psd", "x0_cov has a negative eigenvalue"))
+    scalars = [("dimension", _check_count, spec.n, "n"), ("dimension", _check_count, spec.r, "r"),
+               ("population", _check_count, spec.N, "N")]
+    if spec.horizon is not None:
+        scalars.append(("horizon", _check_positive, spec.horizon, "finite horizon"))
+    for code, check, x, name in scalars:
+        try:
+            check(x, name)
+        except ValueError as exc:
+            out.append(Violation(code, str(exc)))
     return out
 
 
@@ -343,36 +323,25 @@ def require_valid(spec: ProblemSpec):
         raise ModelError("; ".join(str(v) for v in violations))
 
 
-def _check_count(x, name):
-    """x itself, or ValueError unless it is an integer >= 1."""
-    if not isinstance(x, numbers.Integral) or x < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
-    return x
+def _checker(test, what):
+    """A check(x, name): x itself, or ValueError naming x unless test(x)."""
+    def check(x, name):
+        if not test(x):
+            raise ValueError(f"{name} must be {what}, got {x!r}")
+        return x
+    return check
 
 
-def _check_natural(x, name):
-    """x itself, or ValueError unless it is an integer >= 0."""
-    if not isinstance(x, numbers.Integral) or x < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {x!r}")
-    return x
+_check_count = _checker(lambda x: isinstance(x, numbers.Integral) and x >= 1, "an integer >= 1")
+_check_natural = _checker(lambda x: isinstance(x, numbers.Integral) and x >= 0, "an integer >= 0")
+_check_positive = _checker(lambda x: isinstance(x, numbers.Real) and 0 < x < np.inf,
+                           "a positive finite number")
+_check_finite = _checker(lambda x: isinstance(x, numbers.Real) and -np.inf < x < np.inf,
+                         "a finite number")
 
 
 def _check_population(N):
     return _check_count(N, "population size")
-
-
-def _check_positive(x, name):
-    """x itself, or ValueError unless it is a positive finite number."""
-    if not (isinstance(x, numbers.Real) and 0 < x < np.inf):
-        raise ValueError(f"{name} must be a positive finite number, got {x!r}")
-    return x
-
-
-def _check_finite(x, name):
-    """x itself, or ValueError unless it is a finite number."""
-    if not (isinstance(x, numbers.Real) and -np.inf < x < np.inf):
-        raise ValueError(f"{name} must be a finite number, got {x!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -380,15 +349,20 @@ class DerivedWeights:
     """Weights induced by the mean-field coupling in the social cost.
 
     Q_Gamma  = Gamma' Q + Q Gamma - Gamma' Q Gamma
-    eta_bar  = (I - Gamma)' Q eta(t)
+    eta_bar  = (I - Gamma)' Q eta(t), a method shaped like a signal's call
     H_Gamma0 = Gamma0' H + H Gamma0 - Gamma0' H Gamma0
     eta0_bar = (I - Gamma0)' H eta0
     """
 
     Q_Gamma: np.ndarray
     H_Gamma0: np.ndarray
-    eta_bar: Signal
     eta0_bar: np.ndarray
+    eta: Signal
+    eta_gain: np.ndarray   # (I - Gamma)' Q
+
+    def eta_bar(self, t):
+        out = self.eta(np.atleast_1d(t)) @ self.eta_gain.T
+        return out[0] if np.ndim(t) == 0 else out
 
 
 def derive_weights(spec: ProblemSpec) -> DerivedWeights:
@@ -396,9 +370,8 @@ def derive_weights(spec: ProblemSpec) -> DerivedWeights:
     H, G0 = spec.H, spec.Gamma0
     Q_Gamma = symmetrize(G1.T @ Q + Q @ G1 - G1.T @ Q @ G1)
     H_Gamma0 = symmetrize(G0.T @ H + H @ G0 - G0.T @ H @ G0)
-    eta_bar = Signal("scaled", matrix=(np.eye(spec.n) - G1).T @ Q, inner=spec.eta)
     eta0_bar = (np.eye(spec.n) - G0).T @ H @ spec.eta0
-    return DerivedWeights(Q_Gamma, H_Gamma0, eta_bar, eta0_bar)
+    return DerivedWeights(Q_Gamma, H_Gamma0, eta0_bar, spec.eta, (np.eye(spec.n) - G1).T @ Q)
 
 
 def initial_chol(spec: ProblemSpec) -> np.ndarray:

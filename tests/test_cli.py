@@ -37,6 +37,101 @@ def test_validate_rejects_bad_spec(tmp_path):
     assert main(["simulate", str(p), "--outdir", str(tmp_path / "s")]) == 2
 
 
+_NAN = float("nan")
+_BASE = json.loads(pathlib.Path(SEC6_FIN).read_text())
+_MALFORMED = {
+    # name: (file content, a word the one message line must contain)
+    "missing_key": ({k: v for k, v in _BASE.items() if k != "Q"}, "Q"),
+    "top_level_list": ([_BASE], "object"),
+    "empty_sum": ({**_BASE, "f": {"kind": "sum", "terms": []}}, "f"),
+    "non_numeric_entry": ({**_BASE, "A": [["x"]]}, "A"),
+    "not_json": ("{not json", "not_json.json"),
+    "nan_x0_mean": ({**_BASE, "x0_mean": [_NAN]}, "x0_mean"),
+    "nan_eta0": ({**_BASE, "eta0": [_NAN]}, "eta0"),
+    "fractional_N": ({**_BASE, "N": 2.5}, "N"),
+    "fractional_n": ({**_BASE, "n": 1.5}, "n"),
+    "infinite_horizon_value": ({**_BASE, "horizon": {"finite": float("inf")}}, "horizon"),
+    "nan_signal": ({**_BASE, "f": {"kind": "constant", "value": [_NAN]}}, "f"),
+    "sum_of_two_dims": ({**_BASE, "f": {"kind": "sum", "terms": [1.0, {
+        "kind": "constant", "value": [1.0, 2.0]}]}}, "f"),
+    "sampled_count": ({**_BASE, "f": {"kind": "sampled", "times": [0.0, 1.0, 2.0],
+                                      "values": [1.0, 2.0]}}, "f"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-finite"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_problem_exits_2_with_one_line(tmp_path, capsys, case, command):
+    # a file that does not hold a valid problem is refused with exit 2 and one
+    # line naming what is wrong (validate lists violations on stdout), never
+    # with a traceback, and nothing is written
+    content, word = _MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    out = tmp_path / "o"
+    argv = [command, str(path)] + (["--outdir", str(out)] if command != "validate" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1 and word in lines[0]
+    if command != "validate":
+        assert captured.err == lines[0] + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-finite"])
+def test_unreadable_problem_path_is_a_usage_error(tmp_path, capsys, command):
+    missing = str(tmp_path / "no-such-problem.json")
+    out = tmp_path / "o"
+    argv = [command, missing] + (["--outdir", str(out)] if command != "validate" else [])
+    assert main(argv) == 64
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: ") and missing in first
+    assert not out.exists()
+
+
+def _map_numbers(value, fn):
+    """value with fn applied to every number in it (bools and text kept)."""
+    if isinstance(value, dict):
+        return {k: _map_numbers(v, fn) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_map_numbers(v, fn) for v in value]
+    return fn(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else value
+
+
+_CORRUPTIONS = {
+    "drop": None,
+    "nan": lambda v: _map_numbers(v, lambda x: _NAN),
+    "stringify": json.dumps,
+    "wrap": lambda v: [v],
+    "double": lambda v: [v, v],
+    "fractional": lambda v: _map_numbers(v, lambda x: x + 0.5),
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(field="N", how="fractional")
+@example(field="f", how="nan")
+@example(field="horizon", how="nan")
+@given(field=st.sampled_from(sorted(_BASE)), how=st.sampled_from(sorted(_CORRUPTIONS)))
+def test_validate_fails_only_by_documented_exits(tmp_path, capsys, field, how):
+    # one field of a valid problem file dropped, NaN'd, turned into text,
+    # given an extra axis or made fractional: valid or invalid, never a crash
+    problem = dict(_BASE)
+    if how == "drop":
+        del problem[field]
+    else:
+        problem[field] = _CORRUPTIONS[how](problem[field])
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    rc = main(["validate", str(path)])
+    event(f"exit {rc}")
+    assert rc in (0, 2)
+    captured = capsys.readouterr()
+    assert (captured.out == "valid\n") == (rc == 0)
+
+
 def test_usage_errors():
     assert main(["no-such-command"]) == 64
     assert main(["solve-finite"]) == 64  # missing spec argument

@@ -50,6 +50,12 @@ def test_signal_json_roundtrip():
         Signal("exponential", a=np.array([0.5]), b=-0.5),
         Signal("rational", a=np.array([1.0]), c=2.0),
         Signal("sum", terms=(constant_signal([1.0]), Signal("rational", a=np.array([2.0]), c=1.0))),
+        Signal("sampled", times=np.array([0.0, 1.0, 2.5]),
+               values=np.array([[1.0, 0.0], [2.0, -1.0], [0.5, 3.0]])),
+        # values given one column per time, and a 1-d table for dim 1
+        Signal("sampled", times=np.array([0.0, 1.0, 2.5]),
+               values=np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])),
+        Signal("sampled", times=np.array([0.5, 2.0]), values=np.array([1.0, -1.0])),
     ]:
         back = Signal.from_json(sig.to_json())
         t = np.linspace(0.0, 3.0, 7)
@@ -61,6 +67,22 @@ def test_signal_json_roundtrip():
 def test_signal_rejects_unknown_kind():
     with pytest.raises(ModelError):
         Signal("polynomial", a=np.array([1.0]))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant", {"value": [np.nan]}),
+    ("exponential", {"a": [1.0], "b": np.inf}),
+    ("exponential", {"a": [[1.0, 2.0], [3.0, 4.0]], "b": 1.0}),   # a is a vector
+    ("rational", {"a": [1.0], "c": 0.0}),
+    ("sum", {"terms": ()}),
+    ("sum", {"terms": (constant_signal([1.0]), constant_signal([1.0, 2.0]))}),
+    ("sampled", {"times": [0.0, 1.0, 2.0], "values": [1.0, 2.0]}),
+    ("sampled", {"times": [0.0, 1.0], "values": [[[1.0]], [[2.0]]]}),
+    ("constant", {}),
+])
+def test_signal_refuses_bad_parameters(kind, params):
+    with pytest.raises(ModelError):
+        Signal(kind, **params)
 
 
 def test_spec_roundtrip(tmp_path, spec_sec6):
