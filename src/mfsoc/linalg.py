@@ -1,7 +1,9 @@
 """Dense linear-algebra kernel shared by every other module.
 
 Pseudoinverse with an explicit rank cutoff, the second-moment (Kronecker)
-lift used for mean-square stability tests, Hurwitz tests, one RK4 step
+lift used for mean-square stability tests, Hurwitz tests, the log-barrier
+method for linear matrix inequalities (``central_path``) with its phase I
+and dual certificate of infeasibility (``lmi_phase_one``), one RK4 step
 (``_rk4_step``, whose rate reads tables on ``rk4_grid`` by stage index)
 run by a step loop for nonlinear ODEs (``integrate_ode``) and, for linear
 ones, as per-step affine maps applied by a doubling scan (``affine_rk4``),
@@ -132,6 +134,79 @@ def is_hurwitz(M, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """
     a = spectral_abscissa(M)
     return a < -tol.residual_tol, a
+
+
+_BARRIER_STEPS = 200   # Newton steps of one barrier run, all centerings together
+
+
+def central_path(L0, G, c, y, s):
+    """The barrier method (Boyd and Vandenberghe, *Convex Optimization*,
+    section 11.3) for max c'y subject to S(y) = L0 + sum_j y_j G_j > 0,
+    from a strictly feasible y and barrier weight s.
+
+    Each Newton step with backtracking on -s c'y - log det S(y) yields
+    (y, Z, gap).  At a center Z = S^-1 / s is the dual point, with
+    <Z, G_j> = -c_j, and gap = dim S / s bounds the distance of c'y to the
+    optimum; s then grows tenfold.  Between centers Z and gap are None.
+    The path ends after _BARRIER_STEPS Newton steps.
+    """
+    S = L0 + np.tensordot(y, G, 1)
+    w, V = np.linalg.eigh(S)
+    for _ in range(_BARRIER_STEPS):
+        W = (V / w) @ V.T
+        WG = W @ G
+        g = -s * c - np.einsum("jaa->j", WG)
+        dy = -np.linalg.lstsq(np.einsum("jab,kba->jk", WG, WG), g, rcond=None)[0]
+        dec = -(g @ dy)   # the Newton decrement, squared
+        f = -s * (c @ y) - np.log(w).sum()
+        dS = np.tensordot(dy, G, 1)
+        # centered once the predicted decrease is far below f's rounding
+        for step in 0.5 ** np.arange(40) if dec > 1e-10 * max(1.0, abs(f)) else ():
+            wn, Vn = np.linalg.eigh(S + step * dS)
+            if wn[0] > 0 and -s * (c @ (y + step * dy)) - np.log(wn).sum() <= f - 0.25 * step * dec:
+                y, S, w, V = y + step * dy, S + step * dS, wn, Vn
+                yield y, None, None
+                break
+        else:   # centered, or no step that lowers the barrier in floating point
+            yield y, W / s, len(S) / s
+            s *= 10.0
+
+
+def lmi_phase_one(L0, L, margin: float):
+    """Phase I of the LMI L0 + sum_k x_k L_k >= 0 over x, the L_k
+    symmetric: maximize t subject to L0 + sum_k x_k L_k >= tI by
+    ``central_path``, from x = 0.
+
+    Returns (x, t, Z, value) with L0 + sum_k x_k L_k >= tI.  Phase I stops
+    at the first iterate with t > 0.  Otherwise it stops at a center whose
+    duality gap is within a tenth of |t| (or below margin) and keeps the
+    dual point Z when it verifies: projected onto the kernel of
+    Z -> (<Z, L_k>)_k and scaled to tr Z = 1, Z >= 0 and
+    value = <Z, L0> < -margin.  Then <Z, L0 + sum_k x_k L_k> = value < 0
+    for every x, so the LMI has no solution.  Z and value are None when
+    phase I decides nothing: the LMI is feasible, feasible only on its
+    boundary, or the dual point does not verify.
+    """
+    L = np.asarray(L)
+    t0 = np.linalg.eigvalsh(L0)[0]
+    if t0 > 0.0:
+        return np.zeros(len(L)), t0, None, None
+    G = np.concatenate([-np.eye(len(L0))[None], L])   # y = (t, x)
+    y = np.zeros(len(G))
+    y[0] = t0 - 1.0
+    # the first duality gap is |t| at the start
+    for y, Z, gap in central_path(L0, G, np.eye(len(G))[0], y, len(L0) / (1.0 - t0)):
+        if y[0] > 0.0 or gap is not None and (gap <= 0.1 * abs(y[0]) or gap < margin):
+            break
+    if y[0] <= 0.0 and gap is not None:
+        basis = L.reshape(len(L), -1).T
+        z = Z.ravel() - basis @ np.linalg.lstsq(basis, Z.ravel(), rcond=None)[0]
+        Z = symmetrize(z.reshape(Z.shape))
+        Z /= np.trace(Z)
+        value = float(np.sum(Z * L0))
+        if np.linalg.eigvalsh(Z)[0] >= 0.0 and value < -margin:
+            return y[1:], y[0], Z, value
+    return y[1:], y[0], None, None
 
 
 def rk4_grid(t0: float, t1: float, step: float) -> np.ndarray:

@@ -165,6 +165,11 @@ _TERMINAL = ("H", "Gamma0", "eta0")
 _SIGNALS = ("f", "sigma", "eta")
 
 
+def _is_integer(x) -> bool:
+    """An integer, not a bool (JSON true would otherwise read as 1)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _integral(x):
     """A number with an integer value as an int; anything else as it is."""
     return int(x) if isinstance(x, float) and x.is_integer() else x
@@ -223,7 +228,7 @@ class ProblemSpec:
     def _shape(self, name):
         """The shape of array field `name`; None while n or r is not an integer."""
         shape = tuple(getattr(self, axis) for axis in _ARRAYS[name])
-        return shape if all(isinstance(s, numbers.Integral) for s in shape) else None
+        return shape if all(_is_integer(s) for s in shape) else None
 
     @property
     def infinite_horizon(self) -> bool:
@@ -293,13 +298,15 @@ def validate(spec: ProblemSpec) -> list[Violation]:
             out.append(Violation("dimension", f"{name} has shape {M.shape}, expected {shape}"))
         elif not np.all(np.isfinite(M)):
             out.append(Violation("non_finite", f"{name} contains NaN/Inf"))
-    for name in _SIGNALS if isinstance(spec.n, numbers.Integral) else ():
+    for name in _SIGNALS if _is_integer(spec.n) else ():
         sig = getattr(spec, name)
         if sig.dim != spec.n:
             out.append(Violation("dimension", f"signal {name} has dim {sig.dim}, expected {spec.n}"))
     for name in _WEIGHTS:
         M = getattr(spec, name)
-        if M.ndim == 2 and M.shape[0] == M.shape[1] and not _nearly_symmetric(M):
+        # a NaN/Inf weight is reported once, as non_finite, above
+        if (M.ndim == 2 and M.shape[0] == M.shape[1] and np.all(np.isfinite(M))
+                and not _nearly_symmetric(M)):
             skew = np.max(np.abs(M - M.T))
             out.append(Violation("asymmetry", f"{name} is asymmetric (max skew {skew:.3g})"))
     if (spec.x0_cov.shape == spec._shape("x0_cov") and _nearly_symmetric(spec.x0_cov)
@@ -332,8 +339,8 @@ def _checker(test, what):
     return check
 
 
-_check_count = _checker(lambda x: isinstance(x, numbers.Integral) and x >= 1, "an integer >= 1")
-_check_natural = _checker(lambda x: isinstance(x, numbers.Integral) and x >= 0, "an integer >= 0")
+_check_count = _checker(lambda x: _is_integer(x) and x >= 1, "an integer >= 1")
+_check_natural = _checker(lambda x: _is_integer(x) and x >= 0, "an integer >= 0")
 _check_positive = _checker(lambda x: isinstance(x, numbers.Real) and 0 < x < np.inf,
                            "a positive finite number")
 _check_finite = _checker(lambda x: isinstance(x, numbers.Real) and -np.inf < x < np.inf,

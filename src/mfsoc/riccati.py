@@ -12,14 +12,19 @@ algebraic pair in either form (pseudo-transient continuation from
 scaled-identity seeds: implicit-Euler steps of the pseudo-time flow with
 the analytic Jacobian, the lifted closed-loop operator, that become Newton
 steps as the residual falls; the limit form solves P, then Pi), the L2
-offset s(t), and the mean-field ODE.  Only the nonlinear triple runs
-``linalg.integrate_ode``'s step loop; the linear offset and mean fields
-(``_Pair.mean_path``) go through ``linalg.affine_rk4``.  Every
-integration's time dependence (the signals, the interpolated triple, the
-offset forcing) is tabulated once on ``linalg.rk4_grid``'s stage grid and
-read by stage index.  All solvers use the pseudoinverse of Upsilon so
-exactly singular control weights are handled, and every solution carries
-the range-inclusion report the feedback formulas require.
+offset s(t), and the mean-field ODE.  Before the limit form's unpinned P
+search, a log-barrier phase I on the P equation's Riccati LMI
+(``_lmi_phase_one``) either reaches a strictly feasible point, and the
+continuation runs as it would without it, or returns a dual certificate
+that no acceptable root exists, and the solve fails at once.  Only the
+nonlinear triple runs ``linalg.integrate_ode``'s step loop; the linear
+offset and mean fields (``_Pair.mean_path``) go through
+``linalg.affine_rk4``.  Every integration's time dependence (the signals,
+the interpolated triple, the offset forcing) is tabulated once on
+``linalg.rk4_grid``'s stage grid and read by stage index.  All solvers use
+the pseudoinverse of Upsilon so exactly singular control weights are
+handled, and every solution carries the range-inclusion report the
+feedback formulas require.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .linalg import (
     is_hurwitz,
     kron,
     lift_msq,
+    lmi_phase_one,
     pinv,
     rk4_grid,
     symmetrize,
@@ -48,11 +54,16 @@ from .model import (ProblemSpec, DerivedWeights, _check_population, _check_posit
 
 
 class SolverError(RuntimeError):
-    """A Riccati solve failed; the message carries diagnostics."""
+    """A Riccati solve failed; the message carries diagnostics.
 
-    def __init__(self, message, escape_time=None):
+    certificate, when set, is the dual matrix Z that proves the limit-form
+    Riccati LMI infeasible (see ``_lmi_phase_one``).
+    """
+
+    def __init__(self, message, escape_time=None, certificate=None):
         super().__init__(message)
         self.escape_time = escape_time
+        self.certificate = certificate
 
 
 def grid_interp(grid, values, t):
@@ -432,6 +443,35 @@ def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance
 _SEEDS = (0.0, 1.0, 5.0)   # every unknown block starts at c I
 
 
+def _lmi_phase_one(plant: _Plant, tol: Tolerance):
+    """Phase I of the limit-form Riccati LMI of Ait Rami and Zhou (IEEE TAC
+    45(6), 2000), L(P) = [[A'P + PA + C'PC + Q, Psi'], [Psi, Ups]] >= 0
+    over symmetric P, from ``_Pair.lmi_blocks``: ``linalg.lmi_phase_one``
+    on L(0) and the basis L(E_k) - L(0) over the symmetric unit directions
+    E_k.
+
+    Returns (P, t, Z, margin): the last iterate P, with L(P) >= tI, and the
+    verified certificate Z with <Z, L(P)> = margin < -10 residual_tol for
+    every P, or None, None.  At a point P with Ups >= 0 and Psi in the
+    range of Ups, L(P) is the residual F(P) in its top-left block plus a
+    positive semidefinite matrix, so <Z, L(P)> >= -|F(P)|: no such P is a
+    root within residual_tol.  The certificate says nothing of a
+    pseudoinverse root with Psi outside the range of a singular Ups, whose
+    gain ``check_ranges`` refuses.
+    """
+    n = plant.A.shape[0]
+
+    def block(P):
+        return _Pair(plant, P, P, None, tol).lmi_blocks()[0]
+
+    i, j = np.triu_indices(n)
+    E = np.zeros((i.size, n, n))
+    E[np.arange(i.size), i, j] = E[np.arange(i.size), j, i] = 1.0
+    L0 = block(np.zeros((n, n)))
+    x, t, Z, margin = lmi_phase_one(L0, [block(Ek) - L0 for Ek in E], 10.0 * tol.residual_tol)
+    return np.tensordot(x, E, 1), t, Z, margin
+
+
 def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
     """Stabilizing root of the steady pair equations.
 
@@ -569,7 +609,10 @@ def _solve_steady(spec: ProblemSpec, tol: Tolerance, t_sim: float, N: int | None
 
     The limit form's P equation does not involve Pi, so P is solved (or
     pinned) first and Pi second; the population form solves (P, Pi) jointly.
-    A pinned P's own residual is still computed and reported.
+    A pinned P's own residual is still computed and reported.  An unpinned
+    limit-form P is searched only after phase I of its Riccati LMI; a
+    verified infeasibility certificate raises SolverError carrying it as
+    ``certificate``, without running the continuation.
     """
     require_valid(spec)
     if not spec.infinite_horizon:
@@ -581,6 +624,13 @@ def _solve_steady(spec: ProblemSpec, tol: Tolerance, t_sim: float, N: int | None
     if pin_P is not None:
         P = symmetrize(np.atleast_2d(np.asarray(pin_P, dtype=float)))
     elif N is None:
+        _, _, Z, margin = _lmi_phase_one(plant, tol)
+        if Z is not None:
+            raise SolverError(
+                f"the P equation has no root with Upsilon >= 0 and the gain in its "
+                f"range: the Riccati LMI is infeasible, certified by Z >= 0 with "
+                f"tr Z = 1 and <Z, L(P)> = {margin:.3g} for every P, so "
+                f"|residual| >= {-margin:.3g} at every such P", certificate=Z)
         P = _pair_root(plant, None, tol, with_Pi=False).P
     pair = _pair_root(plant, N, tol, P=P)
     grid, s, xbar, absc = _offset_and_mean(spec, dw, pair, tol, t_sim)

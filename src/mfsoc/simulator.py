@@ -24,14 +24,13 @@ fixed index order, so outputs are bit-identical for a given configuration.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import lift_msq, matvec, spectral_abscissa
 from .model import (ProblemSpec, _check_count, _check_natural, _check_population,
-                    _check_positive, agent_rng, initial_chol)
+                    _check_positive, _is_integer, agent_rng, initial_chol)
 from .synthesis import ControlLaw, _closed_loop
 
 _MAX_WIDTH = 20000      # replications x agents stepped together
@@ -180,7 +179,7 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
             raise ValueError("coupling='xbar' needs a law with a stored mean-field path; "
                              "a centralized law (mf_source 'empirical') has none")
         N = _check_population(N)
-        if not (isinstance(collect_agents, numbers.Integral) and 0 <= collect_agents <= N):
+        if not (_is_integer(collect_agents) and 0 <= collect_agents <= N):
             raise ValueError(f"collect_agents must be an integer in 0..N = {N}, "
                              f"got {collect_agents!r}")
         checked.append((law, N))

@@ -56,6 +56,13 @@ _MALFORMED = {
         "kind": "constant", "value": [1.0, 2.0]}]}}, "f"),
     "sampled_count": ({**_BASE, "f": {"kind": "sampled", "times": [0.0, 1.0, 2.0],
                                       "values": [1.0, 2.0]}}, "f"),
+    # a NaN weight is one violation, not also an asymmetric one
+    "nan_Q": ({**_BASE, "Q": [[_NAN]]}, "Q"),
+    "nan_x0_cov": ({**_BASE, "x0_cov": [[_NAN]]}, "x0_cov"),
+    # JSON true is not the count 1
+    "bool_N": ({**_BASE, "N": True}, "N"),
+    "bool_n": ({**_BASE, "n": True}, "n"),
+    "bool_r": ({**_BASE, "r": True}, "r"),
 }
 
 

@@ -11,6 +11,7 @@ from mfsoc.linalg import (
     is_hurwitz,
     kron,
     lift_msq,
+    lmi_phase_one,
     pinv,
     quadrature,
     rk4_grid,
@@ -92,6 +93,20 @@ def test_is_hurwitz():
 def test_spectral_abscissa_requires_square():
     with pytest.raises(LinalgError):
         spectral_abscissa(np.ones((2, 3)))
+
+
+def test_lmi_phase_one_decides_both_ways():
+    # [[1, x], [x, -1]] >= 0 has no solution: the certificate is diagonal
+    # (orthogonal to the off-diagonal direction), puts its weight on the
+    # negative corner, and its value lies within a tenth of max_x lambda_min = -1
+    L0, L1 = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    x, t, Z, value = lmi_phase_one(L0, [L1], 1e-7)
+    assert np.linalg.eigvalsh(Z)[0] >= 0.0 and np.trace(Z) == pytest.approx(1.0)
+    assert abs(np.sum(Z * L1)) <= 1e-12
+    assert value == np.sum(Z * L0) and t <= -1.0 <= value <= -0.9
+    # [[1, x], [x, x]] >= 0 exactly for x in [0, 1]: phase I stops inside
+    x, t, Z, value = lmi_phase_one(np.diag([1.0, 0.0]), [np.array([[0.0, 1.0], [1.0, 1.0]])], 1e-7)
+    assert Z is None and value is None and t > 0.0 and 0.0 < x[0] < 1.0
 
 
 def test_rk4_order():

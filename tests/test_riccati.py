@@ -5,13 +5,15 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from mfsoc.linalg import BlowUpError, Tolerance, integrate_ode, is_hurwitz, lift_msq, symmetrize
+from mfsoc.linalg import (BlowUpError, Tolerance, central_path, integrate_ode, is_hurwitz, lift_msq,
+                          symmetrize)
 from mfsoc.model import ProblemSpec, constant_signal, derive_weights, zero_signal
 from mfsoc.riccati import (
     _SEEDS,
     SolverError,
     _Pair,
     _Plant,
+    _lmi_phase_one,
     _pair_root,
     _plant,
     check_ranges,
@@ -408,6 +410,121 @@ def test_continuation_matches_flow_oracle():
     assert newton_alone_fails > 0
 
 
+# -- the limit-form Riccati LMI, written out term by term as the oracle of
+# -- phase I: L(P) = [[A'P + PA + C'PC + Q, Psi'], [Psi, R + D'PD]]
+
+def lmi_block(plant, P):
+    A, B, C, D, Q, R = plant[:6]
+    Psi = B.T @ P + D.T @ P @ C
+    return np.block([[A.T @ P + P @ A + C.T @ P @ C + Q, Psi.T], [Psi, R + D.T @ P @ D]])
+
+
+def symmetric_units(n):
+    for i in range(n):
+        for j in range(i, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0
+            yield E
+
+
+def certificate_margin(plant, Z, tol):
+    """<Z, L(0)> of a certificate, after checking what makes it one: Z >= 0,
+    tr Z = 1, <Z, L(P)> independent of P, and a margin beyond residual_tol."""
+    n = plant.A.shape[0]
+    L0 = lmi_block(plant, np.zeros((n, n)))
+    assert np.linalg.eigvalsh(Z)[0] >= 0.0
+    assert np.trace(Z) == pytest.approx(1.0, abs=1e-14)
+    margin = np.sum(Z * L0)
+    for E in symmetric_units(n):
+        L1 = lmi_block(plant, E) - L0
+        assert abs(np.sum(Z * L1)) <= 1e-12 * (1.0 + np.abs(L1).max())
+    assert margin < -tol.residual_tol
+    return margin
+
+
+def maximal_point(plant, P):
+    """max tr P subject to L(P) >= 0 by the barrier method, from a strictly
+    feasible P, to a duality gap below 1e-9."""
+    n = plant.A.shape[0]
+    L0 = lmi_block(plant, np.zeros((n, n)))
+    units = list(symmetric_units(n))
+    G = np.stack([lmi_block(plant, E) - L0 for E in units])
+    trace = np.array([np.trace(E) for E in units])
+    for y, _, gap in central_path(L0, G, trace, P[np.triu_indices(n)], 1e-3):
+        if gap is not None and gap < 1e-9:
+            return sum(c * E for c, E in zip(y, units))
+    raise AssertionError("the barrier method spent its Newton steps")
+
+
+def _random_plant(shifted, seed):
+    rng = np.random.default_rng(1000 * shifted + seed)
+    n, r = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    plant = _random_noisy_plant(rng, n, r)
+    if shifted:
+        shift = rng.uniform(0.0, 1.5) * np.eye(n)
+        plant = plant._replace(A=plant.A + shift, AG=plant.AG + shift)
+    return plant
+
+
+def test_lmi_phase_one_against_the_continuation():
+    # noisy plants with R of either sign, half of them with A shifted toward
+    # instability.  Wherever phase I certifies the LMI infeasible, the
+    # continuation finds no root; everywhere else phase I reached a strictly
+    # feasible point, and where the continuation finds a root it is the
+    # maximal point of the LMI (Ait Rami and Zhou)
+    tol = Tolerance(ode_step=1e-2)
+    outcomes = {"certified": 0, "refused_root": 0, "feasible_root": 0, "feasible_no_root": 0}
+    for shifted in (False, True):
+        for seed in range(30):
+            plant = _random_plant(shifted, seed)
+            P, t, Z, margin = _lmi_phase_one(plant, tol)
+            root = _solve_or_none(_pair_root, plant, None, tol, with_Pi=False)
+            if Z is not None:
+                assert certificate_margin(plant, Z, tol) == pytest.approx(margin, rel=1e-12)
+                assert t <= margin
+                outcomes["certified"] += 1
+                outcomes["refused_root"] += root is not None
+                continue
+            assert t > 0.0
+            assert np.linalg.eigvalsh(lmi_block(plant, P))[0] > 0.0
+            if root is None:
+                outcomes["feasible_no_root"] += 1
+                continue
+            outcomes["feasible_root"] += 1
+            P = maximal_point(plant, P)
+            assert np.max(np.abs(P - root.P)) <= 1e-7 * np.max(np.abs(root.P))
+    assert outcomes["refused_root"] == 0, outcomes
+    assert outcomes["certified"] > 10 and outcomes["feasible_root"] > 10, outcomes
+
+
+def test_lmi_phase_one_on_the_scalar_files(spec_sec6, spec_wellposed):
+    tol = Tolerance()
+    # sec6: det L(P) = -2.8 P^2 + 0.76 P - 0.2, negative for every P
+    plant = _plant(spec_sec6)
+    Ps = np.linspace(-5.0, 5.0, 2001)
+    dets = [np.linalg.det(lmi_block(plant, np.array([[P]]))) for P in Ps]
+    np.testing.assert_allclose(dets, -2.8 * Ps ** 2 + 0.76 * Ps - 0.2, atol=1e-12)
+    assert 0.76 ** 2 - 4.0 * 2.8 * 0.2 < 0.0
+    margin = certificate_margin(plant, _lmi_phase_one(plant, tol)[2], tol)
+    # weak duality: no P has a smallest eigenvalue of L(P) above the margin
+    best = max(np.linalg.eigvalsh(lmi_block(plant, np.array([[P]])))[0] for P in Ps)
+    assert best <= margin <= 0.9 * best
+    # wellposed: L(P) = [[1 - 2P, P], [P, 4P - 0.2]] >= 0 exactly on [0.0507, 0.4382]
+    plant = _plant(spec_wellposed)
+    lo, hi = sorted(np.roots([-9.0, 4.4, -0.2]))
+    P, t, Z, _ = _lmi_phase_one(plant, tol)
+    assert Z is None and t > 0.0
+    assert lo < P[0, 0] < hi
+
+
+def test_lmi_maximal_point_is_the_stabilizing_root(spec_wellposed, sol_wellposed):
+    # max tr P over L(P) >= 0 is the top of [0.0507, 0.4382], the root
+    # solve_are returns
+    plant = _plant(spec_wellposed)
+    P = maximal_point(plant, _lmi_phase_one(plant, Tolerance())[0])
+    assert abs(P[0, 0] - sol_wellposed.P[0, 0]) <= 1e-7
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 3), r=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
 def test_stochastic_are_roots_are_stabilizing(n, r, seed):
@@ -456,16 +573,23 @@ def test_pinned_solve_reports_residual(spec_sec6):
 
 
 def test_unsolvable_equation_raises(spec_sec6):
+    # the continuation fails from every seed ...
+    plant, tol = _plant(spec_sec6), Tolerance()
+    with pytest.raises(SolverError) as exc:
+        _pair_root(plant, None, tol, with_Pi=False)
+    assert "seed" in str(exc.value)
+    # ... and solve_are decides the same from the LMI certificate alone
     with pytest.raises(SolverError) as exc:
         solve_are(spec_sec6, t_sim=10.0)
-    assert "seed" in str(exc.value)
+    margin = certificate_margin(plant, exc.value.certificate, tol)
+    assert f"<Z, L(P)> = {margin:.3g}" in str(exc.value)
 
 
 def test_no_root_reports_smallest_residual(spec_sec6):
     # a seed without a root reports the smallest |F| it reached, never more
     # than |F(c I)| at its start, however far its last step strayed
     with pytest.raises(SolverError) as exc:
-        solve_are(spec_sec6, t_sim=10.0)
+        _pair_root(_plant(spec_sec6), None, Tolerance(), with_Pi=False)
     reported = {float(c): float(v) for c, v in re.findall(
         r"seed ([\d.]+): no steady state [^;]*smallest \|residual\| = ([^)]+)\)",
         str(exc.value))}

@@ -39,6 +39,9 @@ def test_config_validation():
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
         SimConfig(replications=0)
+    for flag in ("replications", "seed", "thinning"):
+        with pytest.raises(ValueError, match=flag):
+            SimConfig(**{flag: True})
     cfg = SimConfig()
     spec = noise_free_spec()
     assert cfg.horizon_for(spec) == 1.0
