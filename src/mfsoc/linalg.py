@@ -68,25 +68,25 @@ def _as_matrix(M) -> np.ndarray:
 def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with a relative rank cutoff.
 
-    Singular values below ``rank_cutoff * sigma_max`` are treated as zero,
-    so exactly singular (and nearly singular) inputs are handled without
-    blow-up.  Raises :class:`LinalgError` on non-finite input.
+    M may be a stack (..., p, q): one SVD runs over the stack, and each
+    matrix gets its own cutoff.  Singular values below
+    ``rank_cutoff * sigma_max`` are treated as zero, so exactly singular
+    (and nearly singular) inputs are handled without blow-up, and a zero
+    matrix gives zeros.  Raises :class:`LinalgError` on non-finite input.
     """
     M = _as_matrix(M)
-    if M.shape == (1, 1):  # scalar fast path (hot in the Riccati loops)
+    if M.shape == (1, 1):  # scalar fast path (hot in the root finder)
         m = M[0, 0]
         if not np.isfinite(m):
             raise LinalgError("pinv: input contains NaN or Inf")
         return np.array([[1.0 / m]]) if m != 0.0 else np.zeros((1, 1))
     if not np.all(np.isfinite(M)):
         raise LinalgError("pinv: input contains NaN or Inf")
-    if M.size == 0:
-        return M.T.copy()
+    if M.shape[-2:] == (1, 1):  # a stack of scalars, each inverted as above
+        return np.divide(1.0, M, out=np.zeros_like(M), where=M != 0.0)
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros_like(M.T)
-    inv = np.where(sv > tol.rank_cutoff * sv[0], 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
+    inv = np.where(sv > tol.rank_cutoff * sv[..., :1], 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
+    return (Vt.mT * inv[..., None, :]) @ U.mT
 
 
 def kron(a, b) -> np.ndarray:
@@ -338,7 +338,7 @@ def quadrature(values, grid) -> float:
 
 
 def symmetrize(M) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
 def sym_sqrt_psd(M) -> np.ndarray:

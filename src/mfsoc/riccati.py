@@ -23,8 +23,9 @@ offset and mean fields (``_Pair.mean_path``) go through
 the interpolated triple, the offset forcing) is tabulated once on
 ``linalg.rk4_grid``'s stage grid and read by stage index.  All solvers use
 the pseudoinverse of Upsilon so exactly singular control weights are
-handled, and every solution carries the range-inclusion report the
-feedback formulas require.
+handled.  The pair algebra broadcasts over knots, so a finite solution's
+defining-equation residual and the range inclusions the feedback formulas
+require (``check_ranges``, at every knot) are each one batched evaluation.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ class RiccatiFiniteSolution:
     residual: float
     min_upsilon_eig: float
     population: int | None = None  # None for the limit form
+
+    @property
+    def Pi(self):
+        """P + K on every knot, as an infinite solution stores it."""
+        return self.P + self.K
 
     def at(self, t):
         return (
@@ -180,9 +186,10 @@ class _Pair:
     M = P + K/N is the weight the diffusion sees (M = P in the limit form,
     N None), Ups = R + D'MD the control weight, Psi = B'P + D'MC and
     Theta = B'Pi + D'MC the numerators of the individual and aggregate
-    gains.  P and Pi may carry a leading knot axis for the gain formulas,
-    the aggregate loop and the mean map; the residuals and the individual
-    loop are for a single point.
+    gains.  P and Pi may carry leading knot axes, and every formula but
+    ``lmi_blocks`` and ``jacobian`` (the root finder's, at a single point)
+    broadcasts over them: one stacked pseudoinverse, the residuals, the
+    loops, the offset terms and the mean map.
     """
 
     def __init__(self, plant: _Plant, P, Pi, N, tol: Tolerance):
@@ -190,8 +197,7 @@ class _Pair:
         self.M = P if N is None else P + (Pi - P) / N
         self.DM = plant.D.T @ self.M
         self.Ups = plant.R + self.DM @ plant.D
-        self.Ui = (pinv(self.Ups, tol) if self.Ups.ndim == 2
-                   else np.stack([pinv(U, tol) for U in self.Ups]))
+        self.Ui = pinv(self.Ups, tol)
         self.DMC = self.DM @ plant.C
         self.CMC = plant.C.T @ self.M @ plant.C
         self.Psi = plant.B.T @ P + self.DMC
@@ -217,12 +223,12 @@ class _Pair:
 
     def residual_P(self):
         """A'P + PA + C'MC + Q - Psi' Ups^+ Psi."""
-        return self._linear_P() - self.Psi.T @ self.Ui @ self.Psi
+        return self._linear_P() - self.Psi.mT @ self.Ui @ self.Psi
 
     def residual_Pi(self):
         """The aggregate equation (A+G)'Pi + Pi(A+G) + C'MC + Q - Q_Gamma
         - Theta' Ups^+ Theta: the sum of the P and K equations."""
-        return self._linear_Pi() - self.Theta.T @ self.Ui @ self.Theta
+        return self._linear_Pi() - self.Theta.mT @ self.Ui @ self.Theta
 
     def lmi_blocks(self):
         """The Riccati LMI blocks of Ait Rami and Zhou (IEEE TAC 45(6), 2000)
@@ -272,12 +278,21 @@ class _Pair:
 
     def offset_forcing(self, f, sig, eta_bar):
         """g in the offset equation ds/dt = -(Acl's + g): Pi f + Ccl'M sigma
-        - eta_bar at a single point; the signals may carry a leading time axis."""
+        - eta_bar; the signals may carry a leading time axis."""
         Ccl = self.aggregate_loop[1]
-        g = f @ self.Pi.T      # accumulated in place: the tables can be long
-        g += sig @ (Ccl.T @ self.M).T
+        g = np.einsum("...ij,...j->...i", self.Pi, f)   # accumulated in place: the tables can be long
+        g += np.einsum("...ij,...j->...i", Ccl.mT @ self.M, sig)
         g -= eta_bar
         return g
+
+    def triple_rate(self, s, f, sig, eta_bar):
+        """d/dt of the backward triple (P, K, s) at this pair and offset s:
+        minus the P equation, the P equation minus the aggregate one (the K
+        equation), and -(Acl's + g)."""
+        rP = self.residual_P()
+        ds = np.einsum("...ji,...j->...i", self.aggregate_loop[0], s)
+        ds += self.offset_forcing(f, sig, eta_bar)
+        return -rP, rP - self.residual_Pi(), -ds
 
     def mean_path(self, spec, s, ts, step):
         """Knots and xbar of dxbar/dt = Acl xbar + f - B Ups^+ (B's + D'M sigma)
@@ -344,32 +359,25 @@ def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | 
 
     def rate(j, y):
         P, K, s = _unpack(y, n)
-        pair = _Pair(plant, P, P + K, N, tol)
-        rP = pair.residual_P()
-        Acl = pair.aggregate_loop[0]
-        ds = -(Acl.T @ s + pair.offset_forcing(F[j], S[j], E[j]))
-        # the K equation is the aggregate equation minus the P equation
-        return _pack(-rP, rP - pair.residual_Pi(), ds)
+        return _pack(*_Pair(plant, P, P + K, N, tol).triple_rate(s, F[j], S[j], E[j]))
 
     return rate
 
 
 def _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N):
-    """Max defining-equation residual at interior knots via 5-point stencils."""
+    """Max defining-equation residual at interior knots via 5-point stencils,
+    with the pair formulas (not the scalar fork) evaluated at every sample."""
     m = grid.size
     if m < 5:
         return 0.0
     h = grid[1] - grid[0]
-    samples = list(range(2, m - 2))[:: max(1, (m - 4) // 200)]  # cap the diagnostic cost
-    rate = _finite_rhs(spec, dw, tol, N, grid[samples])
-    worst = 0.0
-    for i, k in enumerate(samples):
-        def d5(arr):
-            return (-arr[k + 2] + 8 * arr[k + 1] - 8 * arr[k - 1] + arr[k - 2]) / (12 * h)
-        dot = _pack(d5(Ps), d5(Ks), d5(ss))
-        model = rate(i, _pack(Ps[k], Ks[k], ss[k]))
-        worst = max(worst, float(np.max(np.abs(dot - model))))
-    return worst
+    k = np.arange(2, m - 2)[:: max(1, (m - 4) // 200)]  # cap the diagnostic cost
+    t = grid[k]
+    pair = _Pair(_plant(spec, dw), Ps[k], Ps[k] + Ks[k], N, tol)
+    rates = pair.triple_rate(ss[k], spec.f(t), spec.sigma(t), dw.eta_bar(t))
+    return max(float(np.max(np.abs(
+        (-X[k + 2] + 8 * X[k + 1] - 8 * X[k - 1] + X[k - 2]) / (12 * h) - rate)))
+        for X, rate in zip((Ps, Ks, ss), rates))
 
 
 def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
@@ -503,8 +511,7 @@ def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
         return _Pair(plant, P_, Y[-1] if with_Pi else P_, N, tol)
 
     def project(y):
-        Y = y.reshape(shape)
-        return (0.5 * (Y + Y.transpose(0, 2, 1))).ravel()
+        return symmetrize(y.reshape(shape)).ravel()
 
     def rejection(p, rnorm, done, best):
         if rnorm > tol.residual_tol:
@@ -664,23 +671,28 @@ def solve_are_N(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 
 # ---------------------------------------------------------------------------
 
 
-def _solution_pair(sol, spec: ProblemSpec, tol: Tolerance, stride: int = 1) -> _Pair:
-    """Pair algebra of a solution: once for an infinite one, at every
-    stride-th knot of a finite one."""
-    if isinstance(sol, RiccatiInfiniteSolution):
-        return _Pair(_plant(spec), sol.P, sol.Pi, sol.population, tol)
-    P = sol.P[::stride]
-    return _Pair(_plant(spec), P, P + sol.K[::stride], sol.population, tol)
+def _solution_pair(sol, spec: ProblemSpec, tol: Tolerance):
+    """Pair algebra of a solution, with a knot axis for a finite one, and the
+    numerators of its three gains: Psi, B'K and, on the solution grid, the
+    offset's B's + D'M sigma."""
+    pair = _Pair(_plant(spec), sol.P, sol.Pi, sol.population, tol)
+    return pair, (pair.Psi, spec.B.T @ pair.K, pair.offset_numerator(sol.s, spec.sigma(sol.grid)))
 
 
-def _inclusion(Ups, Ui, X, tol):
-    """Is every column of X in the range of the symmetric matrix Ups?"""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] != Ups.shape[0]:
-        X = X.reshape(Ups.shape[0], -1)
-    proj = (np.eye(Ups.shape[0]) - Ups @ Ui) @ X
-    res = float(np.linalg.norm(proj))
-    return res <= tol.residual_tol * (1.0 + float(np.linalg.norm(X))), res
+def _range_report(pair: _Pair, numerators, tol: Tolerance) -> RangeReport:
+    """Each numerator's residual |(I - Ups Ups^+) X| at every knot, which
+    passes below residual_tol (1 + |X|); an offset without a knot axis in
+    the pair is checked over its whole grid as one (r, m) matrix."""
+    Psi, BK, w = numerators
+    r = pair.Ups.shape[-1]
+    offsets = w.reshape(pair.Ups.shape[:-2] + (-1, r)).mT
+    proj = np.eye(r) - pair.Ups @ pair.Ui
+    report = RangeReport()
+    for name, X in (("feedback_gain", Psi), ("meanfield_gain", BK), ("offset", offsets)):
+        res = np.linalg.norm(proj @ X, axis=(-2, -1))
+        ok = np.all(res <= tol.residual_tol * (1.0 + np.linalg.norm(X, axis=(-2, -1))))
+        report.inclusions[name] = (bool(ok), float(np.max(res)))
+    return report
 
 
 def check_ranges(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> RangeReport:
@@ -689,22 +701,7 @@ def check_ranges(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> RangeR
     The feedback gain B'P + D'MC, the mean-field gain B'K and the offset
     B's + D'M sigma must lie in the range of Upsilon.  Infinite horizon:
     the constant gains once and the offset over the whole grid as one
-    matrix.  Finite horizon: the worst of about 400 evenly spaced knots.
+    matrix.  Finite horizon: every knot, reporting the worst residual.
     """
-    B = spec.B
-    if isinstance(sol, RiccatiInfiniteSolution):
-        pair = _solution_pair(sol, spec, tol)
-        offsets = pair.offset_numerator(sol.s, spec.sigma(sol.grid))
-        points = [(pair.Ups, pair.Ui, pair.Psi, B.T @ pair.K, offsets.T)]
-    else:
-        stride = max(1, sol.grid.size // 400)
-        pair = _solution_pair(sol, spec, tol, stride)
-        offsets = pair.offset_numerator(sol.s[::stride], spec.sigma(sol.grid[::stride]))
-        points = zip(pair.Ups, pair.Ui, pair.Psi, B.T @ pair.K, offsets)
-    report = RangeReport()
-    for Ups, Ui, *numerators in points:
-        for name, X in zip(("feedback_gain", "meanfield_gain", "offset"), numerators):
-            ok, res = _inclusion(Ups, Ui, X, tol)
-            prev_ok, prev_res = report.inclusions.get(name, (True, 0.0))
-            report.inclusions[name] = (prev_ok and ok, max(prev_res, res))
-    return report
+    pair, numerators = _solution_pair(sol, spec, tol)
+    return _range_report(pair, numerators, tol)

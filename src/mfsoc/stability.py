@@ -26,8 +26,8 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, sym_sqrt_psd, symmetrize
 from .model import ProblemSpec, _check_population
-from .riccati import (RiccatiInfiniteSolution, SolverError, _Pair, _plant, _solution_pair,
-                      _solve_finite, check_ranges, solve_are, solve_stochastic_are)
+from .riccati import (RiccatiInfiniteSolution, SolverError, _Pair, _Plant, _plant, _range_report,
+                      _solution_pair, _solve_finite, solve_are, solve_stochastic_are)
 
 
 def check_ms_stable(A, C, tol: Tolerance = DEFAULT_TOL):
@@ -39,24 +39,20 @@ def check_stabilizable(A, B, C, D, tol: Tolerance = DEFAULT_TOL):
     """Mean-square stabilizability, decided constructively.
 
     Solves the definite-weight (Q = R = I) Riccati equation; on success the
-    induced gain is re-verified on the lifted closed loop.  Returns
-    (verdict, gain_or_None, diagnostic).
+    induced gain -Ups^+ Psi and its closed loop, read from the pair algebra,
+    are re-verified on the lift.  Returns (verdict, gain_or_None, diagnostic).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    n, r = B.shape
+    A, B, C, D = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C, D))
+    Q, R = np.eye(B.shape[0]), np.eye(B.shape[1])
     try:
-        P, _ = solve_stochastic_are(A, B, C, D, np.eye(n), np.eye(r), tol)
+        P, _ = solve_stochastic_are(A, B, C, D, Q, R, tol)
     except SolverError as exc:
         return False, None, f"definite-weight Riccati solve failed: {exc}"
-    Ups = np.eye(r) + D.T @ P @ D
-    K = -np.linalg.solve(Ups, B.T @ P + D.T @ P @ C)
-    ok, absc = check_ms_stable(A + B @ K, C + D @ K, tol)
+    pair = _Pair(_Plant(A, B, C, D, Q, R, A, Q), P, P, None, tol)
+    ok, absc = check_ms_stable(*pair.individual_loop(), tol)
     if not ok:
         return False, None, f"candidate gain not stabilizing (lifted abscissa {absc:.3g})"
-    return True, K, f"lifted closed-loop abscissa {absc:.3g}"
+    return True, -pair.Ui @ pair.Psi, f"lifted closed-loop abscissa {absc:.3g}"
 
 
 def pbh_observable(A, F, tol: Tolerance = DEFAULT_TOL, detect_only=False):
@@ -244,9 +240,9 @@ def stability_report(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL,
             rep.A6_holds = (False, f"unevaluable: {exc}")
             rep.theorem_ii = (False, f"solver: {exc}")
         else:
-            hur, absc = rep.A6_holds = is_hurwitz(
-                _solution_pair(sol, spec, tol).individual_loop()[0] + spec.G, tol)
-            ranges = check_ranges(sol, spec, tol)
+            pair, numerators = _solution_pair(sol, spec, tol)
+            hur, absc = rep.A6_holds = is_hurwitz(pair.individual_loop()[0] + spec.G, tol)
+            ranges = _range_report(pair, numerators, tol)
             if not ranges.all_ok:
                 rep.theorem_ii = (False, f"range inclusions fail: {ranges.failing()}")
             elif not hur:

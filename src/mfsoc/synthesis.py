@@ -23,8 +23,8 @@ from .model import ProblemSpec
 from .riccati import (
     RiccatiFiniteSolution,
     SolverError,
+    _range_report,
     _solution_pair,
-    check_ranges,
     grid_interp,
     meanfield_path,
 )
@@ -110,17 +110,19 @@ def build_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> ControlLa
 
     A limit-form solution (population None) gives the decentralized law on
     the stored mean field; a population-N solution gives the centralized
-    benchmark on the live empirical average.  A solution whose range
+    benchmark on the live empirical average.  The pair and the three gain
+    numerators are formed once: the range check (``check_ranges``'s, at
+    every knot) and the gains read them, and a solution whose range
     conditions fail is refused with RangeConditionError.
     """
-    rep = check_ranges(sol, spec, tol)
+    pair, numerators = _solution_pair(sol, spec, tol)
+    rep = _range_report(pair, numerators, tol)
     if not rep.all_ok:
         raise RangeConditionError("range conditions fail for: " + ", ".join(rep.failing())
                                   + " (pseudoinverse feedback formula not valid)")
+    Psi, BK, w = numerators
     finite = isinstance(sol, RiccatiFiniteSolution)
-    pair = _solution_pair(sol, spec, tol)
     m, shape = sol.grid.size, (sol.grid.size, spec.r, spec.n)
-    g = -(pair.Ui @ pair.offset_numerator(sol.s, spec.sigma(sol.grid))[..., None])[..., 0]
     if sol.population is not None:
         xbar, mf_source = np.zeros((m, spec.n)), "empirical"
     elif finite:
@@ -129,8 +131,8 @@ def build_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> ControlLa
         xbar, mf_source = sol.xbar.copy(), "xbar"
     return ControlLaw(
         grid=sol.grid.copy(),
-        F_self=np.broadcast_to(-pair.Ui @ pair.Psi, shape).copy(),
-        F_mf=np.broadcast_to(-pair.Ui @ (spec.B.T @ pair.K), shape).copy(),
-        g=g, xbar=xbar, mf_source=mf_source,
+        F_self=np.broadcast_to(-pair.Ui @ Psi, shape).copy(),
+        F_mf=np.broadcast_to(-pair.Ui @ BK, shape).copy(),
+        g=-(pair.Ui @ w[..., None])[..., 0], xbar=xbar, mf_source=mf_source,
         horizon="finite" if finite else "infinite",
     )

@@ -341,3 +341,30 @@ def test_tolerance_validation():
         Tolerance(rank_cutoff=2.0)
     with pytest.raises(LinalgError):
         Tolerance(ode_step=0.0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pinv_stack_equals_each_matrix(r):
+    # one SVD over the stack, each member with its own cutoff: the same
+    # arrays as inverting member by member, singular and zero ones included
+    rng = np.random.default_rng(r)
+    M = rng.standard_normal((40, r, r))
+    M = M + M.mT
+    M[3] = 0.0
+    M[7] *= 1e-300
+    M[11] = np.outer(M[11, 0], M[11, 0])   # rank one
+    M[13] = np.diag(np.r_[1.0, np.full(r - 1, 1e-14)])   # singular below the cutoff
+    stack = pinv(M)
+    assert stack.shape == M.shape
+    np.testing.assert_array_equal(stack, np.stack([pinv(X) for X in M]))
+    np.testing.assert_array_equal(stack[3], np.zeros((r, r)))
+    np.testing.assert_array_equal(pinv(M.reshape(5, 8, r, r)), stack.reshape(5, 8, r, r))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("r", [1, 2])
+def test_pinv_stack_refuses_non_finite(bad, r):
+    M = np.ones((6, r, r))
+    M[4, -1, 0] = bad
+    with pytest.raises(LinalgError):
+        pinv(M)

@@ -10,9 +10,11 @@ from mfsoc.linalg import (BlowUpError, Tolerance, central_path, integrate_ode, i
 from mfsoc.model import ProblemSpec, constant_signal, derive_weights, zero_signal
 from mfsoc.riccati import (
     _SEEDS,
+    RiccatiInfiniteSolution,
     SolverError,
     _Pair,
     _Plant,
+    _finite_rhs,
     _lmi_phase_one,
     _pair_root,
     _plant,
@@ -624,6 +626,133 @@ def test_range_report(spec_wellposed, sol_wellposed, spec_sec6_finite, sol_sec6_
     rep_f = check_ranges(sol_sec6_finite, spec_sec6_finite)
     assert rep_f.all_ok
     assert set(rep_f.inclusions) == {"feedback_gain", "meanfield_gain", "offset"}
+
+
+# -- the knot-by-knot range check and residual, kept as the oracles of the
+# -- batched ones
+
+def _inclusion(Ups, Ui, X, tol):
+    """Is every column of X in the range of the symmetric matrix Ups?"""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] != Ups.shape[0]:
+        X = X.reshape(Ups.shape[0], -1)
+    proj = (np.eye(Ups.shape[0]) - Ups @ Ui) @ X
+    res = float(np.linalg.norm(proj))
+    return res <= tol.residual_tol * (1.0 + float(np.linalg.norm(X))), res
+
+
+def ranges_by_knot(sol, spec, tol=Tolerance()):
+    """The range report from one single-point pair per finite knot, merged
+    knot by knot; an infinite solution's offset is one matrix over the grid."""
+    plant, B, S = _plant(spec), spec.B, spec.sigma(sol.grid)
+    if isinstance(sol, RiccatiInfiniteSolution):
+        pair = _Pair(plant, sol.P, sol.Pi, sol.population, tol)
+        points = [(pair, pair.offset_numerator(sol.s, S).T)]
+    else:
+        points = []
+        for k in range(sol.grid.size):
+            pair = _Pair(plant, sol.P[k], sol.P[k] + sol.K[k], sol.population, tol)
+            points.append((pair, pair.offset_numerator(sol.s[k], S[k])))
+    report = {}
+    for pair, offset in points:
+        for name, X in zip(("feedback_gain", "meanfield_gain", "offset"),
+                           (pair.Psi, B.T @ pair.K, offset)):
+            ok, res = _inclusion(pair.Ups, pair.Ui, X, tol)
+            prev_ok, prev_res = report.get(name, (True, 0.0))
+            report[name] = (prev_ok and ok, max(prev_res, res))
+    return report
+
+
+def two_channel_spec(T):
+    """Criterion 1's n = 2 benchmark: two decoupled copies of the scalar one."""
+    rr = np.array([-0.5, -0.4])
+    return ProblemSpec(
+        n=2, r=2, A=np.zeros((2, 2)), B=np.eye(2), C=np.zeros((2, 2)),
+        D=np.eye(2), G=np.zeros((2, 2)), Q=np.diag(-2.0 * rr), R=np.diag(rr),
+        Gamma=np.zeros((2, 2)), f=zero_signal(2), sigma=zero_signal(2),
+        eta=zero_signal(2), x0_mean=[0.0, 0.0], x0_cov=np.zeros((2, 2)),
+        N=5, horizon=T, H=np.diag(1.0 - rr),
+    )
+
+
+def test_range_report_matches_knot_by_knot(spec_sec6_finite, sol_sec6_finite, spec_example1,
+                                           spec_wellposed, sol_wellposed):
+    spec2 = two_channel_spec(spec_example1.horizon)
+    cases = [
+        (spec_sec6_finite, sol_sec6_finite),
+        (spec_sec6_finite, solve_finite_N(spec_sec6_finite, N=5)),
+        (spec_sec6_finite, solve_finite_limit(spec_sec6_finite, Tolerance(ode_step=1e-4))),
+        (spec2, solve_finite_limit(spec2)),
+        (spec_wellposed, sol_wellposed),
+        (spec_wellposed, solve_are_N(spec_wellposed, t_sim=5.0, N=7)),
+    ]
+    for spec, sol in cases:
+        got, want = check_ranges(sol, spec).inclusions, ranges_by_knot(sol, spec)
+        assert set(got) == set(want)
+        for name, (ok, res) in want.items():
+            assert got[name][0] == ok
+            assert got[name][1] == pytest.approx(res, rel=1e-12, abs=0.0)
+
+
+def _random_pair_stack(seed, n, r, N, m=9):
+    rng = np.random.default_rng(seed)
+    plant = _random_noisy_plant(rng, n, r)
+    P = symmetrize(rng.standard_normal((m, n, n))) + 2.0 * np.eye(n)
+    Pi = symmetrize(rng.standard_normal((m, n, n))) + 2.0 * np.eye(n)
+    signals = rng.standard_normal((4, m, n))
+    return plant, P, Pi, signals
+
+
+@pytest.mark.parametrize("n, r, N", [(1, 1, None), (2, 1, 3), (2, 2, None), (3, 2, 7)])
+def test_pair_formulas_broadcast_over_knots(n, r, N):
+    # every broadcasting formula on a stack equals its single-point value
+    # at each knot
+    tol = Tolerance()
+    plant, P, Pi, (s, f, sig, eta) = _random_pair_stack(10 * n + r, n, r, N)
+    batch = _Pair(plant, P, Pi, N, tol)
+    rates = batch.triple_rate(s, f, sig, eta)
+    for k in range(P.shape[0]):
+        one = _Pair(plant, P[k], Pi[k], N, tol)
+        for got, want in [
+            (batch.Ui[k], one.Ui),
+            (batch.residual_P()[k], one.residual_P()),
+            (batch.residual_Pi()[k], one.residual_Pi()),
+            *zip((X[k] for X in batch.individual_loop()), one.individual_loop()),
+            *zip((X[k] for X in batch.aggregate_loop), one.aggregate_loop),
+            (batch.offset_forcing(f, sig, eta)[k], one.offset_forcing(f[k], sig[k], eta[k])),
+            *zip((X[k] for X in rates), one.triple_rate(s[k], f[k], sig[k], eta[k])),
+        ]:
+            np.testing.assert_array_equal(got, want)
+
+
+def residual_by_sample(sol, spec, tol):
+    """The defining-equation residual as it was computed, one sample at a
+    time through the integrator's own rate (the scalar fork at n = r = 1)."""
+    grid, Ps, Ks, ss = sol.grid, sol.P, sol.K, sol.s
+    m, h = grid.size, grid[1] - grid[0]
+    samples = list(range(2, m - 2))[:: max(1, (m - 4) // 200)]
+    rate = _finite_rhs(spec, derive_weights(spec), tol, sol.population, grid[samples])
+    worst = 0.0
+    for i, k in enumerate(samples):
+        def d5(arr):
+            return (-arr[k + 2] + 8 * arr[k + 1] - 8 * arr[k - 1] + arr[k - 2]) / (12 * h)
+        dot = np.concatenate([d5(Ps).ravel(), d5(Ks).ravel(), d5(ss)])
+        model = rate(i, np.concatenate([Ps[k].ravel(), Ks[k].ravel(), ss[k]]))
+        worst = max(worst, float(np.max(np.abs(dot - model))))
+    return worst
+
+
+def test_finite_residual_matches_sample_by_sample(spec_sec6_finite, sol_sec6_finite,
+                                                  spec_example1):
+    fine = Tolerance(ode_step=1e-4)
+    spec2 = two_channel_spec(spec_example1.horizon)
+    cases = [(spec_sec6_finite, sol_sec6_finite, Tolerance())]
+    cases += [(spec_sec6_finite, solve_finite_N(spec_sec6_finite, N=N), Tolerance())
+              for N in (1, 3, 50)]
+    cases += [(spec_example1, solve_finite_limit(spec_example1, fine), fine),
+              (spec2, solve_finite_limit(spec2), Tolerance())]
+    for spec, sol, tol in cases:
+        assert sol.residual == pytest.approx(residual_by_sample(sol, spec, tol), rel=0.0, abs=1e-14)
 
 
 # -- the closure-driven offset and mean integrations, kept as the oracle of

@@ -3,8 +3,8 @@ import pytest
 
 from mfsoc.linalg import Tolerance, pinv, rk4_grid
 from mfsoc.model import ProblemSpec, zero_signal, constant_signal
-from mfsoc.riccati import (check_ranges, solve_are, solve_are_N, solve_finite_limit,
-                           solve_finite_N)
+from mfsoc.riccati import (RiccatiFiniteSolution, check_ranges, solve_are, solve_are_N,
+                           solve_finite_limit, solve_finite_N)
 from mfsoc.synthesis import RangeConditionError, _closed_loop, build_law
 
 
@@ -105,6 +105,28 @@ def test_range_condition_refusal_population_form():
     assert sol.P[0, 0] == pytest.approx(0.5)
     assert not check_ranges(sol, spec).inclusions["feedback_gain"][0]
     with pytest.raises(RangeConditionError):
+        build_law(sol, spec)
+
+
+def test_range_condition_refusal_finite_horizon_every_knot():
+    # Upsilon = R + P = 0 at knot 1 only, with Psi = P = 1 there: one knot
+    # out of 1,001 must refuse the law (a check of every second knot passes)
+    spec = ProblemSpec(
+        n=1, r=1, A=-1.0, B=1.0, C=0.0, D=1.0, G=0.0, Q=1.0, R=-1.0,
+        Gamma=0.0, f=zero_signal(1), sigma=zero_signal(1), eta=zero_signal(1),
+        x0_mean=[1.0], x0_cov=[[0.0]], N=2, horizon=1.0, H=[[0.5]],
+    )
+    m = 1001
+    P = np.full((m, 1, 1), 0.5)
+    P[1] = 1.0
+    sol = RiccatiFiniteSolution(
+        grid=np.linspace(0.0, 1.0, m), P=P, K=np.zeros((m, 1, 1)), s=np.zeros((m, 1)),
+        Upsilon=spec.R + P, residual=0.0, min_upsilon_eig=-0.5)
+    rep = check_ranges(sol, spec)
+    assert rep.inclusions["feedback_gain"] == (False, 1.0)
+    assert rep.inclusions["meanfield_gain"] == (True, 0.0)
+    assert rep.inclusions["offset"] == (True, 0.0)
+    with pytest.raises(RangeConditionError, match="feedback_gain"):
         build_law(sol, spec)
 
 
