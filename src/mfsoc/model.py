@@ -15,8 +15,10 @@ problem raises ModelError, naming the field.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -389,13 +391,121 @@ def initial_chol(spec: ProblemSpec) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+# NumPy's SeedSequence hash (NEP 19) on a pool of 4 uint32 words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+_XSHIFT = np.uint32(16)
+
+
+def _philox_keys(seed, replications, agents):
+    """(len(replications), len(agents), 2) uint64 Philox keys, equal word for
+    word to SeedSequence(entropy=seed, spawn_key=(rep, agent))
+    .generate_state(2, np.uint64), derived for every stream in one pass.
+
+    The entropy is the seed's 32-bit words, padded with zeros to the pool
+    size, then rep and agent (one word each, as every index is below 2**32).
+    The hash constants do not depend on the data, so each step is a few
+    uint32 array operations broadcast over the (rep, agent) grid; every
+    operand is np.uint32, so products wrap modulo 2**32.
+    """
+    words = [seed >> k & _MASK32 for k in range(0, max(1, seed.bit_length()), 32)]
+    words += [0] * (4 - len(words))
+    entropy = [np.full((1, 1), w, np.uint32) for w in words]
+    entropy += [replications[:, None], agents[None, :]]
+    hc = _INIT_A
+
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ np.uint32(hc)
+        hc = hc * _MULT_A & _MASK32
+        v = v * np.uint32(hc)
+        return v ^ (v >> _XSHIFT)
+
+    def mix(x, y):
+        v = _MIX_L * x - _MIX_R * y
+        return v ^ (v >> _XSHIFT)
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    hb = _INIT_B
+    state = []
+    for v in pool:
+        v = v ^ np.uint32(hb)
+        hb = hb * _MULT_B & _MASK32
+        v = v * np.uint32(hb)
+        state.append((v ^ (v >> _XSHIFT)).astype(np.uint64))
+    # little-endian pairs of words
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+class _StreamKey:
+    """A derived key posing as the SeedSequence it reproduces: Philox asks
+    its seed for generate_state(2, np.uint64) and receives the key.  Unlike
+    Philox(key=...), this draws no OS entropy."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+@functools.cache
+def _philox():
+    """Generator and Philox, with _StreamKey registered as an ISeedSequence.
+    Imported on the first stream, so importing mfsoc leaves numpy.random
+    unloaded."""
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_StreamKey)
+    return Generator, Philox
+
+
+def _indices(values, name):
+    values = [operator.index(v) for v in values]
+    if values and not (min(values) >= 0 and max(values) <= _MASK32):
+        raise ValueError(f"{name} indices must lie in 0..2**32 - 1")
+    return np.array(values, dtype=np.uint32)
+
+
+def agent_rngs(seed: int, replications, agents) -> list[np.random.Generator]:
+    """The stream of every (seed, replication, agent) triple, replication-major.
+
+    Stream (rep, agent) is Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=(rep, agent)))) bit for bit, but the keys of all streams come
+    from one vectorized pass of the SeedSequence hash (``_philox_keys``)
+    instead of one SeedSequence object per stream.  Indices must be below
+    2**32; the seed is any integer >= 0.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be an integer >= 0")
+    keys = _philox_keys(seed, _indices(replications, "replication"),
+                        _indices(agents, "agent")).reshape(-1, 2)
+    Generator, Philox = _philox()
+    return [Generator(Philox(_StreamKey(key))) for key in keys]
+
+
 def agent_rng(seed: int, replication: int, agent: int) -> np.random.Generator:
     """Counter-style per-agent stream: deterministic in (seed, rep, agent).
 
     The same (seed, replication, agent) triple always yields the same
     stream, independent of how many agents or replications a run uses, so
     comparisons across strategies and population sizes share noise by
-    construction.
+    construction.  It is ``agent_rngs``'s batch of one: its key comes from
+    one vectorized pass of the SeedSequence hash, bit-identical to
+    Generator(Philox(SeedSequence(entropy=seed, spawn_key=(replication,
+    agent)))), which an oracle test in tests/test_model.py pins.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication), int(agent)))
-    return np.random.Generator(np.random.Philox(ss))
+    return agent_rngs(seed, (replication,), (agent,))[0]

@@ -579,7 +579,8 @@ def solve_stochastic_are(A, B, C, D, Q, R, tol: Tolerance = DEFAULT_TOL):
 
 
 def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
-    """Backward offset s(t) and forward mean xbar(t) on [0, t_sim]."""
+    """Backward offset s(t) and forward mean xbar(t) on [0, t_sim]; a blow-up
+    of either integration raises SolverError with its time."""
     Hcl = pair.aggregate_loop[0]
     ok, absc = is_hurwitz(Hcl, tol)
     if not ok:
@@ -596,15 +597,23 @@ def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
     del tb
     s_far = -np.linalg.solve(Hcl.T, g[0])
     np.negative(g, out=g)   # ds/dt = -Hcl's - g
-    ts, ss = affine_rk4(lambda j, y: np.einsum("ji,...j->...i", -Hcl, y) + g[j],
-                        t_far, 0.0, s_far, tol.ode_step)
-    del g
-    ts, ss = ts[::-1], ss[::-1]   # ascending in time
-    keep = ts <= t_sim + 1e-12
-    grid, s_traj = ts[keep], ss[keep]
+    try:
+        ts, ss = affine_rk4(lambda j, y: np.einsum("ji,...j->...i", -Hcl, y) + g[j],
+                            t_far, 0.0, s_far, tol.ode_step)
+        del g
+        ts, ss = ts[::-1], ss[::-1]   # ascending in time
+        keep = ts <= t_sim + 1e-12
+        grid, s_traj = ts[keep], ss[keep]
 
-    tf = rk4_grid(0.0, t_sim, tol.ode_step)
-    tx, xs = pair.mean_path(spec, grid_interp(grid, s_traj, tf), tf, tol.ode_step)
+        tf = rk4_grid(0.0, t_sim, tol.ode_step)
+        tx, xs = pair.mean_path(spec, grid_interp(grid, s_traj, tf), tf, tol.ode_step)
+    except BlowUpError as exc:
+        raise SolverError(
+            f"offset/mean-field integration blew up at t={exc.time:.6g} "
+            f"(the forcing f, sigma or eta grows along the tail, so the offset "
+            f"has no bounded solution)",
+            escape_time=exc.time,
+        ) from exc
     # resample s on the xbar grid so both live on one uniform grid
     s_on = grid_interp(grid, s_traj, tx)
     return tx, s_on, xs, absc

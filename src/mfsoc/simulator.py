@@ -5,14 +5,19 @@ coupling (never the mean-field approximation), so consistency is measured
 rather than assumed.  Noise streams are counter-based per (seed,
 replication, agent): agent i's Brownian path is identical across control
 strategies and across population sizes, which gives common random numbers
-for cost comparisons by construction.
+for cost comparisons by construction.  Each stream is the Philox generator
+that SeedSequence(entropy=seed, spawn_key=(replication, agent)) seeds, but
+a chunk derives all of its streams' keys in one vectorized pass of the
+SeedSequence hash (`model.agent_rngs`), bit-identical to it and pinned by
+an oracle test, rather than building one SeedSequence per stream.
 
 The simulator runs a batch of (law, N) pairs, and `simulate_population` is
 a batch of one.  Replications are stepped in chunks of at most _MAX_WIDTH
 agents of the widest pair.  A chunk builds the max(N) streams of each
 replication once, keeps them open and draws their increments one time
 block at a time into two reused buffers, so its width does not depend on
-the horizon; a stream drawn in pieces yields the same normals as one draw.
+the horizon; a stream drawn in pieces yields the same normals as one draw,
+so each stream's n initial normals ride on its first block's draw.
 Every pair steps on the first N columns of the same increments, so a gap
 curve draws each shared stream once, in one pass.  Each pair's state is
 held as (n, replications, agents) and each step is a few broadcast
@@ -30,7 +35,7 @@ import numpy as np
 
 from .linalg import lift_msq, matvec, spectral_abscissa
 from .model import (ProblemSpec, _check_count, _check_natural, _check_population,
-                    _check_positive, _is_integer, agent_rng, initial_chol)
+                    _check_positive, _is_integer, agent_rngs, initial_chol)
 from .synthesis import ControlLaw, _closed_loop
 
 _MAX_WIDTH = 20000      # replications x agents stepped together
@@ -264,25 +269,27 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
         B = min(chunk, reps - done)
         W = B * N_max
         # one stream per (replication, agent), row w = b max(N) + i; each
-        # stream gives its n initial normals first, then its increments in order
-        gens = [agent_rng(cfg.seed, done + b, i) for b in range(B) for i in range(N_max)]
-        z0 = np.empty((W, n))
-        for gen, row in zip(gens, z0):
-            gen.standard_normal(out=row)
-        X0 = (spec.x0_mean[:, None] + matvec(L0, z0.T)).reshape(n, B, N_max)
+        # stream gives its n initial normals first, then its increments in
+        # order: the first draw fills raw[:, :n + size], later ones raw[:, n:]
+        gens = agent_rngs(cfg.seed, range(done, done + B), range(N_max))
         block = max(1, min(steps, _BLOCK_ELEMS // W))
-        raw = np.empty((W, block))
+        raw = np.empty((W, n + block))
         rows = list(raw)
+        size = min(block, steps)
+        for gen, row in zip(gens, rows):
+            gen.standard_normal(out=row[:n + size])
+        X0 = (spec.x0_mean[:, None] + matvec(L0, raw[:, :n].T)).reshape(n, B, N_max)
         dW = np.empty((block, W))
         bufs = [np.empty(k * W) for k in (r, n, n, n, 1, 1)]
         for run in runs:
             run.begin(X0, bufs, r)
         for k in range(steps + 1):
             if k < steps and k % block == 0:
-                size = min(block, steps - k)
-                for gen, row in zip(gens, rows):
-                    gen.standard_normal(out=row[:size])
-                np.multiply(raw[:, :size].T, sqdt, out=dW[:size])
+                if k:
+                    size = min(block, steps - k)
+                    for gen, row in zip(gens, rows):
+                        gen.standard_normal(out=row[n:n + size])
+                np.multiply(raw[:, n:n + size].T, sqdt, out=dW[:size])
             dW_k = dW[k % block].reshape(B, N_max)
             for run in runs:
                 advance(run, k, dW_k)

@@ -174,6 +174,29 @@ def test_solve_finite_escape_exits_3(tmp_path):
     assert main(["solve-finite", EX1_LONG, "--outdir", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("command", ["solve-infinite", "value", "check"])
+def test_growing_forcing_fails_without_a_traceback(tmp_path, capsys, command):
+    # f = e^t: the offset integration blows up on its tail, at t = 52.1986;
+    # solve-infinite and value exit 3 with one line naming the time and write
+    # nothing, check records the failure as its A6 verdict
+    spec = json.loads(pathlib.Path(WELL).read_text())
+    spec["f"] = {"kind": "exponential", "a": [1.0], "b": 1.0}
+    path = tmp_path / "growing.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    rc = main([command, str(path), "--outdir", str(out)])
+    err = capsys.readouterr().err
+    if command == "check":
+        assert rc == 0 and err == ""
+        a6 = json.loads((out / "check.json").read_text())["A6_holds"]
+        assert a6[0] is False and "t=52.1986" in a6[1]
+        return
+    assert rc == 3
+    assert err.startswith("solver failure: ") and "t=52.1986" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_solve_infinite_and_pin(tmp_path):
     out = tmp_path / "a"
     assert main(["solve-infinite", WELL, "--outdir", str(out), "--T", "10"]) == 0

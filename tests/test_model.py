@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,9 @@ from mfsoc.model import (
     ModelError,
     ProblemSpec,
     Signal,
+    _philox_keys,
     agent_rng,
+    agent_rngs,
     constant_signal,
     derive_weights,
     initial_chol,
@@ -176,6 +183,60 @@ def test_agent_rng_reproducible_and_distinct():
     d = agent_rng(7, 1, 3).standard_normal(5)
     assert not np.allclose(a, c)
     assert not np.allclose(a, d)
+
+
+def _seed_sequence_rng(seed, replication, agent):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, agent))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**128 + 3, 2**200 + 7])
+def test_stream_keys_match_seed_sequence(seed):
+    # the vectorized hash is NumPy's SeedSequence word for word: seeds of one
+    # to seven 32-bit words, indices at both ends of the one-word range
+    rng = np.random.default_rng(seed % 2**32)
+    reps = np.r_[0, 2**32 - 1, rng.integers(0, 2**32, 4)].astype(np.uint32)
+    agents = np.r_[0, 2**32 - 1, rng.integers(0, 2**32, 5)].astype(np.uint32)
+    keys = _philox_keys(seed, reps, agents)
+    assert keys.shape == (reps.size, agents.size, 2) and keys.dtype == np.uint64
+    for a, rep in enumerate(reps):
+        for b, agent in enumerate(agents):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(rep), int(agent)))
+            np.testing.assert_array_equal(keys[a, b], ss.generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**200 + 7])
+def test_agent_rngs_draw_the_seed_sequence_streams(seed):
+    reps, agents = (3, 0, 2**32 - 1), (5, 2**32 - 1, 0, 1)
+    gens = agent_rngs(seed, reps, agents)
+    assert len(gens) == len(reps) * len(agents)
+    pairs = [(rep, agent) for rep in reps for agent in agents]    # replication-major
+    for gen, (rep, agent) in zip(gens, pairs):
+        want = _seed_sequence_rng(seed, rep, agent).standard_normal(300)
+        np.testing.assert_array_equal(gen.standard_normal(300), want)
+    np.testing.assert_array_equal(agent_rng(seed, 7, 9).standard_normal(300),
+                                  _seed_sequence_rng(seed, 7, 9).standard_normal(300))
+
+
+def test_agent_rngs_refuse_two_word_indices():
+    for reps, agents in (([2**32], [0]), ([0], [1, 2**32]), ([-1], [0])):
+        with pytest.raises(ValueError):
+            agent_rngs(0, reps, agents)
+    with pytest.raises(ValueError):
+        agent_rng(-1, 0, 0)
+    with pytest.raises(TypeError):
+        agent_rng(0, 1.5, 0)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random is loaded by the first stream, not by importing the library
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, mfsoc, mfsoc.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_initial_chol_psd():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfsoc.linalg import BlowUpError, Tolerance
-from mfsoc.model import ProblemSpec, agent_rng, constant_signal, zero_signal
+from mfsoc.model import ProblemSpec, agent_rngs, constant_signal, zero_signal
 from mfsoc.riccati import SolverError, solve_are, solve_are_N, solve_finite_limit, solve_finite_N
 from mfsoc.simulator import SimConfig, simulate_meanfield_type, simulate_population
 from mfsoc.social import (
@@ -156,11 +156,11 @@ def test_gap_curve_builds_each_stream_once(monkeypatch, spec_sec6_finite):
     import mfsoc.simulator as sim
     built = []
 
-    def counting(seed, replication, agent):
-        built.append((seed, replication, agent))
-        return agent_rng(seed, replication, agent)
+    def counting(seed, replications, agents):
+        built.extend((seed, b, i) for b in replications for i in agents)
+        return agent_rngs(seed, replications, agents)
 
-    monkeypatch.setattr(sim, "agent_rng", counting)
+    monkeypatch.setattr(sim, "agent_rngs", counting)
     reps = 7
     gap_curve(spec_sec6_finite, [2, 5, 3], SimConfig(dt=1e-2, replications=reps, seed=4))
     assert sorted(built) == [(4, b, i) for b in range(reps) for i in range(5)]
