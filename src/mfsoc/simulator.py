@@ -15,15 +15,19 @@ The simulator runs a batch of (law, N) pairs, and `simulate_population` is
 a batch of one.  Replications are stepped in chunks of at most _MAX_WIDTH
 agents of the widest pair.  A chunk builds the max(N) streams of each
 replication once, keeps them open and draws their increments one time
-block at a time into two reused buffers, so its width does not depend on
-the horizon; a stream drawn in pieces yields the same normals as one draw,
-so each stream's n initial normals ride on its first block's draw.
-Every pair steps on the first N columns of the same increments, so a gap
-curve draws each shared stream once, in one pass.  Each pair's state is
-held as (n, replications, agents) and each step is a few broadcast
-multiply-adds (`linalg.matvec`, without BLAS), with its own
-`synthesis._closed_loop` tables.  All reductions are plain array means in
-fixed index order, so outputs are bit-identical for a given configuration.
+block at a time into one reused buffer, a row per stream, so its width
+does not depend on the horizon; a stream drawn in pieces yields the same
+normals as one draw, so each stream's n initial normals ride on its first
+block's draw.  Each step scales its column of that buffer, in place of a
+transposed copy, into one increment vector, and every pair steps on its
+first N columns, so a gap curve draws each shared stream once, in one
+pass.  Each pair's state is held as (n, replications, agents) and each
+step is a few broadcast multiply-adds (`linalg.matvec`, without BLAS) on
+its own `synthesis._loop_tables`: the four terms affine in the live
+average come from one stacked table.  The Euler arithmetic and every
+reduction over agents run in fixed index order, so outputs are
+bit-identical for a given configuration; the running cost is a plain sum
+over the interior knots plus the trapezoid's endpoint halves.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ import numpy as np
 from .linalg import lift_msq, matvec, spectral_abscissa
 from .model import (ProblemSpec, _check_count, _check_natural, _check_population,
                     _check_positive, _is_integer, agent_rngs, initial_chol)
-from .synthesis import ControlLaw, _closed_loop
+from .synthesis import ControlLaw, _loop_tables
 
 _MAX_WIDTH = 20000      # replications x agents stepped together
-_BLOCK_ELEMS = 1 << 20  # noise floats drawn per time block
+_BLOCK_ELEMS = 1 << 21  # noise floats per time block, the size of a chunk's one buffer
 _DIVERGE = 1e12
 
 
@@ -106,10 +110,10 @@ def _quad(M, V, out, tmp):
     return out
 
 
-def _tail_bound(spec, cl, integrand_end):
+def _tail_bound(spec, run, integrand_end):
     """Truncation-error estimate: end integrand over twice the decay rate of
     the closed loop's last knot."""
-    absc = spectral_abscissa(lift_msq(cl.A[-1] + spec.G, cl.C[-1]))
+    absc = spectral_abscissa(lift_msq(run.A[-1] + spec.G, run.C[-1]))
     if absc >= 0:
         return float("inf")
     return float(integrand_end / (-absc))
@@ -120,10 +124,11 @@ class _Run:
     over replications and, within a chunk, its own state."""
 
     def __init__(self, spec, law, N, tgrid, coupling, reps, m_thin, collect_agents):
-        cl = self.cl = _closed_loop(spec, law, tgrid, coupling)
+        self.A, self.C, self.F, self.W, o = _loop_tables(spec, law, tgrid, coupling)
+        self.o = o[:, :, None]
         self.N = N
         self.xb = law.xbar_at(tgrid)
-        self.live = any(np.any(M) for M in (cl.Aw, cl.Cw, cl.Fw, cl.Gw))
+        self.live = bool(np.any(self.W))
         self.agent_cost = np.zeros(N)
         self.rep_social = np.empty(reps)
         self.rep_consist = np.empty(reps)
@@ -133,16 +138,22 @@ class _Run:
         self.ctrls = np.zeros((collect_agents, m_thin, spec.r)) if collect_agents else None
         self.end_integrand = 0.0
 
-    def begin(self, X0, bufs, r):
+    def begin(self, X0, dw, bufs, r):
         """Enter a chunk: the first N agents of the shared (n, B, max N)
-        initial state, and the step scratch (U, dev, drift, diff, quad, tmp)
-        as leading slices of the shared flat buffers."""
+        initial state and of the (B, max N) increments dw, the four w-terms
+        (ou, dx, cx, ex) as row blocks of one buffer, and the step scratch
+        (U, dev, drift, diff, quad, tmp) as leading slices of the shared
+        flat buffers."""
         n, B, _ = X0.shape
         N = self.N
         self.X = X0[:, :, :N].copy()
+        self.dw = dw[:, :N]
+        self.xavg = self.X[:, :, 0] if N == 1 else np.empty((n, B))
+        self.wx = np.empty((r + 3 * n, B))
+        self.ou, self.dx, self.cx, self.ex = np.split(self.wx[:, :, None], [r, r + n, r + 2 * n])
         self.cost = np.zeros((B, N))
         self.consist = np.zeros(B)
-        self.lrun, self.prev_l = np.empty((B, N)), np.empty((B, N))
+        self.l0, self.lrun = np.empty((B, N)), np.empty((B, N))
         self.prev_c = None
         shapes = [(r, B, N)] + [(n, B, N)] * 3 + [(B, N)] * 2
         self.scratch = [buf[:math.prod(s)].reshape(s) for buf, s in zip(bufs, shapes)]
@@ -214,31 +225,31 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
     runs = [_Run(spec, law, N, tgrid, coupling, reps, thin_idx.size, collect_agents)
             for law, N in checked]
 
-    def advance(run, k, dW_k):
+    def advance(run, k):
         """Knot k of one pair: controls, running cost and records, then the
-        Euler step to k + 1 on the first N columns of the (B, max N) dW_k."""
-        cl, X, N = run.cl, run.X, run.N
+        Euler step to k + 1 on its columns of the current increments."""
+        X, N, xavg = run.X, run.N, run.xavg
         U, dev, drift, diff, quad, tmp = run.scratch
-        lrun, prev_l = run.lrun, run.prev_l
-        xavg = X.mean(axis=2)                       # (n, B)
+        if N > 1:
+            np.add.reduce(X, axis=2, out=xavg)     # X.mean(axis=2), bit for bit
+            xavg /= N
         if run.live:
-            ou = (matvec(cl.Fw[k], xavg) + cl.u[k][:, None])[:, :, None]
-            dx = (matvec(cl.Aw[k], xavg) + cl.b[k][:, None])[:, :, None]
-            cx = (matvec(cl.Cw[k], xavg) + cl.c[k][:, None])[:, :, None]
-            ex = (matvec(cl.Gw[k], xavg) + cl.e[k][:, None])[:, :, None]
+            matvec(run.W[k], xavg, run.wx)
+            run.wx += run.o[k]
         else:
-            ou, dx, cx, ex = (v[k][:, None, None] for v in (cl.u, cl.b, cl.c, cl.e))
-        matvec(cl.F[k], X, U)
-        U += ou
-        # running cost at the current knot
-        np.subtract(X, ex, out=dev)
+            run.wx[...] = run.o[k]
+        matvec(run.F[k], X, U)
+        U += run.ou
+        # running cost at the current knot; the trapezoid's endpoint halves
+        # are added at the end, and the knots between are a plain sum
+        lrun = run.l0 if k == 0 else run.lrun
+        np.subtract(X, run.ex, out=dev)
         _quad(spec.Q, dev, lrun, tmp)
         lrun += _quad(spec.R, U, quad, tmp)
+        if 0 < k < steps:
+            run.cost += lrun
         cerr = np.sum((xavg - run.xb[k][:, None]) ** 2, axis=0)
         if run.prev_c is not None:
-            np.add(prev_l, lrun, out=tmp)
-            tmp *= w
-            run.cost += tmp
             run.consist += w * (run.prev_c + cerr)
         run.prev_c = cerr
         if thin_mask[k]:
@@ -249,15 +260,18 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
                 run.traj[:, j] = X[:, 0, :collect_agents].T
                 run.ctrls[:, j] = U[:, 0, :collect_agents].T
         if k == steps:
+            run.cost *= dt
+            np.add(run.l0, lrun, out=tmp)
+            tmp *= w
+            run.cost += tmp
             run.end_integrand += float(np.mean(np.abs(lrun))) * X.shape[1]
             return
-        run.lrun, run.prev_l = prev_l, lrun
-        matvec(cl.A[k], X, drift)
-        drift += dx
+        matvec(run.A[k], X, drift)
+        drift += run.dx
         drift *= dt
-        matvec(cl.C[k], X, diff)
-        diff += cx
-        diff *= dW_k[:, :N]
+        matvec(run.C[k], X, diff)
+        diff += run.cx
+        diff *= run.dw
         X += drift
         X += diff
         if not np.abs(X, out=dev).max() <= _DIVERGE:     # also catches NaN
@@ -270,29 +284,29 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
         W = B * N_max
         # one stream per (replication, agent), row w = b max(N) + i; each
         # stream gives its n initial normals first, then its increments in
-        # order: the first draw fills raw[:, :n + size], later ones raw[:, n:]
+        # order: the first draw fills its whole row, later ones raw[:, n:],
+        # and step k reads column n + k % block in place
         gens = agent_rngs(cfg.seed, range(done, done + B), range(N_max))
         block = max(1, min(steps, _BLOCK_ELEMS // W))
         raw = np.empty((W, n + block))
-        rows = list(raw)
-        size = min(block, steps)
-        for gen, row in zip(gens, rows):
-            gen.standard_normal(out=row[:n + size])
+        for gen, row in zip(gens, raw):
+            gen.standard_normal(out=row)
+        tails = [row[n:] for row in raw]
         X0 = (spec.x0_mean[:, None] + matvec(L0, raw[:, :n].T)).reshape(n, B, N_max)
-        dW = np.empty((block, W))
+        dw = np.empty(W)
         bufs = [np.empty(k * W) for k in (r, n, n, n, 1, 1)]
         for run in runs:
-            run.begin(X0, bufs, r)
+            run.begin(X0, dw.reshape(B, N_max), bufs, r)
         for k in range(steps + 1):
-            if k < steps and k % block == 0:
-                if k:
-                    size = min(block, steps - k)
-                    for gen, row in zip(gens, rows):
-                        gen.standard_normal(out=row[n:n + size])
-                np.multiply(raw[:, n:n + size].T, sqdt, out=dW[:size])
-            dW_k = dW[k % block].reshape(B, N_max)
+            if k < steps:
+                if k and k % block == 0:
+                    if steps - k < block:   # the last block is partial; no second list
+                        tails = (row[n:n + steps - k] for row in raw)
+                    for gen, tail in zip(gens, tails):
+                        gen.standard_normal(out=tail)
+                np.multiply(raw[:, n + k % block], sqdt, out=dw)
             for run in runs:
-                advance(run, k, dW_k)
+                advance(run, k)
         for run in runs:
             cost = run.cost
             if finite:
@@ -322,7 +336,7 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
             rep_consistency=rep_consist,
             state_second_moment=run.sm_state,
             control_second_moment=run.sm_ctrl,
-            tail_bound=(_tail_bound(spec, run.cl, run.end_integrand / reps)
+            tail_bound=(_tail_bound(spec, run, run.end_integrand / reps)
                         if spec.infinite_horizon else 0.0),
             trajectories=run.traj,
             controls=run.ctrls,

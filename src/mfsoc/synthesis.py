@@ -7,8 +7,9 @@ F_self = -Ups^+ (B'P + D'MC), F_mf = -Ups^+ B'K and
 g = -Ups^+ (B's + D'M sigma), where M = P + K/N (M = P in the limit form).
 w is the precomputed mean-field trajectory for a limit-form (decentralized)
 law and the live empirical average for a population-N (centralized) law.
-`_closed_loop` derives the closed loop's tables once, for both the Monte
-Carlo simulator and the exact moment closure.
+`_loop_tables` derives the closed loop's tables once, for both the Monte
+Carlo simulator (stacked) and the exact moment closure (`_closed_loop`,
+the same tables split by term).
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ class _ClosedLoop(NamedTuple):
     e: np.ndarray    # (t, n)
 
 
-def _closed_loop(spec: ProblemSpec, law: ControlLaw, ts,
-                 coupling: str = "empirical") -> _ClosedLoop:
-    """The closed loop of law at the times ts, coupled to x^(N) or to xbar."""
+def _loop_tables(spec: ProblemSpec, law: ControlLaw, ts, coupling: str = "empirical"):
+    """The closed loop of law at the times ts, coupled to x^(N) or to xbar, as
+    (A, C, F, W, o): the w-terms of `_ClosedLoop` stacked row-wise into
+    W = [Fw; Aw; Cw; Gw] (t, r + 3n, n) and o = [u; b; c; e] (t, r + 3n),
+    so one matvec and one add give all four affine terms at a knot."""
     B, D, xb = spec.B, spec.D, law.xbar_at(ts)
     F, Fm, g = law.F_self_at(ts), law.F_mf_at(ts), law.g_at(ts)
     if law.mf_source == "empirical":
@@ -97,12 +100,22 @@ def _closed_loop(spec: ProblemSpec, law: ControlLaw, ts,
     else:
         Fw, u = 0.0 * Fm, g + np.einsum("trn,tn->tr", Fm, xb)
     cw, xc = (1.0, 0.0 * xb) if coupling == "empirical" else (0.0, xb)
-    return _ClosedLoop(
-        A=spec.A + B @ F, Aw=B @ Fw + cw * spec.G, b=u @ B.T + xc @ spec.G.T + spec.f(ts),
-        C=spec.C + D @ F, Cw=D @ Fw, c=u @ D.T + spec.sigma(ts), F=F, Fw=Fw, u=u,
-        Gw=np.broadcast_to(cw * spec.Gamma, (len(ts),) + spec.Gamma.shape),
-        e=xc @ spec.Gamma.T + spec.eta(ts),
-    )
+    Gw = np.broadcast_to(cw * spec.Gamma, (len(ts),) + spec.Gamma.shape)
+    W = np.concatenate((Fw, B @ Fw + cw * spec.G, D @ Fw, Gw), axis=1)
+    o = np.concatenate((u, u @ B.T + xc @ spec.G.T + spec.f(ts), u @ D.T + spec.sigma(ts),
+                        xc @ spec.Gamma.T + spec.eta(ts)), axis=1)
+    return spec.A + B @ F, spec.C + D @ F, F, W, o
+
+
+def _closed_loop(spec: ProblemSpec, law: ControlLaw, ts,
+                 coupling: str = "empirical") -> _ClosedLoop:
+    """The closed loop of law at the times ts, coupled to x^(N) or to xbar;
+    its w-terms are views of `_loop_tables`' stacked W and o."""
+    A, C, F, W, o = _loop_tables(spec, law, ts, coupling)
+    r, n = spec.r, spec.n
+    Fw, Aw, Cw, Gw = np.split(W, [r, r + n, r + 2 * n], axis=1)
+    u, b, c, e = np.split(o, [r, r + n, r + 2 * n], axis=1)
+    return _ClosedLoop(A=A, Aw=Aw, b=b, C=C, Cw=Cw, c=c, F=F, Fw=Fw, u=u, Gw=Gw, e=e)
 
 
 def build_law(sol, spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL) -> ControlLaw:

@@ -210,6 +210,49 @@ def test_costs_match_standalone_evaluator(spec_sec6_finite):
                                rtol=1e-6)
 
 
+@pytest.mark.parametrize("form", ["decentralized", "centralized"])
+def test_noisy_coupled_costs_match_standalone_evaluator(spec_sec6_finite, form):
+    # sec6_finite has C, D, sigma, G and Gamma nonzero, so the noise is
+    # multiplicative and every w-term of the step is live (the centralized
+    # law adds Fw and Cw).  With every knot recorded, the simulator's running
+    # cost (a plain sum plus the trapezoid's endpoint halves) and terminal
+    # cost equal the trapezoid evaluation of its own paths up to rounding
+    spec, N = spec_sec6_finite, 6
+    sol = solve_finite_limit(spec) if form == "decentralized" else solve_finite_N(spec, N=N)
+    cfg = SimConfig(dt=1e-3, replications=1, thinning=1, seed=3)
+    out = simulate_population(spec, build_law(sol, spec), cfg, N=N, collect_agents=N)
+    X, U = np.swapaxes(out.trajectories, 0, 1), np.swapaxes(out.controls, 0, 1)
+    costs = evaluate_cost(out.grid, X, U, X.mean(axis=1), spec)
+    np.testing.assert_allclose(out.individual_costs, costs, rtol=1e-12, atol=0.0)
+
+
+def test_noise_memory_is_one_block_buffer():
+    # a chunk holds its noise in one (agents, n + block) buffer of about
+    # _BLOCK_ELEMS floats that each step reads in place.  Here that buffer
+    # dominates: 1000 agents, 2200 steps, so 2097-step blocks and 16 MB,
+    # against about 1.5 kB per agent for its stream's Philox and Generator
+    # objects, its state and its step scratch.  The traced peak stays under
+    # the buffer plus 4 kB per agent; a second block-sized copy of the
+    # increments (a transposed one, say) adds 16 MB and fails it
+    import tracemalloc
+    import mfsoc.simulator as sim
+    spec = ProblemSpec.from_json({**noise_free_spec(T=2.2).to_json()})
+    spec.C = np.array([[0.3]])
+    spec.sigma = constant_signal([0.1])
+    spec.x0_cov = np.array([[0.1]])
+    N, cfg = 1000, SimConfig(dt=1e-3, replications=1, seed=1)
+    agent_rng(0, 0, 0)   # numpy.random's import stays out of the traced peak
+    tracemalloc.start()
+    try:
+        out = simulate_population(spec, zero_law(2.2), cfg, N=N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out.social_cost)
+    assert N * 2200 > sim._BLOCK_ELEMS          # more than one block
+    assert peak < 8 * sim._BLOCK_ELEMS + 4096 * N
+
+
 def test_initial_draw_moments():
     # agents start i.i.d. N(x0_mean, x0_cov), so at t = 0 the agent- and
     # replication-averaged ||x||^2 estimates ||x0_mean||^2 + tr(x0_cov)
