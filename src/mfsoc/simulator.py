@@ -124,11 +124,11 @@ class _Run:
     over replications and, within a chunk, its own state."""
 
     def __init__(self, spec, law, N, tgrid, coupling, reps, m_thin, collect_agents):
-        self.A, self.C, self.F, self.W, o = _loop_tables(spec, law, tgrid, coupling)
-        self.o = o[:, :, None]
+        self.A, self.C, self.F, self.wcoef, woff = _loop_tables(spec, law, tgrid, coupling)
+        self.woff = woff[:, :, None]
         self.N = N
         self.xb = law.xbar_at(tgrid)
-        self.live = bool(np.any(self.W))
+        self.live = bool(np.any(self.wcoef))
         self.agent_cost = np.zeros(N)
         self.rep_social = np.empty(reps)
         self.rep_consist = np.empty(reps)
@@ -149,8 +149,9 @@ class _Run:
         self.X = X0[:, :, :N].copy()
         self.dw = dw[:, :N]
         self.xavg = self.X[:, :, 0] if N == 1 else np.empty((n, B))
-        self.wx = np.empty((r + 3 * n, B))
-        self.ou, self.dx, self.cx, self.ex = np.split(self.wx[:, :, None], [r, r + n, r + 2 * n])
+        self.wterms = np.empty((r + 3 * n, B))
+        self.ou, self.dx, self.cx, self.ex = np.split(self.wterms[:, :, None],
+                                                      [r, r + n, r + 2 * n])
         self.cost = np.zeros((B, N))
         self.consist = np.zeros(B)
         self.l0, self.lrun = np.empty((B, N)), np.empty((B, N))
@@ -234,10 +235,10 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
             np.add.reduce(X, axis=2, out=xavg)     # X.mean(axis=2), bit for bit
             xavg /= N
         if run.live:
-            matvec(run.W[k], xavg, run.wx)
-            run.wx += run.o[k]
+            matvec(run.wcoef[k], xavg, run.wterms)
+            run.wterms += run.woff[k]
         else:
-            run.wx[...] = run.o[k]
+            run.wterms[...] = run.woff[k]
         matvec(run.F[k], X, U)
         U += run.ou
         # running cost at the current knot; the trapezoid's endpoint halves
