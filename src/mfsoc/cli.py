@@ -11,8 +11,9 @@ Numeric outputs are formatted deterministically so equal manifests yield
 byte-identical files.
 
 Exit codes: 0 success, 2 validation failure (a problem file that does not
-parse into a problem, or whose problem is invalid), 3 solver failure,
-4 simulation divergence, 64 usage error (a bad flag, a problem file that
+parse into a problem, or whose problem is invalid), 3 solver failure (a
+``SolverError``, or a ``numpy.linalg.LinAlgError`` from a numerical kernel,
+reported on one line), 4 simulation divergence, 64 usage error (a bad flag, a problem file that
 cannot be read, a flag value out of its range, which is refused with the
 flag's name before anything runs, or a value the library refuses with
 ``ValueError``, such as more agents to record than the population has).
@@ -432,11 +433,12 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except np.linalg.LinAlgError as exc:    # a ValueError, but a numerical failure
+        print(f"solver failure: linear algebra: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except np.linalg.LinAlgError:   # a ValueError, but a numerical failure
-        raise
     except ModelError as exc:
         print(f"invalid problem: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

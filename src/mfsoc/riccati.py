@@ -381,10 +381,19 @@ def _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N):
         for X, rate in zip((Ps, Ks, ss), rates))
 
 
+# relative residual (over 1 + the triple's largest entry) above which a
+# finite-horizon triple is refused: healthy solves read at most 3e-4 (1e-10
+# at the default step), and a solve that steps across the escape of its
+# solution 100 or more
+_FINITE_RESIDUAL_BOUND = 0.1
+
+
 def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
                   require_convex: bool = True) -> RiccatiFiniteSolution:
-    """Backward triple; with require_convex False a negative Upsilon
-    eigenvalue is only recorded in min_upsilon_eig instead of raising."""
+    """Backward triple; a triple whose relative residual exceeds
+    _FINITE_RESIDUAL_BOUND is no solution and raises SolverError.  With
+    require_convex False neither that nor a negative Upsilon eigenvalue
+    raises: they are only recorded in residual and min_upsilon_eig."""
     require_valid(spec)
     if spec.infinite_horizon:
         raise SolverError("finite-horizon solver called on an infinite-horizon problem")
@@ -410,6 +419,14 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
     # the knots run from T down to 0: reverse them to ascending time
     grid = ts[::-1]
     Ps, Ks, ss = _unpack(ys[::-1], n)
+    residual = _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N)
+    relative = residual / (1.0 + max(float(np.max(np.abs(X))) for X in (Ps, Ks, ss)))
+    if require_convex and relative > _FINITE_RESIDUAL_BOUND:
+        raise SolverError(
+            f"the backward triple misses its equation by {residual:.3g} "
+            f"(relative {relative:.3g} > {_FINITE_RESIDUAL_BOUND:g}) and is no solution; "
+            f"the horizon likely exceeds the solvable interval, or the step is too coarse"
+        )
     Ups = _Pair(_plant(spec, dw), Ps, Ps + Ks, N, tol).Ups
     min_eig = float(np.linalg.eigvalsh(Ups).min())
     if require_convex and min_eig < -tol.residual_tol:
@@ -417,7 +434,6 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
             f"Upsilon has a negative eigenvalue ({min_eig:.3g}) somewhere on the "
             f"grid; the convexity sign condition fails"
         )
-    residual = _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N)
     return RiccatiFiniteSolution(
         grid=grid, P=Ps, K=Ks, s=ss, Upsilon=Ups,
         residual=residual, min_upsilon_eig=min_eig, population=N,

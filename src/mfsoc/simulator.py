@@ -13,15 +13,18 @@ an oracle test, rather than building one SeedSequence per stream.
 
 The simulator runs a batch of (law, N) pairs, and `simulate_population` is
 a batch of one.  Replications are stepped in chunks of at most _MAX_WIDTH
-agents of the widest pair.  A chunk builds the max(N) streams of each
-replication once, keeps them open and draws their increments one time
-block at a time into one reused buffer, a row per stream, so its width
-does not depend on the horizon; a stream drawn in pieces yields the same
-normals as one draw, so each stream's n initial normals ride on its first
-block's draw.  Each step scales its column of that buffer, in place of a
-transposed copy, into one increment vector, and every pair steps on its
-first N columns, so a gap curve draws each shared stream once, in one
-pass.  Each pair's state is held as (n, replications, agents) and each
+agents of the widest pair.  A chunk holds its noise in one buffer, a row
+per stream: each stream's n initial normals, then its increments in order.
+If the whole horizon fits twice _BLOCK_ELEMS floats, the buffer holds all
+of it and `model.agent_normals` fills each row from one re-keyed Philox,
+so no stream stays open.  A longer horizon builds the max(N) streams of
+each replication once (`model.agent_rngs`), keeps them open and draws one
+time block at a time into a reused buffer, so its width does not depend
+on the horizon.  A stream drawn in pieces yields the same normals as one
+draw, so the two draws are bit-identical.  Each step scales its column of
+the buffer, in place of a transposed copy, into one increment vector, and
+every pair steps on its first N columns, so a gap curve draws each shared
+stream once, in one pass.  Each pair's state is held as (n, replications, agents) and each
 step is a few broadcast multiply-adds (`linalg.matvec`, without BLAS) on
 its own `synthesis._loop_tables`: the four terms affine in the live
 average come from one stacked table.  The Euler arithmetic and every
@@ -39,11 +42,17 @@ import numpy as np
 
 from .linalg import lift_msq, matvec, spectral_abscissa
 from .model import (ProblemSpec, _check_count, _check_natural, _check_population,
-                    _check_positive, _is_integer, agent_rngs, initial_chol)
+                    _check_positive, _is_integer, agent_normals, agent_rngs,
+                    initial_chol)
 from .synthesis import ControlLaw, _loop_tables
 
 _MAX_WIDTH = 20000      # replications x agents stepped together
-_BLOCK_ELEMS = 1 << 21  # noise floats per time block, the size of a chunk's one buffer
+# noise floats per time block, the size of a chunk's one buffer when it
+# draws from open streams.  A chunk whose whole horizon fits 2 _BLOCK_ELEMS
+# floats draws it at once and opens no stream; at _MAX_WIDTH agents the open
+# streams (about 780 B each) take about one block buffer, so the factor 2
+# keeps the widest chunks' noise memory where it was
+_BLOCK_ELEMS = 1 << 21
 _DIVERGE = 1e12
 
 
@@ -177,11 +186,11 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
               collect_agents: int = 0) -> list[SimulationOutput]:
     """Simulate every (law, N) pair of pairs on one draw of the shared noise.
 
-    Per chunk of replications the max(N) streams of each replication are
-    built once and each time block is drawn once; every pair steps its own
-    (n, B, N) state on the first N columns of the increments, with its own
-    closed-loop tables, so each pair's arithmetic is that of its call
-    alone.  Chunks are sized by the widest pair, so a pair's sums over
+    Per chunk of replications each of the max(N) streams of each
+    replication is drawn once, whole or a time block at a time; every pair
+    steps its own (n, B, N) state on the first N columns of the increments,
+    with its own closed-loop tables, so each pair's arithmetic is that of
+    its call alone.  Chunks are sized by the widest pair, so a pair's sums over
     replications (its individual costs and second moments) move by rounding
     from its call alone only when that sizing splits its replications
     differently; per-replication results do not move.  coupling and
@@ -285,14 +294,22 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
         W = B * N_max
         # one stream per (replication, agent), row w = b max(N) + i; each
         # stream gives its n initial normals first, then its increments in
-        # order: the first draw fills its whole row, later ones raw[:, n:],
-        # and step k reads column n + k % block in place
-        gens = agent_rngs(cfg.seed, range(done, done + B), range(N_max))
-        block = max(1, min(steps, _BLOCK_ELEMS // W))
-        raw = np.empty((W, n + block))
-        for gen, row in zip(gens, raw):
-            gen.standard_normal(out=row)
-        tails = [row[n:] for row in raw]
+        # order, and step k reads column n + k % block in place.  A horizon
+        # that fits the bound is drawn whole, one row per stream, and no
+        # stream stays open; a longer one is drawn a block at a time from
+        # open streams: the first draw fills the whole row, later ones
+        # raw[:, n:]
+        raw = gens = tails = None           # the last chunk's noise goes first
+        if W * (n + steps) <= 2 * _BLOCK_ELEMS:
+            raw = agent_normals(cfg.seed, range(done, done + B), range(N_max), n + steps)
+            block = steps
+        else:
+            gens = agent_rngs(cfg.seed, range(done, done + B), range(N_max))
+            block = max(1, min(steps, _BLOCK_ELEMS // W))
+            raw = np.empty((W, n + block))
+            for gen, row in zip(gens, raw):
+                gen.standard_normal(out=row)
+            tails = [row[n:] for row in raw]
         X0 = (spec.x0_mean[:, None] + matvec(L0, raw[:, :n].T)).reshape(n, B, N_max)
         dw = np.empty(W)
         bufs = [np.empty(k * W) for k in (r, n, n, n, 1, 1)]

@@ -174,6 +174,24 @@ def test_solve_finite_escape_exits_3(tmp_path):
     assert main(["solve-finite", EX1_LONG, "--outdir", str(tmp_path / "o")]) == 3
 
 
+def test_linalg_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # a numpy LinAlgError from a numerical kernel is a solver failure: exit 3,
+    # one line and no --outdir, not a traceback
+    import mfsoc.cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(mfsoc.cli, "solve_finite_limit", singular)
+    out = tmp_path / "o"
+    rc = main(["solve-finite", EX1, "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("solver failure: ") and "Singular matrix" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve-infinite", "value", "check"])
 def test_growing_forcing_fails_without_a_traceback(tmp_path, capsys, command):
     # f = e^t: the offset integration blows up on its tail, at t = 52.1986;

@@ -11,6 +11,7 @@ from mfsoc.model import (
     ProblemSpec,
     Signal,
     _philox_keys,
+    agent_normals,
     agent_rng,
     agent_rngs,
     constant_signal,
@@ -205,23 +206,38 @@ def test_stream_keys_match_seed_sequence(seed):
             np.testing.assert_array_equal(keys[a, b], ss.generate_state(2, np.uint64))
 
 
+def _open_stream_draws(seed, replications, agents, count):
+    return [gen.standard_normal(count) for gen in agent_rngs(seed, replications, agents)]
+
+
+# the simulator's two draws of a chunk's streams: from open streams, block by
+# block, or each stream's whole draw from one re-keyed Philox
+STREAM_DRAWS = (_open_stream_draws, agent_normals)
+
+
 @pytest.mark.parametrize("seed", [0, 2**32, 2**200 + 7])
 def test_agent_rngs_draw_the_seed_sequence_streams(seed):
     reps, agents = (3, 0, 2**32 - 1), (5, 2**32 - 1, 0, 1)
-    gens = agent_rngs(seed, reps, agents)
-    assert len(gens) == len(reps) * len(agents)
     pairs = [(rep, agent) for rep in reps for agent in agents]    # replication-major
-    for gen, (rep, agent) in zip(gens, pairs):
-        want = _seed_sequence_rng(seed, rep, agent).standard_normal(300)
-        np.testing.assert_array_equal(gen.standard_normal(300), want)
+    for draw in STREAM_DRAWS:
+        rows = draw(seed, reps, agents, 300)
+        assert len(rows) == len(reps) * len(agents)
+        for row, (rep, agent) in zip(rows, pairs):
+            want = _seed_sequence_rng(seed, rep, agent).standard_normal(300)
+            np.testing.assert_array_equal(row, want)
     np.testing.assert_array_equal(agent_rng(seed, 7, 9).standard_normal(300),
                                   _seed_sequence_rng(seed, 7, 9).standard_normal(300))
 
 
 def test_agent_rngs_refuse_two_word_indices():
-    for reps, agents in (([2**32], [0]), ([0], [1, 2**32]), ([-1], [0])):
+    for draw in STREAM_DRAWS:
+        for reps, agents in (([2**32], [0]), ([0], [1, 2**32]), ([-1], [0])):
+            with pytest.raises(ValueError):
+                draw(0, reps, agents, 1)
         with pytest.raises(ValueError):
-            agent_rngs(0, reps, agents)
+            draw(-1, [0], [0], 1)
+        with pytest.raises(TypeError):
+            draw(0, [1.5], [0], 1)
     with pytest.raises(ValueError):
         agent_rng(-1, 0, 0)
     with pytest.raises(TypeError):

@@ -1,3 +1,4 @@
+import pathlib
 import re
 
 import numpy as np
@@ -89,6 +90,22 @@ def test_horizon_beyond_escape_fails():
     spec = make_scalar_benchmark(1.2 * T_MAX_SCALAR, r=-0.5)
     with pytest.raises(SolverError):
         solve_finite_limit(spec)
+
+
+@pytest.mark.parametrize("step", [1e-3, 5e-4, 2e-4, 1e-4, 5e-5])
+def test_past_escape_is_refused_at_every_step(step):
+    # example1_long's solution escapes at T - t = ln(5) / 2, inside its
+    # horizon.  At step 1e-4 the integrator steps across the escape with
+    # Upsilon >= 0 on every knot, so only the residual refuses it; healthy
+    # solves read a relative residual near 1e-10
+    spec = ProblemSpec.load(pathlib.Path(__file__).resolve().parent.parent
+                            / "problems" / "example1_long.json")
+    assert spec.horizon > T_MAX_SCALAR
+    tol = Tolerance(ode_step=step)
+    for solve in (solve_finite_limit, lambda spec, tol: solve_finite_N(spec, tol, N=1),
+                  lambda spec, tol: solve_finite_N(spec, tol, N=50)):
+        with pytest.raises(SolverError):
+            solve(spec, tol)
 
 
 def test_scalar_branch_matches_matrix_branch(spec_sec6_finite, sol_sec6_finite):

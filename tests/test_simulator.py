@@ -226,31 +226,56 @@ def test_noisy_coupled_costs_match_standalone_evaluator(spec_sec6_finite, form):
     np.testing.assert_allclose(out.individual_costs, costs, rtol=1e-12, atol=0.0)
 
 
-def test_noise_memory_is_one_block_buffer():
-    # a chunk holds its noise in one (agents, n + block) buffer of about
-    # _BLOCK_ELEMS floats that each step reads in place.  Here that buffer
-    # dominates: 1000 agents, 2200 steps, so 2097-step blocks and 16 MB,
-    # against about 1.5 kB per agent for its stream's Philox and Generator
-    # objects, its state and its step scratch.  The traced peak stays under
-    # the buffer plus 4 kB per agent; a second block-sized copy of the
-    # increments (a transposed one, say) adds 16 MB and fails it
+def _traced_noise_peak(T, N):
+    """tracemalloc peak of one replication of N agents over horizon T (dt 1e-3)
+    on a noisy, decoupled scalar plant."""
     import tracemalloc
-    import mfsoc.simulator as sim
-    spec = ProblemSpec.from_json({**noise_free_spec(T=2.2).to_json()})
+    spec = ProblemSpec.from_json({**noise_free_spec(T=T).to_json()})
     spec.C = np.array([[0.3]])
     spec.sigma = constant_signal([0.1])
     spec.x0_cov = np.array([[0.1]])
-    N, cfg = 1000, SimConfig(dt=1e-3, replications=1, seed=1)
+    cfg = SimConfig(dt=1e-3, replications=1, seed=1)
     agent_rng(0, 0, 0)   # numpy.random's import stays out of the traced peak
     tracemalloc.start()
     try:
-        out = simulate_population(spec, zero_law(2.2), cfg, N=N)
+        out = simulate_population(spec, zero_law(T), cfg, N=N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.isfinite(out.social_cost)
-    assert N * 2200 > sim._BLOCK_ELEMS          # more than one block
-    assert peak < 8 * sim._BLOCK_ELEMS + 4096 * N
+    return peak
+
+
+def test_noise_memory_is_one_block_buffer():
+    # a chunk holds its noise in one buffer that each step reads in place.
+    # 1000 agents: over 2200 steps the whole horizon fits twice _BLOCK_ELEMS
+    # and is drawn at once (17.6 MB); over 5000 steps it does not, and the
+    # chunk draws 2097-step blocks (16 MB) from 1000 open streams, about
+    # 780 B each.  Either way the traced peak stays under the buffer plus
+    # 4 kB per agent (its stream, its state and its step scratch); a second
+    # block-sized copy of the increments (a transposed one, say) adds 16 MB
+    # and fails it
+    import mfsoc.simulator as sim
+    N = 1000
+    for T in (2.2, 5.0):
+        peak = _traced_noise_peak(T, N)
+        assert N * round(T / 1e-3) > sim._BLOCK_ELEMS          # more than one block
+        assert peak < 8 * sim._BLOCK_ELEMS + 4096 * N
+    assert N * (1 + 5000) > 2 * sim._BLOCK_ELEMS                # T = 5: block by block
+
+
+def test_whole_horizon_noise_holds_no_open_stream():
+    # 20,000 agents over 208 steps: the horizon needs two blocks but fits
+    # twice _BLOCK_ELEMS, so one (agents, 1 + steps) buffer is filled by
+    # re-keying a single Philox and no stream stays open.  The traced peak
+    # stays under 2 _BLOCK_ELEMS floats plus 256 B per agent (about 120 B
+    # is its state and step scratch); 20,000 open streams add about 15 MB
+    # and fail it
+    import mfsoc.simulator as sim
+    N, steps = 20000, 208
+    assert sim._BLOCK_ELEMS < N * (1 + steps) <= 2 * sim._BLOCK_ELEMS
+    peak = _traced_noise_peak(steps * 1e-3, N)
+    assert peak < 16 * sim._BLOCK_ELEMS + 256 * N
 
 
 def test_initial_draw_moments():

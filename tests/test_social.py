@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfsoc.linalg import BlowUpError, Tolerance
-from mfsoc.model import ProblemSpec, agent_rngs, constant_signal, zero_signal
+from mfsoc.model import ProblemSpec, agent_normals, agent_rngs, constant_signal, zero_signal
 from mfsoc.riccati import SolverError, solve_are, solve_are_N, solve_finite_limit, solve_finite_N
 from mfsoc.simulator import SimConfig, simulate_meanfield_type, simulate_population
 from mfsoc.social import (
@@ -153,17 +153,29 @@ def test_gap_curve_matches_per_call_oracle(spec_sec6_finite, reps):
 
 
 def test_gap_curve_builds_each_stream_once(monkeypatch, spec_sec6_finite):
+    # each (seed, replication, agent) stream is drawn once per gap curve,
+    # whether the chunk fills its whole horizon from re-keyed streams or,
+    # with _BLOCK_ELEMS shrunk below the horizon, draws from open streams
     import mfsoc.simulator as sim
-    built = []
+    built, entries = [], set()
 
-    def counting(seed, replications, agents):
-        built.extend((seed, b, i) for b in replications for i in agents)
-        return agent_rngs(seed, replications, agents)
+    def counting(entry):
+        def wrapped(seed, replications, agents, *rest):
+            entries.add(entry.__name__)
+            built.extend((seed, b, i) for b in replications for i in agents)
+            return entry(seed, replications, agents, *rest)
+        return wrapped
 
-    monkeypatch.setattr(sim, "agent_rngs", counting)
+    monkeypatch.setattr(sim, "agent_rngs", counting(agent_rngs))
+    monkeypatch.setattr(sim, "agent_normals", counting(agent_normals))
     reps = 7
-    gap_curve(spec_sec6_finite, [2, 5, 3], SimConfig(dt=1e-2, replications=reps, seed=4))
-    assert sorted(built) == [(4, b, i) for b in range(reps) for i in range(5)]
+    for block_elems, entry in ((sim._BLOCK_ELEMS, "agent_normals"), (5 * reps * 5, "agent_rngs")):
+        monkeypatch.setattr(sim, "_BLOCK_ELEMS", block_elems)
+        built.clear()
+        entries.clear()
+        gap_curve(spec_sec6_finite, [2, 5, 3], SimConfig(dt=1e-2, replications=reps, seed=4))
+        assert entries == {entry}
+        assert sorted(built) == [(4, b, i) for b in range(reps) for i in range(5)]
 
 
 def test_expected_cost_matches_monte_carlo(spec_sec6_finite):
