@@ -251,10 +251,10 @@ def test_noise_memory_is_one_block_buffer():
     # 1000 agents: over 2200 steps the whole horizon fits twice _BLOCK_ELEMS
     # and is drawn at once (17.6 MB); over 5000 steps it does not, and the
     # chunk draws 2097-step blocks (16 MB) from 1000 open streams, about
-    # 780 B each.  Either way the traced peak stays under the buffer plus
-    # 4 kB per agent (its stream, its state and its step scratch); a second
-    # block-sized copy of the increments (a transposed one, say) adds 16 MB
-    # and fails it
+    # 780 B each.  Either way the traced peak stays under one block buffer
+    # (8 _BLOCK_ELEMS bytes) plus 4 kB per agent (its stream, its state and
+    # its step scratch); a second block-sized copy of the increments (a
+    # transposed one, say) adds 16 MB and fails it
     import mfsoc.simulator as sim
     N = 1000
     for T in (2.2, 5.0):
