@@ -3,11 +3,12 @@
 Pseudoinverse with an explicit rank cutoff, the second-moment (Kronecker)
 lift used for mean-square stability tests, Hurwitz tests, the log-barrier
 method for linear matrix inequalities (``central_path``) with its phase I
-and dual certificate of infeasibility (``lmi_phase_one``), one RK4 step
-(``_rk4_step``, whose rate reads tables on ``rk4_grid`` by stage index)
-run by a step loop for nonlinear ODEs (``integrate_ode``) and, for linear
-ones, as per-step affine maps applied by a doubling scan (``affine_rk4``),
-broadcast matrix-vector products (``matvec``), and trapezoidal quadrature.
+and dual certificate of infeasibility (``lmi_phase_one``) and phase II
+(``lmi_phase_two``), one RK4 step (``_rk4_step``, whose rate reads tables
+on ``rk4_grid`` by stage index) run by a step loop for nonlinear ODEs
+(``integrate_ode``) and, for linear ones, as per-step affine maps applied
+by a doubling scan (``affine_rk4``), broadcast matrix-vector products
+(``matvec``), and trapezoidal quadrature.
 All functions are pure and deterministic; everything operates on plain
 numpy arrays.
 """
@@ -75,14 +76,9 @@ def pinv(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     matrix gives zeros.  Raises :class:`LinalgError` on non-finite input.
     """
     M = _as_matrix(M)
-    if M.shape == (1, 1):  # scalar fast path (hot in the root finder)
-        m = M[0, 0]
-        if not np.isfinite(m):
-            raise LinalgError("pinv: input contains NaN or Inf")
-        return np.array([[1.0 / m]]) if m != 0.0 else np.zeros((1, 1))
     if not np.all(np.isfinite(M)):
         raise LinalgError("pinv: input contains NaN or Inf")
-    if M.shape[-2:] == (1, 1):  # a stack of scalars, each inverted as above
+    if M.shape[-2:] == (1, 1):  # scalars (or a stack of them) need no SVD
         return np.divide(1.0, M, out=np.zeros_like(M), where=M != 0.0)
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     inv = np.where(sv > tol.rank_cutoff * sv[..., :1], 1.0 / np.where(sv > 0, sv, 1.0), 0.0)
@@ -207,6 +203,26 @@ def lmi_phase_one(L0, L, margin: float):
         if np.linalg.eigvalsh(Z)[0] >= 0.0 and value < -margin:
             return y[1:], y[0], Z, value
     return y[1:], y[0], None, None
+
+
+def lmi_phase_two(L0, G, c, x, gap: float):
+    """Phase II: max c'x subject to L0 + sum_k x_k G_k >= 0 by
+    ``central_path`` from a strictly feasible x, at barrier weight 1e-3, so
+    the first center lies near the analytic one and the path does not crawl
+    along the boundary.  Returns (x, None) at the first center with a
+    duality gap of at most gap, or after the path's last Newton step, and
+    (x, d) on a step d with c'd > 0 and sum_k d_k G_k >= 0: the ray x + t d
+    is then feasible for every t >= 0, so c'x is unbounded.
+    """
+    prev = x
+    for x, _, g in central_path(L0, G, c, x, 1e-3):
+        d = x - prev
+        if c @ d > 0.0 and np.linalg.eigvalsh(np.tensordot(d, G, 1))[0] >= 0.0:
+            return x, d
+        if g is not None and g <= gap:
+            break
+        prev = x
+    return x, None
 
 
 def rk4_grid(t0: float, t1: float, step: float) -> np.ndarray:

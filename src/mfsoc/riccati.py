@@ -8,17 +8,11 @@ every solver and the stability battery read it.
 
 Finite horizon: the coupled backward triple (P, K, s) in either form, plus
 the deterministic mean-field trajectory it induces.  Infinite horizon: the
-algebraic pair in either form (pseudo-transient continuation from
-scaled-identity seeds: implicit-Euler steps of the pseudo-time flow with
-the analytic Jacobian, the lifted closed-loop operator, that become Newton
-steps as the residual falls; the limit form solves P, then Pi), the L2
-offset s(t), and the mean-field ODE.  Before the limit form's unpinned P
-search, a log-barrier phase I on the P equation's Riccati LMI
-(``_lmi_phase_one``) either reaches a strictly feasible point, and the
-continuation runs as it would without it, or returns a dual certificate
-that no acceptable root exists, and the solve fails at once.  Only the
-nonlinear triple runs ``linalg.integrate_ode``'s step loop; the linear
-offset and mean fields (``_Pair.mean_path``) go through
+algebraic pair in either form (each stabilizing root is the maximal point
+of its Riccati LMI, found by phase I, the barrier path and a Newton polish;
+the limit form solves P, then Pi), the L2 offset s(t), and the mean-field
+ODE.  Only the nonlinear triple runs ``linalg.integrate_ode``'s step loop;
+the linear offset and mean fields (``_Pair.mean_path``) go through
 ``linalg.affine_rk4``.  Every integration's time dependence (the signals,
 the interpolated triple, the offset forcing) is tabulated once on
 ``linalg.rk4_grid``'s stage grid and read by stage index.  All solvers use
@@ -46,6 +40,7 @@ from .linalg import (
     kron,
     lift_msq,
     lmi_phase_one,
+    lmi_phase_two,
     pinv,
     rk4_grid,
     symmetrize,
@@ -57,8 +52,8 @@ from .model import (ProblemSpec, DerivedWeights, _check_population, _check_posit
 class SolverError(RuntimeError):
     """A Riccati solve failed; the message carries diagnostics.
 
-    certificate, when set, is the dual matrix Z that proves the limit-form
-    Riccati LMI infeasible (see ``_lmi_phase_one``).
+    certificate, when set, is the dual matrix Z that proves a steady solve's
+    Riccati LMI infeasible (see ``_pair_root``).
     """
 
     def __init__(self, message, escape_time=None, certificate=None):
@@ -465,119 +460,119 @@ def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance
 # infinite horizon
 # ---------------------------------------------------------------------------
 
-_SEEDS = (0.0, 1.0, 5.0)   # every unknown block starts at c I
+_MAXIMAL_GAP = 1e-3   # duality gap at which the barrier path hands over to the polish
+_POLISH_STEPS = 50
 
 
-def _lmi_phase_one(plant: _Plant, tol: Tolerance):
-    """Phase I of the limit-form Riccati LMI of Ait Rami and Zhou (IEEE TAC
-    45(6), 2000), L(P) = [[A'P + PA + C'PC + Q, Psi'], [Psi, Ups]] >= 0
-    over symmetric P, from ``_Pair.lmi_blocks``: ``linalg.lmi_phase_one``
-    on L(0) and the basis L(E_k) - L(0) over the symmetric unit directions
-    E_k.
-
-    Returns (P, t, Z, margin): the last iterate P, with L(P) >= tI, and the
-    verified certificate Z with <Z, L(P)> = margin < -10 residual_tol for
-    every P, or None, None.  At a point P with Ups >= 0 and Psi in the
-    range of Ups, L(P) is the residual F(P) in its top-left block plus a
-    positive semidefinite matrix, so <Z, L(P)> >= -|F(P)|: no such P is a
-    root within residual_tol.  The certificate says nothing of a
-    pseudoinverse root with Psi outside the range of a singular Ups, whose
-    gain ``check_ranges`` refuses.
+def _riccati_lmi(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True):
+    """The Riccati LMI (Ait Rami and Zhou, IEEE TAC 45(6), 2000) of the steady
+    pair's free unknowns, P (unless given) and Pi (if with_Pi): the block
+    diagonal of their ``_Pair.lmi_blocks``, affine as M = P + (Pi - P)/N.
+    At population N the stacked N-agent LMI at I (x) P + (11'/N) (x) K is
+    orthogonally similar to diag(I_(N-1) (x) L_P, L_Pi), so its maximal
+    point maximizes tr P + tr Pi too.  In coordinates x over each unknown's
+    symmetric unit directions it is L0 + sum_k x_k G_k.  Returns (L0, G, c,
+    pair, basis): c'x is the unknowns' trace, pair(x) the _Pair at x, and
+    basis maps x to the stacked vecs ``_Pair.jacobian`` acts on.
     """
-    n = plant.A.shape[0]
-
-    def block(P):
-        return _Pair(plant, P, P, None, tol).lmi_blocks()[0]
-
+    free_P, n = P is None, plant.A.shape[0]
+    k = free_P + with_Pi
     i, j = np.triu_indices(n)
     E = np.zeros((i.size, n, n))
     E[np.arange(i.size), i, j] = E[np.arange(i.size), j, i] = 1.0
-    L0 = block(np.zeros((n, n)))
-    x, t, Z, margin = lmi_phase_one(L0, [block(Ek) - L0 for Ek in E], 10.0 * tol.residual_tol)
-    return np.tensordot(x, E, 1), t, Z, margin
 
-
-def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
-    """Stabilizing root of the steady pair equations.
-
-    The unknowns are P (unless given) and Pi (if with_Pi).  From each seed
-    c I, pseudo-transient continuation (Kelley and Keyes, SIAM J. Numer.
-    Anal. 1998) takes implicit-Euler steps of the flow dY/dtau = F(Y), F
-    the residuals: (I/delta - J) dY = F(Y), with J the analytic
-    ``_Pair.jacobian``.  A step is accepted if the new |F| is below twice
-    the current one, and delta then grows by the factor |F| fell (from
-    0.05, up to 1e15), so the steps turn into Newton steps near a root.  A
-    rejected step is retried with delta / 4, and the seed gives up once
-    delta < 1e-12.  Delta never shrinks on an accepted step: at large delta
-    backward Euler also attracts to non-stabilizing roots.  A seed stops
-    once |F| <= residual_tol and a step no longer lowers it, or after 2000
-    steps.  An acceptable root has Upsilon >= 0, and a free P (Pi) makes
-    the individual loop mean-square stable (the aggregate loop Hurwitz).
-    SolverError carries every seed's diagnostic; a seed without a root
-    reports the smallest |F| among the points it accepted, its seed
-    included, since the last one can lie far above it.
-    """
-    free_P = P is None
-    n = plant.A.shape[0]
-    shape = (free_P + with_Pi, n, n)
-    eye = np.eye(shape[0] * n * n)
-
-    def pair(y):
-        Y = y.reshape(shape)
+    def pair(x):
+        Y = np.tensordot(x.reshape(k, -1), E, 1)
         P_ = Y[0] if free_P else P
         return _Pair(plant, P_, Y[-1] if with_Pi else P_, N, tol)
 
-    def project(y):
-        return symmetrize(y.reshape(shape)).ravel()
+    def lmi(x):
+        L = [X for X, f in zip(pair(x).lmi_blocks(), (free_P, with_Pi)) if f]
+        return L[0] if k == 1 else np.block([[L[0], 0 * L[1]], [0 * L[0], L[1]]])
 
-    def rejection(p, rnorm, done, best):
-        if rnorm > tol.residual_tol:
-            return (f"no steady state after {done:g} pseudo-time units "
-                    f"(smallest |residual| = {best:.3g})")
-        min_eig = float(np.linalg.eigvalsh(p.Ups).min())
-        if min_eig < -tol.residual_tol:
-            return f"converged but Upsilon indefinite (min eig {min_eig:.3g})"
-        if free_P:
-            ok, absc = is_hurwitz(lift_msq(*p.individual_loop()), tol)
-            if not ok:
-                return f"converged to a non-stabilizing root (lifted abscissa {absc:.3g})"
-        if with_Pi:
-            ok, absc = is_hurwitz(p.aggregate_loop[0], tol)
-            if not ok:
-                return f"aggregate closed loop not Hurwitz (abscissa {absc:.3g})"
-        return None
+    units = np.eye(k * i.size)
+    L0 = lmi(np.zeros(len(units)))
+    G = np.stack([lmi(e) - L0 for e in units])
+    basis = np.kron(np.eye(k), E.reshape(i.size, -1).T)
+    return L0, G, np.tile(i == j, k).astype(float), pair, basis
 
-    failures = []
-    for c in _SEEDS:
-        y = np.tile(c * np.eye(n), (shape[0], 1, 1)).ravel()
-        p = pair(y)
-        F = p.residuals(free_P, with_Pi)
-        r, delta, done = np.linalg.norm(F), 0.05, 0.0
-        best = r
-        for _ in range(2000):
-            dy = np.linalg.lstsq(eye / delta - p.jacobian(free_P, with_Pi), F, rcond=None)[0]
-            yn = project(y + dy)
-            pn = pair(yn)
-            Fn = pn.residuals(free_P, with_Pi)
-            rn = np.linalg.norm(Fn)
-            if r <= tol.residual_tol and not rn < r:
-                break
-            if rn < 2.0 * r:
-                done += delta
-                delta = min(delta * max(1.0, r / rn), 1e15) if rn > 0 else 1e15
-                y, p, F, r = yn, pn, Fn, rn
-                best = min(best, r)
-            else:
-                delta /= 4.0
-                if delta < 1e-12:
-                    break
-        why = rejection(p, r, done, best)
-        if why is None:
-            return p
-        failures.append(f"seed {c}: {why}")
-    raise SolverError(
-        "algebraic Riccati solve failed for every terminal seed: " + "; ".join(failures)
-    )
+
+def _lmi_phase_one(plant: _Plant, tol: Tolerance):
+    """``linalg.lmi_phase_one`` on the limit-form P block, L(P) = [[A'P + PA
+    + C'PC + Q, Psi'], [Psi, Ups]] >= 0: (P, t, Z, margin), P its last point."""
+    L0, G, _, pair, _ = _riccati_lmi(plant, None, tol, with_Pi=False)
+    x, t, Z, margin = lmi_phase_one(L0, G, 10.0 * tol.residual_tol)
+    return pair(x).P, t, Z, margin
+
+
+def _pair_root(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True) -> _Pair:
+    """Stabilizing root of the steady pair equations in P (unless given) and
+    Pi (if with_Pi): the maximal point of their Riccati LMI, polished.
+
+    Phase I verifies a certificate Z that the LMI is infeasible, which
+    SolverError carries, or reaches its interior.  A root with Upsilon >= 0
+    and its gains in range makes L the residual F in the top-left blocks
+    plus a positive semidefinite matrix, so <Z, L> >= -|F| excludes it (a
+    gain outside the range of a singular Ups is ``check_ranges``' to refuse).
+    Phase II climbs the barrier path to a duality gap of _MAXIMAL_GAP, or
+    stops on a ray: the maximal point is unbounded.  An empty interior (Ups
+    = 0 when D = R = 0) leaves phase I at t <= 0 without a certificate, and
+    its last point is polished.  Newton steps with ``_Pair.jacobian`` are
+    taken while |F| falls.  The root is accepted if |F| <= residual_tol,
+    Upsilon >= 0, and a free P (Pi) makes the individual loop mean-square
+    stable (the aggregate loop Hurwitz).
+    """
+    free_P = P is None
+    subject, point = {(True, False): ("the P equation has", "P"),
+                      (False, True): ("the Pi equation has", "Pi"),
+                      (True, True): ("the P and Pi equations have", "(P, Pi)")}[free_P, with_Pi]
+    L0, G, c, pair, basis = _riccati_lmi(plant, N, tol, P, with_Pi)
+    x, t, Z, margin = lmi_phase_one(L0, G, 10.0 * tol.residual_tol)
+    if Z is not None:
+        raise SolverError(
+            f"{subject} no root with Upsilon >= 0 and the gain in its range: the "
+            f"Riccati LMI is infeasible, certified by Z >= 0 with tr Z = 1 and "
+            f"<Z, L({point.strip('()')})> = {margin:.3g} for every {point}, so "
+            f"|residual| >= {-margin:.3g} at every such {point}", certificate=Z)
+    if t > 0.0:
+        x, ray = lmi_phase_two(L0, G, c, x, _MAXIMAL_GAP)
+        if ray is not None:
+            raise SolverError(
+                f"{subject} no stabilizing root: the maximal point of the Riccati LMI "
+                f"is unbounded (the barrier path found a ray along which the LMI "
+                f"grows and the trace of {point} rises without bound)")
+    p = pair(x)
+    F = p.residuals(free_P, with_Pi)
+    r = np.linalg.norm(F)
+    for _ in range(_POLISH_STEPS):
+        xn = x + np.linalg.lstsq(p.jacobian(free_P, with_Pi) @ basis, -F, rcond=None)[0]
+        pn = pair(xn)
+        Fn = pn.residuals(free_P, with_Pi)
+        rn = np.linalg.norm(Fn)
+        if not rn < r:
+            break
+        x, p, F, r = xn, pn, Fn, rn
+
+    why = None
+    if r > tol.residual_tol:
+        why = f"the Newton polish stops at |residual| = {r:.3g}"
+    elif (min_eig := float(np.linalg.eigvalsh(p.Ups).min())) < -tol.residual_tol:
+        why = f"Upsilon is indefinite there (min eig {min_eig:.3g})"
+    elif free_P and not (hur := is_hurwitz(lift_msq(*p.individual_loop()), tol))[0]:
+        why = f"it is a non-stabilizing root (lifted abscissa {hur[1]:.3g})"
+    elif with_Pi and not (hur := is_hurwitz(p.aggregate_loop[0], tol))[0]:
+        why = f"its aggregate closed loop is not Hurwitz (abscissa {hur[1]:.3g})"
+    if why is not None:
+        raise SolverError(f"{subject} no stabilizing root: the maximal point of the "
+                          f"Riccati LMI is no acceptable root, since {why}")
+    return p
+
+
+def _stochastic_are_root(A, B, C, D, Q, R, tol: Tolerance) -> _Pair:
+    """The pair at the stabilizing root of ``solve_stochastic_are``'s equation."""
+    A, B, C, D, Q, R = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C, D, Q, R))
+    # no Pi equation here, so its drift and weight slots are placeholders
+    return _pair_root(_Plant(A, B, C, D, Q, R, A, Q), None, tol, with_Pi=False)
 
 
 def solve_stochastic_are(A, B, C, D, Q, R, tol: Tolerance = DEFAULT_TOL):
@@ -586,12 +581,13 @@ def solve_stochastic_are(A, B, C, D, Q, R, tol: Tolerance = DEFAULT_TOL):
         A'X + XA + C'XC + Q - Psi' Ups^+ Psi = 0,  Psi = B'X + D'XC,
         Ups = R + D'XD,
 
-    with Ups >= 0 and a mean-square stable closed loop.  Returns (X, |residual|);
-    raises SolverError with the per-seed diagnostics if no seed reaches one.
+    with Ups >= 0 and a mean-square stable closed loop: the maximal point of
+    its Riccati LMI, polished by Newton (``_pair_root``).  Returns (X,
+    |residual|); raises SolverError with the reason when there is none: an
+    infeasibility certificate, an unbounded maximal point, or a maximal
+    point that is no acceptable root.
     """
-    A, B, C, D, Q, R = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C, D, Q, R))
-    # no Pi equation here, so its drift and weight slots are placeholders
-    pair = _pair_root(_Plant(A, B, C, D, Q, R, A, Q), None, tol, with_Pi=False)
+    pair = _stochastic_are_root(A, B, C, D, Q, R, tol)
     return pair.P, np.linalg.norm(symmetrize(pair.residual_P()))
 
 
@@ -642,10 +638,7 @@ def _solve_steady(spec: ProblemSpec, tol: Tolerance, t_sim: float, N: int | None
 
     The limit form's P equation does not involve Pi, so P is solved (or
     pinned) first and Pi second; the population form solves (P, Pi) jointly.
-    A pinned P's own residual is still computed and reported.  An unpinned
-    limit-form P is searched only after phase I of its Riccati LMI; a
-    verified infeasibility certificate raises SolverError carrying it as
-    ``certificate``, without running the continuation.
+    A pinned P's own residual is still computed and reported.
     """
     require_valid(spec)
     if not spec.infinite_horizon:
@@ -653,17 +646,8 @@ def _solve_steady(spec: ProblemSpec, tol: Tolerance, t_sim: float, N: int | None
     _check_positive(t_sim, "t_sim")
     dw = derive_weights(spec)
     plant = _plant(spec, dw)
-    P = None
-    if pin_P is not None:
-        P = symmetrize(np.atleast_2d(np.asarray(pin_P, dtype=float)))
-    elif N is None:
-        _, _, Z, margin = _lmi_phase_one(plant, tol)
-        if Z is not None:
-            raise SolverError(
-                f"the P equation has no root with Upsilon >= 0 and the gain in its "
-                f"range: the Riccati LMI is infeasible, certified by Z >= 0 with "
-                f"tr Z = 1 and <Z, L(P)> = {margin:.3g} for every P, so "
-                f"|residual| >= {-margin:.3g} at every such P", certificate=Z)
+    P = None if pin_P is None else symmetrize(np.atleast_2d(np.asarray(pin_P, dtype=float)))
+    if P is None and N is None:
         P = _pair_root(plant, None, tol, with_Pi=False).P
     pair = _pair_root(plant, N, tol, P=P)
     grid, s, xbar, absc = _offset_and_mean(spec, dw, pair, tol, t_sim)

@@ -69,7 +69,8 @@ class AsymptoticValue:
 def _centralized_law(spec: ProblemSpec, N: int, t_sim: float | None,
                      tol: Tolerance = DEFAULT_TOL):
     """The population-N optimal feedback; t_sim is the infinite-horizon
-    solve's pseudo-time and is not read on a finite horizon."""
+    solve's offset and mean-field horizon and is not read on a finite
+    horizon."""
     if spec.infinite_horizon:
         sol = solve_are_N(spec, tol, t_sim=t_sim, N=N)
     else:

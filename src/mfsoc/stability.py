@@ -2,8 +2,8 @@
 
 Mean-square stability is decided on the lifted second-moment operator.
 Stabilizability is decided constructively through a definite-weight
-algebraic Riccati solve whose gain is re-verified on the lift.  Exact
-detectability of a state-dependent-noise pair is decided by a spectral
+algebraic Riccati solve, which accepts only a gain verified on the lift.
+Exact detectability of a state-dependent-noise pair is decided by a spectral
 surrogate on the forward second-moment operator (eigenvectors with
 non-negative real part must be visible through the output map); for zero
 diffusion it reduces to the deterministic PBH test.  Uniform convexity of
@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, sym_sqrt_psd, symmetrize
+from .linalg import (DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, spectral_abscissa, sym_sqrt_psd,
+                     symmetrize)
 from .model import ProblemSpec, _check_population
-from .riccati import (RiccatiInfiniteSolution, SolverError, _Pair, _Plant, _plant, _range_report,
-                      _solution_pair, _solve_finite, solve_are, solve_stochastic_are)
+from .riccati import (RiccatiInfiniteSolution, SolverError, _Pair, _plant, _range_report,
+                      _solution_pair, _solve_finite, _stochastic_are_root, solve_are)
 
 
 def check_ms_stable(A, C, tol: Tolerance = DEFAULT_TOL):
@@ -38,20 +39,17 @@ def check_ms_stable(A, C, tol: Tolerance = DEFAULT_TOL):
 def check_stabilizable(A, B, C, D, tol: Tolerance = DEFAULT_TOL):
     """Mean-square stabilizability, decided constructively.
 
-    Solves the definite-weight (Q = R = I) Riccati equation; on success the
-    induced gain -Ups^+ Psi and its closed loop, read from the pair algebra,
-    are re-verified on the lift.  Returns (verdict, gain_or_None, diagnostic).
+    Solves the definite-weight (Q = R = I) Riccati equation, whose root
+    routine accepts only a gain -Ups^+ Psi whose closed loop is mean-square
+    stable on the lift; the gain and the lifted abscissa are read from the
+    root's pair.  Returns (verdict, gain_or_None, diagnostic).
     """
-    A, B, C, D = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C, D))
-    Q, R = np.eye(B.shape[0]), np.eye(B.shape[1])
+    B, D = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (B, D))
     try:
-        P, _ = solve_stochastic_are(A, B, C, D, Q, R, tol)
+        pair = _stochastic_are_root(A, B, C, D, np.eye(B.shape[0]), np.eye(B.shape[1]), tol)
     except SolverError as exc:
         return False, None, f"definite-weight Riccati solve failed: {exc}"
-    pair = _Pair(_Plant(A, B, C, D, Q, R, A, Q), P, P, None, tol)
-    ok, absc = check_ms_stable(*pair.individual_loop(), tol)
-    if not ok:
-        return False, None, f"candidate gain not stabilizing (lifted abscissa {absc:.3g})"
+    absc = spectral_abscissa(lift_msq(*pair.individual_loop()))
     return True, -pair.Ui @ pair.Psi, f"lifted closed-loop abscissa {absc:.3g}"
 
 

@@ -1,5 +1,6 @@
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from mfsoc.linalg import (BlowUpError, Tolerance, central_path, integrate_ode, i
                           symmetrize)
 from mfsoc.model import ProblemSpec, constant_signal, derive_weights, zero_signal
 from mfsoc.riccati import (
-    _SEEDS,
     RiccatiInfiniteSolution,
     SolverError,
     _Pair,
@@ -592,32 +592,139 @@ def test_pinned_solve_reports_residual(spec_sec6):
 
 
 def test_unsolvable_equation_raises(spec_sec6):
-    # the continuation fails from every seed ...
+    # the root routine refuses sec6's P equation with the LMI certificate,
+    # and solve_are reports the same refusal
     plant, tol = _plant(spec_sec6), Tolerance()
     with pytest.raises(SolverError) as exc:
         _pair_root(plant, None, tol, with_Pi=False)
-    assert "seed" in str(exc.value)
-    # ... and solve_are decides the same from the LMI certificate alone
-    with pytest.raises(SolverError) as exc:
-        solve_are(spec_sec6, t_sim=10.0)
     margin = certificate_margin(plant, exc.value.certificate, tol)
     assert f"<Z, L(P)> = {margin:.3g}" in str(exc.value)
+    with pytest.raises(SolverError) as again:
+        solve_are(spec_sec6, t_sim=10.0)
+    assert str(again.value) == str(exc.value)
+    np.testing.assert_array_equal(again.value.certificate, exc.value.certificate)
 
 
-def test_no_root_reports_smallest_residual(spec_sec6):
-    # a seed without a root reports the smallest |F| it reached, never more
-    # than |F(c I)| at its start, however far its last step strayed
+# the three ways a steady solve is refused, as its message names them
+REFUSALS = {"certified": "the Riccati LMI is infeasible, certified by",
+            "unbounded": "the maximal point of the Riccati LMI is unbounded",
+            "not_acceptable": "the maximal point of the Riccati LMI is no acceptable root"}
+
+
+def refusal(exc):
+    (reason,) = [k for k, text in REFUSALS.items() if text in str(exc)]
+    return reason
+
+
+def test_no_root_reports_the_refusal_reason(spec_sec6):
+    tol = Tolerance(ode_step=1e-2)
+    # a certificate: sec6's P equation (see test_lmi_phase_one_on_the_scalar_files)
     with pytest.raises(SolverError) as exc:
-        _pair_root(_plant(spec_sec6), None, Tolerance(), with_Pi=False)
-    reported = {float(c): float(v) for c, v in re.findall(
-        r"seed ([\d.]+): no steady state [^;]*smallest \|residual\| = ([^)]+)\)",
-        str(exc.value))}
-    assert sorted(reported) == sorted(_SEEDS)
-    plant, tol = _plant(spec_sec6), Tolerance()
-    for c, res in reported.items():
-        start = c * np.eye(spec_sec6.n)
-        r0 = np.linalg.norm(_Pair(plant, start, start, None, tol).residuals(True, False))
-        assert res <= float(f"{r0:.3g}")
+        _pair_root(_plant(spec_sec6), None, tol, with_Pi=False)
+    assert refusal(exc.value) == "certified" and exc.value.certificate is not None
+    # an unbounded maximal point: dx = 0.5x dt + u dW cannot be stabilized, and
+    # L(P) = diag(P + 1, 1 + P) >= 0 for every P >= -1
+    with pytest.raises(SolverError) as exc:
+        solve_stochastic_are(0.5, 0.0, 0.0, 1.0, 1.0, 1.0, tol)
+    assert refusal(exc.value) == "unbounded" and exc.value.certificate is None
+    assert "trace of P rises without bound" in str(exc.value)
+    # a maximal point that is a root, but not a stabilizing one
+    with pytest.raises(SolverError) as exc:
+        _pair_root(_random_plant(False, 15), 1, tol)
+    assert refusal(exc.value) == "not_acceptable" and exc.value.certificate is None
+    absc = float(re.search(r"non-stabilizing root \(lifted abscissa ([^)]+)\)", str(exc.value))[1])
+    assert absc >= 0.0
+
+
+def test_refused_steady_solves_warn_nothing():
+    # every branch of the random sweep (limit P, Pi at a pinned P, the joint
+    # pair at N = 3 and N = 1) with warnings as errors: no refusal, of any
+    # of the three kinds, lets a RuntimeWarning escape
+    tol = Tolerance(ode_step=1e-2)
+    outcomes = dict.fromkeys(["root", *REFUSALS], 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shifted in (False, True):
+            for seed in range(30):
+                plant = _random_plant(shifted, seed)
+                pin = np.eye(plant.A.shape[0])
+                for N, pinned, with_Pi in ((None, False, False), (None, True, True),
+                                           (3, False, True), (1, False, True)):
+                    try:
+                        root = _pair_root(plant, N, tol, P=pin if pinned else None,
+                                          with_Pi=with_Pi)
+                    except SolverError as exc:
+                        outcomes[refusal(exc)] += 1
+                        continue
+                    outcomes["root"] += 1
+                    if not with_Pi:
+                        pin = root.P
+    assert all(outcomes.values()), outcomes
+
+
+def pair_lmi(plant, P, Pi, N):
+    """The population-N Riccati LMI of (P, Pi), written out term by term:
+    diag(L_P, L_Pi) with M = P + (Pi - P)/N in the diffusion."""
+    A, B, C, D, Q, R, AG, Q_agg = plant
+    M = P + (Pi - P) / N
+    CMC, DMC, Ups = C.T @ M @ C, D.T @ M @ C, R + D.T @ M @ D
+    L_P = np.block([[A.T @ P + P @ A + CMC + Q, (B.T @ P + DMC).T], [B.T @ P + DMC, Ups]])
+    L_Pi = np.block([[AG.T @ Pi + Pi @ AG + CMC + Q_agg, (B.T @ Pi + DMC).T],
+                     [B.T @ Pi + DMC, Ups]])
+    zero = np.zeros(L_P.shape)
+    return np.block([[L_P, zero], [zero, L_Pi]])
+
+
+def test_population_refusal_carries_a_certificate(spec_sec6):
+    # sec6 at N = 50 has no steady pair: the joint LMI of (P, Pi) is certified
+    # infeasible, with <Z, L(P, Pi)> the same negative margin everywhere
+    tol = Tolerance()
+    with pytest.raises(SolverError) as exc:
+        solve_are_N(spec_sec6, tol, t_sim=10.0, N=50)
+    Z = exc.value.certificate
+    plant, zero, one = _plant(spec_sec6), np.zeros((1, 1)), np.ones((1, 1))
+    L0 = pair_lmi(plant, zero, zero, 50)
+    assert np.linalg.eigvalsh(Z)[0] >= 0.0
+    assert np.trace(Z) == pytest.approx(1.0, abs=1e-14)
+    for P, Pi in ((one, zero), (zero, one)):
+        dL = pair_lmi(plant, P, Pi, 50) - L0
+        assert abs(np.sum(Z * dL)) <= 1e-12 * (1.0 + np.abs(dL).max())
+    margin = np.sum(Z * L0)
+    assert margin < -tol.residual_tol
+    assert f"<Z, L(P, Pi)> = {margin:.3g} for every (P, Pi)" in str(exc.value)
+
+
+def stacked_lmi(plant, P, K, N):
+    """The N-agent Riccati LMI at I (x) P + (11'/N) (x) K, written out in
+    N n dimensions: drift I (x) A + (11'/N) (x) G, social state weight
+    I (x) Q - (11'/N) (x) Q_Gamma, and agent i's own noise, which loads its
+    state and control through e_i e_i' (x) C and e_i e_i' (x) D."""
+    A, B, C, D, Q, R, AG, Q_agg = plant
+    I, J = np.eye(N), np.ones((N, N)) / N
+    X = np.kron(I, P) + np.kron(J, K)
+    As = np.kron(I, A) + np.kron(J, AG - A)
+    noise = [(np.kron(np.outer(e, e), C), np.kron(np.outer(e, e), D)) for e in I]
+    top = As.T @ X + X @ As + sum(Cs.T @ X @ Cs for Cs, _ in noise) \
+        + np.kron(I, Q) - np.kron(J, Q - Q_agg)
+    Psi = np.kron(I, B).T @ X + sum(Ds.T @ X @ Cs for Cs, Ds in noise)
+    Ups = np.kron(I, R) + sum(Ds.T @ X @ Ds for _, Ds in noise)
+    return np.block([[top, Psi.T], [Psi, Ups]])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_stacked_lmi_splits_into_the_pair_blocks(N):
+    # the stacked LMI is orthogonally similar to diag(I_(N-1) (x) L_P, L_Pi),
+    # with L_P and L_Pi the blocks of _Pair.lmi_blocks: only L_Pi at N = 1
+    rng = np.random.default_rng(40 + N)
+    tol = Tolerance()
+    for n, r in ((1, 1), (2, 1), (3, 2)):
+        plant = _random_noisy_plant(rng, n, r)
+        P, Pi = (symmetrize(rng.standard_normal((n, n))) for _ in range(2))
+        L_P, L_Pi = (symmetrize(L) for L in _Pair(plant, P, Pi, N, tol).lmi_blocks())
+        want = np.sort(np.concatenate([np.tile(np.linalg.eigvalsh(L_P), N - 1),
+                                       np.linalg.eigvalsh(L_Pi)]))
+        got = np.linalg.eigvalsh(stacked_lmi(plant, P, Pi - P, N))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_offset_decays(spec_wellposed, sol_wellposed):
