@@ -449,11 +449,20 @@ def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance
     """Deterministic mean-field trajectory induced by a finite-horizon triple.
 
     Forward ODE for xbar on the solution grid; the triple is interpolated
-    once onto the RK4 stage times.  Returns (grid, xbar).
+    once onto the RK4 stage times.  Returns (grid, xbar).  A blow-up of the
+    integration raises SolverError with its time.
     """
     ts = rk4_grid(0.0, spec.horizon, tol.ode_step)
     P, K, s, _ = sol.at(ts)
-    return _Pair(_plant(spec), P, P + K, sol.population, tol).mean_path(spec, s, ts, tol.ode_step)
+    try:
+        return _Pair(_plant(spec), P, P + K, sol.population, tol).mean_path(
+            spec, s, ts, tol.ode_step)
+    except BlowUpError as exc:
+        raise SolverError(
+            f"mean-field integration blew up at t={exc.time:.6g} (the forcing f, "
+            f"sigma or eta drives the mean out of range before the horizon)",
+            escape_time=exc.time,
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

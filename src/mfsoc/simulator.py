@@ -21,22 +21,33 @@ so no stream stays open.  A longer horizon builds the max(N) streams of
 each replication once (`model.agent_rngs`), keeps them open and draws one
 time block at a time into a reused buffer, so its width does not depend
 on the horizon.  A stream drawn in pieces yields the same normals as one
-draw, so the two draws are bit-identical.  Each step scales its column of
-the buffer, in place of a transposed copy, into one increment vector, and
-every pair steps on its first N columns, so a gap curve draws each shared
-stream once, in one pass.  Each pair's state is held as (n, replications, agents) and each
-step is a few broadcast multiply-adds (`linalg.matvec`, without BLAS) on
-its own `synthesis._loop_tables`: the four terms affine in the live
-average come from one stacked table.  The Euler arithmetic and every
-reduction over agents run in fixed index order, so outputs are
-bit-identical for a given configuration; the running cost is a plain sum
-over the interior knots plus the trapezoid's endpoint halves.
+draw, so the two draws are bit-identical.  A segment of knots scales its
+columns of the buffer, in place of a transposed copy of the block, into
+one increment row per knot, and every pair steps on its first N columns,
+so a gap curve draws each shared stream once, in one pass.
+
+Each knot runs only the state recursion: the live average (N > 1), the
+drift and diffusion terms it drives and the Euler step, as broadcast
+multiply-adds (`linalg.matvec`, without BLAS) on the pair's own
+`synthesis._loop_tables`.  The new state goes into the pair's slab of S
+knots, (S, n, replications, agents), where S is the pair's share of
+_SLAB_STATES agent-states: 163 knots for a run of 50 agents, one for the
+widest.  Everything read off the states is evaluated once per slab,
+broadcast over its knots: the controls, the running cost, the consistency
+error, the thinned moments and collected agents, and the divergence test.
+The tables the evaluation reads are laid out once per pair, so a slab
+takes a plain slice.  The per-element arithmetic is that of one knot, the
+running-cost and consistency sums add knot by knot in time order, and
+every reduction over agents runs in fixed index order, so outputs are
+bit-identical for a given configuration whatever S is; the running cost is
+a plain sum over the interior knots plus the trapezoid's endpoint halves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +64,14 @@ _MAX_WIDTH = 20000      # replications x agents stepped together
 # streams (about 780 B each) take about one block buffer, so the factor 2
 # keeps the widest chunks' noise memory where it was
 _BLOCK_ELEMS = 1 << 21
+# agent-states in one pair's slab of knots, and in a segment of scaled
+# increments.  The slab's evaluation costs a few dozen numpy calls whatever
+# its length, so a narrow run (50 agents) pays them once per 163 knots; the
+# shared scratch, 4 floats per state and the segment's increments, stays a
+# small fraction of one block buffer
+_SLAB_STATES = _BLOCK_ELEMS >> 8
 _DIVERGE = 1e12
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 class DivergenceError(RuntimeError):
@@ -105,6 +123,11 @@ class SimulationOutput:
     tail_bound: float
     trajectories: np.ndarray | None = None   # (agents, m, n), replication 0
     controls: np.ndarray | None = None       # (agents, m, r), replication 0
+    # how the run was stepped: chunk_width (replications per chunk), chunks,
+    # slab_knots (this pair's slab length), draw ("whole" or "open streams")
+    # and the seconds of the whole batch spent on noise (stream set-up, draws
+    # and column scaling), on the recursion and on slab evaluation
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _quad(M, V, out, tmp):
@@ -119,6 +142,18 @@ def _quad(M, V, out, tmp):
     return out
 
 
+def _segments(steps, block, seg):
+    """The segments [k, e) of knots 0 .. steps, each with the end e2 of the
+    next: at most seg knots within one time block, and the last knot alone."""
+    def end(k):
+        return steps + 1 if k >= steps else min(k + seg, (k // block + 1) * block, steps)
+    k, e = 0, end(0)
+    while k <= steps:
+        e2 = end(e)
+        yield k, e, e2
+        k, e = e, e2
+
+
 def _tail_bound(spec, run, integrand_end):
     """Truncation-error estimate: end integrand over twice the decay rate of
     the closed loop's last knot."""
@@ -130,43 +165,202 @@ def _tail_bound(spec, run, integrand_end):
 
 class _Run:
     """One (law, N) pair of a batch: its closed-loop tables, its accumulators
-    over replications and, within a chunk, its own state."""
+    over replications and, within a chunk, its slab of states.
 
-    def __init__(self, spec, law, N, tgrid, coupling, reps, m_thin, collect_agents):
-        self.A, self.C, self.F, self.wcoef, woff = _loop_tables(spec, law, tgrid, coupling)
-        self.woff = woff[:, :, None]
-        self.N = N
-        self.xb = law.xbar_at(tgrid)
-        self.live = bool(np.any(self.wcoef))
+    Slot s of the slab holds the state at knot k0 + s.  `knot` steps one
+    knot; the knot that closes a slab first evaluates it (`evaluate`) and
+    then steps into slot 0, so no state is ever copied between slots and a
+    slab of one knot steps in place.  The tables the evaluation reads carry
+    their knots on a middle axis, so a slab takes a plain slice of them.
+    """
+
+    def __init__(self, spec, law, N, tgrid, coupling, cfg, m_thin, collect_agents, slab):
+        n, r = spec.n, spec.r
+        self.A, self.C, F, W, o = _loop_tables(spec, law, tgrid, coupling)
+        self.N, self.S, self.r = N, slab, r
+        self.Q, self.R = spec.Q, spec.R
+        self.steps, self.dt, self.th, self.m_thin = tgrid.size - 1, cfg.dt, cfg.thinning, m_thin
+        self.live = bool(np.any(W))
+        # the recursion forms the four w-terms knot by knot; a slab of one
+        # knot reads its control and cost-deviation rows in place, a longer
+        # one forms them again from its averages
+        self.W, self.o = W, o[:, :, None]
+        self.dxo, self.cxo = o[:, r:r + n, None, None], o[:, r + n:r + 2 * n, None, None]
+        self.Wu, self.We = (np.moveaxis(M, 0, 2)[..., None]      # (r or n, n, t, 1)
+                            for M in (W[:, :r], W[:, r + 2 * n:]))
+        self.ou_t, self.ex_t = o[:, :r].T[..., None], o[:, r + 2 * n:].T[..., None]
+        self.F = np.moveaxis(F, 0, 2)[..., None, None]          # (r, n, t, 1, 1)
+        self.xb = law.xbar_at(tgrid)[:, :, None]                # (t, n, 1)
         self.agent_cost = np.zeros(N)
-        self.rep_social = np.empty(reps)
-        self.rep_consist = np.empty(reps)
+        self.rep_social = np.empty(cfg.replications)
+        self.rep_consist = np.empty(cfg.replications)
         self.sm_state = np.zeros(m_thin)
         self.sm_ctrl = np.zeros(m_thin)
         self.traj = np.zeros((collect_agents, m_thin, spec.n)) if collect_agents else None
         self.ctrls = np.zeros((collect_agents, m_thin, spec.r)) if collect_agents else None
         self.end_integrand = 0.0
+        self.eval_s = 0.0
 
-    def begin(self, X0, dw, bufs, r):
-        """Enter a chunk: the first N agents of the shared (n, B, max N)
-        initial state and of the (B, max N) increments dw, the four w-terms
-        (ou, dx, cx, ex) as row blocks of one buffer, and the step scratch
-        (U, dev, drift, diff, quad, tmp) as leading slices of the shared
-        flat buffers."""
+    def begin(self, X0, dws, bufs, collect):
+        """Enter a chunk: slot 0 takes the first N agents of the shared
+        (n, B, max N) initial state, the step reads its columns of the
+        (segment, B, max N) increments dws, and the step and evaluation
+        scratch are leading slices of the shared flat buffers."""
         n, B, _ = X0.shape
-        N = self.N
-        self.X = X0[:, :, :N].copy()
-        self.dw = dw[:, :N]
-        self.xavg = self.X[:, :, 0] if N == 1 else np.empty((n, B))
-        self.wterms = np.empty((r + 3 * n, B))
-        self.ou, self.dx, self.cx, self.ex = np.split(self.wterms[:, :, None],
-                                                      [r, r + n, r + 2 * n])
+        N, S = self.N, self.S
+        self.Xs = np.empty((S, n, B, N))
+        self.Xs[0] = X0[:, :, :N]
+        self.k0 = self.latest = 0
+        self.xav = self.Xs[..., 0] if N == 1 else np.empty((S, n, B))
+        self.dws = dws[:, :, :N]
+        self.cerr = np.empty((S + 1, B))      # row 0: the previous slab's last knot
         self.cost = np.zeros((B, N))
         self.consist = np.zeros(B)
-        self.l0, self.lrun = np.empty((B, N)), np.empty((B, N))
-        self.prev_c = None
-        shapes = [(r, B, N)] + [(n, B, N)] * 3 + [(B, N)] * 2
-        self.scratch = [buf[:math.prod(s)].reshape(s) for buf, s in zip(bufs, shapes)]
+        self.l0 = np.empty((B, N))
+        self.collect = collect
+        self.drift, self.diff = (buf[:n * B * N].reshape(n, B, N) for buf in bufs[:2])
+        # the four w-terms of the current knot (ou, dx, cx, ex), which a slab
+        # of that knot alone reads in place
+        self.wt = bufs[2][:(self.r + 3 * n) * B].reshape(self.r + 3 * n, B)
+        ou, self.dx, self.cx, ex = np.split(self.wt[:, :, None],
+                                            [self.r, self.r + n, self.r + 2 * n])
+        self.ou, self.ex = ou[:, None], ex[:, None]
+        self.bufs, self.views = bufs[3:], {}     # U, dev, lrun and tmp
+
+    def slab_views(self, m):
+        """The states, averages and evaluation scratch of a slab of m knots,
+        each also with its knot axis second where matvec needs it, and the
+        consistency rows; kept for the chunk, whose slabs take few lengths.
+        The control-cost term shares the deviations' buffer, which is free
+        by then."""
+        if m not in self.views:
+            _, n, B, N = self.Xs.shape
+            U, dev, lrun, tmp, quad = (buf[:k * m * B * N].reshape(m, k, B, N)
+                                       for buf, k in zip(self.bufs + self.bufs[1:2],
+                                                         (self.r, n, 1, 1, 1)))
+            Xs, xav, c = self.Xs[:m], self.xav[:m], self.cerr
+            self.views[m] = (Xs, Xs.transpose(1, 0, 2, 3), xav, xav.transpose(1, 0, 2),
+                             U, U.transpose(1, 0, 2, 3), dev, dev.transpose(1, 0, 2, 3),
+                             lrun[:, 0], tmp[:, 0], quad[:, 0], c[:m], c[1:m + 1])
+        return self.views[m]
+
+    def knot(self, k, g, closes):
+        """Knot k: the live average and the step's w-terms, the slab's
+        evaluation if k closes it, then the Euler step on the increments of
+        segment row g.  Returns True if the evaluated slab diverged."""
+        s = k - self.k0
+        X = self.Xs[s]
+        if self.live:
+            xk = self.xav[s]
+            if self.N > 1:
+                np.add.reduce(X, axis=2, out=xk)     # X.mean(axis=2), bit for bit
+                xk /= self.N
+            matvec(self.W[k], xk, self.wt)
+            self.wt += self.o[k]
+            dx, cx = self.dx, self.cx
+        else:
+            dx, cx = self.dxo[k], self.cxo[k]
+        if closes:
+            t = time.perf_counter()
+            diverged = self.evaluate(k + 1)
+            self.eval_s += time.perf_counter() - t
+            if diverged or k == self.steps:
+                return diverged
+            nxt, self.k0 = self.Xs[0], k + 1
+        else:
+            nxt = self.Xs[s + 1]
+        drift, diff = self.drift, self.diff
+        matvec(self.A[k], X, drift)
+        drift += dx
+        drift *= self.dt
+        matvec(self.C[k], X, diff)
+        diff += cx
+        diff *= self.dws[g]
+        np.add(X, drift, out=nxt)
+        nxt += diff
+        self.latest = k + 1
+        return False
+
+    def evaluate(self, k1):
+        """Everything read off the states of knots k0 .. k1 - 1: the
+        divergence test first (True if it fails), then the controls, the
+        running cost, the consistency error and the thinned records."""
+        k0, m, N, steps, dt = self.k0, k1 - self.k0, self.N, self.steps, self.dt
+        Xs, XT, xav, xavT, U, UT, dev, devT, lrun, tmp, quad, cprev, cnew = (
+            self.views.get(m) or self.slab_views(m))
+        first = 1 if k0 == 0 else 0       # the initial draw is not tested
+        tested = Xs[first:]
+        if tested.size and not (_max(tested, None) <= _DIVERGE
+                                and _min(tested, None) >= -_DIVERGE):
+            return True                       # also catches NaN
+        if not self.live:
+            if N > 1:
+                np.add.reduce(Xs, axis=3, out=xav)
+                xav /= N
+            ou, ex = self.ou_t[:, k0:k1, :, None], self.ex_t[:, k0:k1, :, None]
+        elif m == 1:
+            ou, ex = self.ou, self.ex
+        else:
+            ou, ex = (matvec(M[:, :, k0:k1], xavT)[..., None] for M in (self.Wu, self.We))
+            ou += self.ou_t[:, k0:k1, :, None]
+            ex += self.ex_t[:, k0:k1, :, None]
+        matvec(self.F[:, :, k0:k1], XT, UT)
+        UT += ou
+        np.subtract(XT, ex, out=devT)
+        _quad(self.Q, devT, lrun, tmp)
+        lrun += _quad(self.R, UT, quad, tmp)
+        if k0 == 0:
+            self.l0[...] = lrun[0]
+        # the knots between the endpoints are a plain sum; the trapezoid's
+        # endpoint halves are added at the last knot
+        for row in lrun[first:min(k1, steps) - k0]:
+            self.cost += row
+        # the consistency error's trapezoid pairs each knot from knot 1 on with
+        # the one before; row 0 of cerr holds the previous slab's last knot
+        np.add.reduce((xav - self.xb[k0:k1]) ** 2, axis=1, out=cnew)
+        pairs = cprev + cnew if k0 else cprev[1:] + cnew[1:]
+        pairs *= 0.5 * dt
+        for row in pairs:
+            self.consist += row
+        self.cerr[0] = cnew[-1]
+        for slots, rows in self.thinned(k0, k1):
+            Xt, Ut = Xs[slots], U[slots]
+            if self.collect:
+                self.traj[:, rows] = Xt[:, :, 0, :self.collect].transpose(2, 0, 1)
+                self.ctrls[:, rows] = Ut[:, :, 0, :self.collect].transpose(2, 0, 1)
+            sq = np.multiply(Xt, Xt, out=dev[:len(Xt)])
+            self.sm_state[rows] += np.add.reduce(sq.reshape(len(Xt), -1), axis=1) / N
+            Ut *= Ut
+            self.sm_ctrl[rows] += np.add.reduce(Ut.reshape(len(Ut), -1), axis=1) / N
+        if k1 > steps:
+            lT = lrun[steps - k0]
+            self.end_integrand += float(np.mean(np.abs(lT))) * lT.shape[0]
+            self.cost *= dt
+            lT += self.l0
+            lT *= 0.5 * dt
+            self.cost += lT
+        return False
+
+    def thinned(self, k0, k1):
+        """(slab slots, record rows) of the recorded knots in k0 .. k1 - 1:
+        every th-th knot, and the last one."""
+        th, steps, rec = self.th, self.steps, []
+        first = -k0 % th
+        if first < k1 - k0:
+            rec.append((slice(first, k1 - k0, th), slice((k0 + first) // th, (k1 - 1) // th + 1)))
+        if k1 > steps and steps % th:
+            rec.append((slice(steps - k0, steps - k0 + 1), slice(self.m_thin - 1, self.m_thin)))
+        return rec
+
+    def first_divergence(self):
+        """(knot, replication in the chunk, agent) of the first state of the
+        current slab, the initial draw aside, beyond _DIVERGE or NaN; or None."""
+        first = 1 if self.k0 == 0 else 0
+        bad = ~(np.abs(self.Xs[first:self.latest - self.k0 + 1]) <= _DIVERGE).all(axis=1)
+        if not bad.any():
+            return None
+        s, b, i = np.argwhere(bad)[0]
+        return self.k0 + first + s, b, i
 
 
 def simulate_population(spec: ProblemSpec, law: ControlLaw, cfg: SimConfig,
@@ -188,14 +382,15 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
 
     Per chunk of replications each of the max(N) streams of each
     replication is drawn once, whole or a time block at a time; every pair
-    steps its own (n, B, N) state on the first N columns of the increments,
+    steps its own slab of states on the first N columns of the increments,
     with its own closed-loop tables, so each pair's arithmetic is that of
     its call alone.  Chunks are sized by the widest pair, so a pair's sums over
     replications (its individual costs and second moments) move by rounding
     from its call alone only when that sizing splits its replications
     differently; per-replication results do not move.  coupling and
     collect_agents apply to every pair.  A divergence raises for the pair
-    that diverges first in time (first in order at the same step).
+    that diverges first in time (first in order at the same knot): when one
+    slab fails its test, every pair's states not yet tested are tested too.
     """
     if coupling not in ("empirical", "xbar"):
         raise ValueError("coupling must be 'empirical' or 'xbar'")
@@ -222,85 +417,39 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
     reps = cfg.replications
     N_max = max(N for _, N in checked)
     chunk = max(1, min(reps, _MAX_WIDTH // N_max))
+    # a segment of knots shares one (segment, W) block of scaled increments;
+    # a pair's slab holds its share of _SLAB_STATES, at least one segment
+    seg = max(1, min(steps, _SLAB_STATES // (chunk * N_max)))
+    whole = chunk * N_max * (n + steps) <= 2 * _BLOCK_ELEMS
     L0 = initial_chol(spec)
     sqdt = np.sqrt(dt)
-    w = 0.5 * dt
 
     thin_idx = np.arange(0, steps + 1, cfg.thinning)
     if thin_idx[-1] != steps:
         thin_idx = np.append(thin_idx, steps)
-    thin_mask = np.zeros(steps + 1, dtype=bool)
-    thin_mask[thin_idx] = True
-    thin_pos = np.cumsum(thin_mask) - 1
-    runs = [_Run(spec, law, N, tgrid, coupling, reps, thin_idx.size, collect_agents)
+    runs = [_Run(spec, law, N, tgrid, coupling, cfg, thin_idx.size, collect_agents,
+                 max(1, min(steps + 1, _SLAB_STATES // (chunk * N))))
             for law, N in checked]
-
-    def advance(run, k):
-        """Knot k of one pair: controls, running cost and records, then the
-        Euler step to k + 1 on its columns of the current increments."""
-        X, N, xavg = run.X, run.N, run.xavg
-        U, dev, drift, diff, quad, tmp = run.scratch
-        if N > 1:
-            np.add.reduce(X, axis=2, out=xavg)     # X.mean(axis=2), bit for bit
-            xavg /= N
-        if run.live:
-            matvec(run.wcoef[k], xavg, run.wterms)
-            run.wterms += run.woff[k]
-        else:
-            run.wterms[...] = run.woff[k]
-        matvec(run.F[k], X, U)
-        U += run.ou
-        # running cost at the current knot; the trapezoid's endpoint halves
-        # are added at the end, and the knots between are a plain sum
-        lrun = run.l0 if k == 0 else run.lrun
-        np.subtract(X, run.ex, out=dev)
-        _quad(spec.Q, dev, lrun, tmp)
-        lrun += _quad(spec.R, U, quad, tmp)
-        if 0 < k < steps:
-            run.cost += lrun
-        cerr = np.sum((xavg - run.xb[k][:, None]) ** 2, axis=0)
-        if run.prev_c is not None:
-            run.consist += w * (run.prev_c + cerr)
-        run.prev_c = cerr
-        if thin_mask[k]:
-            j = thin_pos[k]
-            run.sm_state[j] += np.sum(X * X) / N
-            run.sm_ctrl[j] += np.sum(U * U) / N
-            if collect_agents and done == 0:
-                run.traj[:, j] = X[:, 0, :collect_agents].T
-                run.ctrls[:, j] = U[:, 0, :collect_agents].T
-        if k == steps:
-            run.cost *= dt
-            np.add(run.l0, lrun, out=tmp)
-            tmp *= w
-            run.cost += tmp
-            run.end_integrand += float(np.mean(np.abs(lrun))) * X.shape[1]
-            return
-        matvec(run.A[k], X, drift)
-        drift += run.dx
-        drift *= dt
-        matvec(run.C[k], X, diff)
-        diff += run.cx
-        diff *= run.dw
-        X += drift
-        X += diff
-        if not np.abs(X, out=dev).max() <= _DIVERGE:     # also catches NaN
-            b_idx, i_idx = np.argwhere(~(dev <= _DIVERGE).all(axis=0))[0]
-            raise DivergenceError(tgrid[k + 1], i_idx, done + b_idx)
+    E = max(run.S * chunk * run.N for run in runs)
+    W = chunk * N_max
+    bufs = [np.empty(k) for k in (n * W, n * W, (r + 3 * n) * chunk, r * E, n * E, E, E)]
+    dws = np.empty(seg * W)
+    noise_s = loop_s = tail_s = 0.0
 
     done = 0
     while done < reps:
         B = min(chunk, reps - done)
         W = B * N_max
+        t0 = time.perf_counter()
         # one stream per (replication, agent), row w = b max(N) + i; each
         # stream gives its n initial normals first, then its increments in
-        # order, and step k reads column n + k % block in place.  A horizon
-        # that fits the bound is drawn whole, one row per stream, and no
-        # stream stays open; a longer one is drawn a block at a time from
+        # order, and a segment of knots scales its columns n + k % block.  A
+        # horizon that fits the bound is drawn whole, one row per stream, and
+        # no stream stays open; a longer one is drawn a block at a time from
         # open streams: the first draw fills the whole row, later ones
         # raw[:, n:]
         raw = gens = tails = None           # the last chunk's noise goes first
-        if W * (n + steps) <= 2 * _BLOCK_ELEMS:
+        if whole:
             raw = agent_normals(cfg.seed, range(done, done + B), range(N_max), n + steps)
             block = steps
         else:
@@ -310,33 +459,55 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
             for gen, row in zip(gens, raw):
                 gen.standard_normal(out=row)
             tails = [row[n:] for row in raw]
+        noise_s += time.perf_counter() - t0
         X0 = (spec.x0_mean[:, None] + matvec(L0, raw[:, :n].T)).reshape(n, B, N_max)
-        dw = np.empty(W)
-        bufs = [np.empty(k * W) for k in (r, n, n, n, 1, 1)]
+        dw = dws[:seg * W].reshape(seg, W)
         for run in runs:
-            run.begin(X0, dw.reshape(B, N_max), bufs, r)
-        for k in range(steps + 1):
-            if k < steps:
-                if k and k % block == 0:
-                    if steps - k < block:   # the last block is partial; no second list
-                        tails = (row[n:n + steps - k] for row in raw)
-                    for gen, tail in zip(gens, tails):
-                        gen.standard_normal(out=tail)
-                np.multiply(raw[:, n + k % block], sqdt, out=dw)
-            for run in runs:
-                advance(run, k)
+            run.begin(X0, dw.reshape(seg, B, N_max), bufs, collect_agents if done == 0 else 0)
+
+        with np.errstate(over="ignore", invalid="ignore"):   # a divergence raises below
+            for k, e, e2 in _segments(steps, block, seg):
+                t0 = time.perf_counter()
+                if k < steps:
+                    if k and k % block == 0:
+                        if steps - k < block:   # the last block is partial; no second list
+                            tails = (row[n:n + steps - k] for row in raw)
+                        for gen, tail in zip(gens, tails):
+                            gen.standard_normal(out=tail)
+                    for g, col in enumerate(range(n + k % block, n + k % block + e - k)):
+                        np.multiply(raw[:, col], sqdt, out=dw[g])
+                t1 = time.perf_counter()
+                for kk in range(k, e - 1):
+                    for run in runs:
+                        run.knot(kk, kk - k, False)
+                # a slab closes when the next segment would overflow it
+                for run in runs:
+                    if run.knot(e - 1, e - 1 - k, e > steps or e2 - run.k0 > run.S):
+                        found = [(d[0], j, d) for j, other in enumerate(runs)
+                                 if (d := other.first_divergence()) is not None]
+                        knot, _, (_, b, i) = min(found)
+                        raise DivergenceError(tgrid[knot], i, done + b)
+                noise_s += t1 - t0
+                loop_s += time.perf_counter() - t1
+        t0 = time.perf_counter()
         for run in runs:
             cost = run.cost
             if finite:
-                X = run.X
-                xT = X.mean(axis=2) if coupling == "empirical" else run.xb[-1][:, None]
+                X = run.Xs[steps - run.k0]
+                xT = X.mean(axis=2) if coupling == "empirical" else run.xb[-1]
                 devT = X - (matvec(spec.Gamma0, xT) + spec.eta0[:, None])[:, :, None]
-                cost += _quad(spec.H, devT, *run.scratch[4:])
+                lrun, tmp = run.slab_views(1)[8:10]
+                cost += _quad(spec.H, devT, lrun[0], tmp[0])
             run.agent_cost += cost.sum(axis=0)
             run.rep_social[done:done + B] = cost.sum(axis=1)
             run.rep_consist[done:done + B] = run.consist
+        tail_s += time.perf_counter() - t0
         done += B
 
+    eval_s = sum(run.eval_s for run in runs)
+    diagnostics = {"chunk_width": chunk, "chunks": math.ceil(reps / chunk),
+                   "draw": "whole" if whole else "open streams", "noise_s": noise_s,
+                   "recursion_s": loop_s - eval_s, "evaluation_s": eval_s + tail_s}
     outs = []
     for run in runs:
         run.agent_cost /= reps
@@ -358,6 +529,7 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
                         if spec.infinite_horizon else 0.0),
             trajectories=run.traj,
             controls=run.ctrls,
+            diagnostics={**diagnostics, "slab_knots": run.S},
         ))
     return outs
 

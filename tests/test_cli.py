@@ -215,6 +215,33 @@ def test_growing_forcing_fails_without_a_traceback(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_finite_mean_field_blow_up_exits_3_with_one_line(tmp_path, capsys):
+    # f = e^(200 t) with no state weight: the backward triple is zero and
+    # solves, but the forward mean field leaves the finite range at t = 0.165.
+    # build_law refuses with SolverError carrying that time; simulate exits 3
+    # with one line and writes nothing
+    from mfsoc.model import ProblemSpec
+    from mfsoc.riccati import SolverError, solve_finite_limit
+    from mfsoc.synthesis import build_law
+
+    spec = json.loads(pathlib.Path(SEC6_FIN).read_text())
+    spec.update(Q=[[0.0]], H=[[0.0]], R=[[1.0]],
+                f={"kind": "exponential", "a": [1.0], "b": 200.0})
+    path = tmp_path / "blow.json"
+    path.write_text(json.dumps(spec))
+    problem = ProblemSpec.from_json(spec)
+    with pytest.raises(SolverError, match="mean-field integration blew up") as exc:
+        build_law(solve_finite_limit(problem), problem)
+    assert exc.value.escape_time == pytest.approx(0.165, abs=1e-12)
+    out = tmp_path / "o"
+    rc = main(["simulate", str(path), "--outdir", str(out), "--reps", "2", "--dt", "0.01"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("solver failure: ") and "t=0.165" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_solve_infinite_and_pin(tmp_path):
     out = tmp_path / "a"
     assert main(["solve-infinite", WELL, "--outdir", str(out), "--T", "10"]) == 0

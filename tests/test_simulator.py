@@ -132,22 +132,67 @@ def test_time_blocks_keep_each_agent_stream(monkeypatch):
     np.testing.assert_array_equal(blocks.state_second_moment, one.state_second_moment)
 
 
-def test_divergence_located_across_chunks(monkeypatch):
-    # multiplicative noise decides which agent blows up first; with 2-replication
-    # chunks the first divergence lies in the second chunk, at (replication 3,
-    # agent 0) and t = 2.45, values pinned from the stacked (replication, agent,
-    # n) kernel
-    import mfsoc.simulator as sim
-    spec = ProblemSpec(
+def diverging_spec():
+    return ProblemSpec(
         n=1, r=1, A=12.0, B=1.0, C=3.0, D=0.0, G=0.0, Q=1.0, R=1.0, Gamma=0.0,
         f=zero_signal(1), sigma=zero_signal(1), eta=zero_signal(1),
         x0_mean=[1.0], x0_cov=[[0.0]], N=3, horizon=3.0,
     )
+
+
+def test_divergence_located_across_chunks(monkeypatch):
+    # multiplicative noise decides which agent blows up first; with 2-replication
+    # chunks the first divergence lies in the second chunk, at (replication 3,
+    # agent 0) and t = 2.45, values pinned from the stacked (replication, agent,
+    # n) kernel.  The same holds whether every knot is a slab (one agent-state
+    # budget) or the whole run is one (the default); the states stepped past
+    # the divergence within a slab warn of nothing
+    import warnings
+
+    import mfsoc.simulator as sim
     monkeypatch.setattr(sim, "_MAX_WIDTH", 6)
-    with pytest.raises(DivergenceError) as exc:
-        simulate_population(spec, zero_law(3.0), SimConfig(dt=1e-2, replications=4, seed=11), N=3)
-    assert (exc.value.replication, exc.value.agent) == (3, 0)
-    assert exc.value.time == pytest.approx(2.45, abs=1e-12)
+    for slab_states, slab in ((1, 1), (sim._SLAB_STATES, 301)):
+        monkeypatch.setattr(sim, "_SLAB_STATES", slab_states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simulate_population(noise_free_spec(T=3.0), zero_law(3.0), SimConfig(
+                dt=1e-2, replications=4), N=3).diagnostics["slab_knots"] == slab
+            with pytest.raises(DivergenceError) as exc:
+                simulate_population(diverging_spec(), zero_law(3.0),
+                                    SimConfig(dt=1e-2, replications=4, seed=11), N=3)
+        assert (exc.value.replication, exc.value.agent) == (3, 0)
+        assert exc.value.time == pytest.approx(2.45, abs=1e-12)
+
+
+@pytest.mark.parametrize("slab_states", [None, 80], ids=["default", "one-knot-slabs"])
+def test_batch_divergence_is_the_earliest_of_every_slab(monkeypatch, slab_states):
+    # the first pair (F = -3, 20 agents) diverges at t = 2.59 and the second
+    # (the zero law, 1 agent) at t = 2.45.  At 80 agent-states the first
+    # pair's slabs are one knot long, so its failing slab is evaluated while
+    # the second pair's slab holding t = 2.45 is still open; that slab is
+    # tested before the raise, which reports the second pair.  By default both
+    # pairs' last slabs close at the last knot, the first pair's first
+    import warnings
+
+    import mfsoc.simulator as sim
+    if slab_states is not None:
+        monkeypatch.setattr(sim, "_SLAB_STATES", slab_states)
+    slow = zero_law(3.0)
+    slow.F_self[:] = -3.0
+    cfg = SimConfig(dt=1e-2, replications=4, seed=11)
+    pairs = [(slow, 20), (zero_law(3.0), 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = []
+        for pair in pairs:
+            with pytest.raises(DivergenceError) as exc:
+                sim._simulate(diverging_spec(), [pair], cfg)
+            alone.append((exc.value.time, exc.value.agent, exc.value.replication))
+        with pytest.raises(DivergenceError) as batch:
+            sim._simulate(diverging_spec(), pairs, cfg)
+    assert alone[0][0] == pytest.approx(2.59, abs=1e-12)
+    assert alone[1][0] == pytest.approx(2.45, abs=1e-12)
+    assert (batch.value.time, batch.value.agent, batch.value.replication) == alone[1]
 
 
 def test_meanfield_type_uses_stored_trajectory(spec_sec6_finite, sol_sec6_finite):
@@ -226,24 +271,30 @@ def test_noisy_coupled_costs_match_standalone_evaluator(spec_sec6_finite, form):
     np.testing.assert_allclose(out.individual_costs, costs, rtol=1e-12, atol=0.0)
 
 
+def _traced_peak(spec, pairs, cfg):
+    """tracemalloc peak of one `_simulate` batch, and its outputs."""
+    import tracemalloc
+
+    import mfsoc.simulator as sim
+    agent_rng(0, 0, 0)   # numpy.random's import stays out of the traced peak
+    tracemalloc.start()
+    try:
+        outs = sim._simulate(spec, pairs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(out.social_cost) for out in outs)
+    return peak, outs
+
+
 def _traced_noise_peak(T, N):
     """tracemalloc peak of one replication of N agents over horizon T (dt 1e-3)
     on a noisy, decoupled scalar plant."""
-    import tracemalloc
     spec = ProblemSpec.from_json({**noise_free_spec(T=T).to_json()})
     spec.C = np.array([[0.3]])
     spec.sigma = constant_signal([0.1])
     spec.x0_cov = np.array([[0.1]])
-    cfg = SimConfig(dt=1e-3, replications=1, seed=1)
-    agent_rng(0, 0, 0)   # numpy.random's import stays out of the traced peak
-    tracemalloc.start()
-    try:
-        out = simulate_population(spec, zero_law(T), cfg, N=N)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.isfinite(out.social_cost)
-    return peak
+    return _traced_peak(spec, [(zero_law(T), N)], SimConfig(dt=1e-3, replications=1, seed=1))[0]
 
 
 def test_noise_memory_is_one_block_buffer():
@@ -364,6 +415,81 @@ def test_batch_equals_batches_of_one(monkeypatch, spec_sec6_finite, sol_sec6_fin
     # xbar coupling needs a stored mean field: the decentralized pairs only
     dec_pairs = [(law, N) for law, N in pairs if law.mf_source == "xbar"]
     assert_batch_matches_calls_alone(spec_sec6_finite, dec_pairs, cfg, "xbar", exact)
+
+
+@pytest.mark.parametrize("block_elems, draw", [(None, "whole"), (7 * 35, "open streams")],
+                         ids=["whole", "open-streams"])
+@pytest.mark.parametrize("slab", [1, 2, 3])
+def test_slab_length_leaves_outputs_unchanged(monkeypatch, spec_sec6_finite, sol_sec6_finite,
+                                              slab, block_elems, draw):
+    # the widest pair (N = 7, 5 replications) steps 35 agent-states a knot, so
+    # a budget of 35 slab agent-states gives it slabs of that many knots, and
+    # the narrower pairs longer ones; 20 steps leave the last slab partial, and
+    # 7-step blocks of open streams cut slabs at their ends too.  The live
+    # (empirical) and constant (xbar) w-terms both go through the evaluation
+    import mfsoc.simulator as sim
+    cfg = SimConfig(dt=1e-2, replications=5, seed=3, thinning=3)
+    pairs = mixed_pairs(spec_sec6_finite, sol_sec6_finite)
+    dec_pairs = [(law, N) for law, N in pairs if law.mf_source == "xbar"]
+    runs = [(pairs, "empirical"), (dec_pairs, "xbar")]
+    want = [sim._simulate(spec_sec6_finite, p, cfg, c, collect_agents=1) for p, c in runs]
+    if block_elems is not None:
+        monkeypatch.setattr(sim, "_BLOCK_ELEMS", block_elems)
+    monkeypatch.setattr(sim, "_SLAB_STATES", slab * 35)
+    for (p, c), outs in zip(runs, want):
+        got = sim._simulate(spec_sec6_finite, p, cfg, c, collect_agents=1)
+        for (law, N), g, w in zip(p, got, outs):
+            assert g.diagnostics["draw"] == draw
+            assert g.diagnostics["slab_knots"] == min(21, slab * 7 // N), N
+            assert w.diagnostics["slab_knots"] == 21, N
+            for field in FIELDS:
+                np.testing.assert_array_equal(getattr(g, field), getattr(w, field),
+                                              err_msg=f"{field}, N={N}, {c}")
+
+
+def test_diagnostics_record_the_stepping(spec_sec6_finite, sol_sec6_finite):
+    # one chunk of 5 replications stepped 35 agents wide, drawn whole; every
+    # pair of a batch shares the batch's timings, and its slab is its own
+    import mfsoc.simulator as sim
+    cfg = SimConfig(dt=1e-2, replications=5, seed=3)
+    outs = sim._simulate(spec_sec6_finite, mixed_pairs(spec_sec6_finite, sol_sec6_finite), cfg)
+    d = outs[0].diagnostics
+    assert set(d) == {"chunk_width", "chunks", "slab_knots", "draw", "noise_s",
+                      "recursion_s", "evaluation_s"}
+    assert (d["chunk_width"], d["chunks"], d["draw"]) == (5, 1, "whole")
+    assert all(d[k] >= 0.0 for k in ("noise_s", "recursion_s", "evaluation_s"))
+    for out in outs:
+        assert {k: v for k, v in out.diagnostics.items() if k != "slab_knots"} == \
+            {k: v for k, v in d.items() if k != "slab_knots"}
+
+
+def test_slab_memory_is_one_budget(spec_sec6_finite, sol_sec6_finite):
+    # the traced peak stays under the noise buffer, plus the closed-loop
+    # tables (160 B a knot and pair), plus the slab budget: 4 floats for each
+    # state of each pair's slab (the slab, its costs and records) and 12 for
+    # each state of the widest slab (the step and evaluation scratch, shared by
+    # the pairs).  A narrow long run (1 replication x 50 agents x 5000 steps)
+    # steps many knots a slab; a wide 12-pair batch (400 replications, N up
+    # to 50) steps one knot a slab for its widest pairs.  Scratch of its own
+    # for each pair adds megabytes to the wide batch and fails it
+    import mfsoc.simulator as sim
+
+    def bound(B, steps, Ns):
+        slabs = [max(sim._SLAB_STATES, B * N) for N in Ns]
+        return (8 * B * max(Ns) * (1 + steps) + 160 * (steps + 1) * len(Ns)
+                + 8 * (4 * sum(slabs) + 12 * max(slabs)))
+
+    assert _traced_noise_peak(5.0, 50) < bound(1, 5000, [50])
+    dec = build_law(sol_sec6_finite, spec_sec6_finite)
+    Ns = (1, 2, 5, 10, 20, 50)
+    wide = [(dec, N) for N in Ns] + [
+        (build_law(solve_finite_N(spec_sec6_finite, N=N), spec_sec6_finite), N) for N in Ns]
+    peak, outs = _traced_peak(spec_sec6_finite, wide,
+                              SimConfig(dt=1e-3, T_sim=0.05, replications=400, seed=1))
+    assert outs[0].diagnostics["draw"] == "whole"
+    assert peak < bound(400, 50, 2 * Ns)
+    assert [out.diagnostics["slab_knots"] for out in outs[:6]] == [
+        max(1, sim._SLAB_STATES // (400 * N)) for N in Ns]
 
 
 def test_batch_checks_every_pair(spec_sec6_finite, sol_sec6_finite):
