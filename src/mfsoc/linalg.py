@@ -253,7 +253,7 @@ def _rk4_step(rate, j, y, h):
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None):
+def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None, bounded=None):
     """Classical fixed-step RK4 on a uniform grid including both endpoints.
 
     ``rate(j, y)`` maps a flat state vector to its derivative at the stage
@@ -264,8 +264,9 @@ def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None):
     after every accepted step (used by the Riccati solvers to
     re-symmetrize).
 
-    Raises :class:`BlowUpError` as soon as the state becomes non-finite or
-    its norm exceeds 1e12, reporting the time of failure.
+    Raises :class:`BlowUpError` as soon as the state's first ``bounded``
+    entries (all by default) become non-finite or their norm exceeds 1e12,
+    reporting the time of failure; the other entries are not tested.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
     ts = rk4_grid(t0, t1, step)
@@ -277,7 +278,8 @@ def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None):
         y = _rk4_step(rate, 2 * k, ys[k], h)
         if project is not None:
             y = project(y)
-        if not (y @ y <= 1e24):  # also true for NaN and inf
+        yb = y[:bounded]
+        if not (yb @ yb <= 1e24):  # also true for NaN and inf
             raise BlowUpError(ts[2 * k + 2])
         ys[k + 1] = y
     return ts[::2].copy(), ys

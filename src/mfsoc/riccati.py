@@ -360,35 +360,38 @@ def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | 
 
 
 def _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N):
-    """Max defining-equation residual over every interior knot via 5-point
-    stencils, with the pair formulas (not the scalar fork) batched over the
-    knots."""
+    """Max defining-equation residuals of P, K and s over every interior knot
+    via 5-point stencils, with the pair formulas (not the scalar fork)
+    batched over the knots."""
     m = grid.size
     if m < 5:
-        return 0.0
+        return 0.0, 0.0, 0.0
     h = grid[1] - grid[0]
     k = np.arange(2, m - 2)
     t = grid[k]
     pair = _Pair(_plant(spec, dw), Ps[k], Ps[k] + Ks[k], N, tol)
     rates = pair.triple_rate(ss[k], spec.f(t), spec.sigma(t), dw.eta_bar(t))
-    return max(float(np.max(np.abs(
+    return tuple(float(np.max(np.abs(
         (-X[k + 2] + 8 * X[k + 1] - 8 * X[k - 1] + X[k - 2]) / (12 * h) - rate)))
         for X, rate in zip((Ps, Ks, ss), rates))
 
 
-# relative residual (over 1 + the triple's largest entry) above which a
-# finite-horizon triple is refused: healthy solves read at most 3e-4 (1e-10
-# at the default step), and a solve that steps across the escape of its
-# solution 100 or more
+# relative residual (each of P, K and s over 1 + its largest entry, so a
+# large offset does not mask the pair's) above which a finite-horizon triple
+# is refused: healthy solves read at most 3e-4 (1e-10 at the default step),
+# and a solve that steps across the escape of its solution 100 or more
 _FINITE_RESIDUAL_BOUND = 0.1
 
 
 def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
                   require_convex: bool = True) -> RiccatiFiniteSolution:
     """Backward triple; a triple whose relative residual exceeds
-    _FINITE_RESIDUAL_BOUND is no solution and raises SolverError.  With
-    require_convex False neither that nor a negative Upsilon eigenvalue
-    raises: they are only recorded in residual and min_upsilon_eig."""
+    _FINITE_RESIDUAL_BOUND is no solution and raises SolverError.  Only the
+    pair (P, K) can escape: s is affine given it, so a non-finite offset is
+    an overflow of the forcing and raises SolverError of its own.  With
+    require_convex False none of these nor a negative Upsilon eigenvalue
+    raises: they are only recorded in residual and min_upsilon_eig, and
+    the latter reads the pair alone."""
     require_valid(spec)
     if spec.infinite_horizon:
         raise SolverError("finite-horizon solver called on an infinite-horizon problem")
@@ -403,7 +406,9 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
 
     rate = _finite_rhs(spec, dw, tol, N, rk4_grid(T, 0.0, tol.ode_step))
     try:
-        ts, ys = integrate_ode(rate, T, 0.0, y_T, tol.ode_step, project=project)
+        with np.errstate(over="ignore", invalid="ignore"):   # s is tested below
+            ts, ys = integrate_ode(rate, T, 0.0, y_T, tol.ode_step, project=project,
+                                   bounded=2 * n * n)
     except BlowUpError as exc:
         raise SolverError(
             f"backward Riccati integration blew up at t={exc.time:.6g} "
@@ -414,8 +419,13 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
     # the knots run from T down to 0: reverse them to ascending time
     grid = ts[::-1]
     Ps, Ks, ss = _unpack(ys[::-1], n)
-    residual = _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N)
-    relative = residual / (1.0 + max(float(np.max(np.abs(X))) for X in (Ps, Ks, ss)))
+    bad = np.flatnonzero(~np.isfinite(ss).all(axis=1))
+    if require_convex and bad.size:
+        raise SolverError(f"the offset s overflows at t={grid[bad[-1]]:.6g} while the pair "
+                          f"(P, K) stays finite: the forcing f, sigma or eta grows too fast")
+    residuals = _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N)
+    residual = float(np.max(residuals))          # NaN if s is not finite
+    relative = max(r / (1.0 + float(np.max(np.abs(X)))) for r, X in zip(residuals, (Ps, Ks, ss)))
     if require_convex and relative > _FINITE_RESIDUAL_BOUND:
         raise SolverError(
             f"the backward triple misses its equation by {residual:.3g} "

@@ -33,14 +33,17 @@ multiply-adds (`linalg.matvec`, without BLAS) on the pair's own
 knots, (S, n, replications, agents), where S is the pair's share of
 _SLAB_STATES agent-states: 163 knots for a run of 50 agents, one for the
 widest.  Everything read off the states is evaluated once per slab,
-broadcast over its knots: the controls, the running cost, the consistency
-error, the thinned moments and collected agents, and the divergence test.
-The tables the evaluation reads are laid out once per pair, so a slab
-takes a plain slice.  The per-element arithmetic is that of one knot, the
-running-cost and consistency sums add knot by knot in time order, and
-every reduction over agents runs in fixed index order, so outputs are
-bit-identical for a given configuration whatever S is; the running cost is
-a plain sum over the interior knots plus the trapezoid's endpoint halves.
+broadcast over its knots: the divergence test, the running cost, the
+consistency error and the thinned moments and collected agents.  With
+dev = X - ex and v = F ex + ou, so that U = F dev + v, the running cost is
+one centred form per agent, dev'(Q + F'RF)dev + 2 dev'F'Rv, plus v'Rv once
+per replication; v, Rv and 2F'Rv are affine in the average, rows of the
+stacked w-term table, and U is formed only at the recorded knots.  The
+per-element arithmetic is that of one knot, the sums add knot by knot in
+time order, and every reduction over agents runs in fixed index order, so
+outputs are bit-identical for a given configuration whatever S is; the
+running cost is a plain sum over the interior knots plus the trapezoid's
+endpoint halves.
 """
 
 from __future__ import annotations
@@ -130,15 +133,11 @@ class SimulationOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _quad(M, V, out, tmp):
-    """out = V' M V over V's leading axis; tmp is scratch shaped like out."""
-    for i in range(V.shape[0]):
-        matvec(M[i:i + 1], V, tmp[None])
-        if i == 0:
-            np.multiply(tmp, V[0], out=out)
-        else:
-            tmp *= V[i]
-            out += tmp
+def _dot(a, b, out=None):
+    """sum_i a_i b_i over the leading axis, in index order."""
+    out = np.multiply(a[0], b[0], out=out)
+    for i in range(1, len(a)):
+        out += a[i] * b[i]
     return out
 
 
@@ -170,36 +169,40 @@ class _Run:
     Slot s of the slab holds the state at knot k0 + s.  `knot` steps one
     knot; the knot that closes a slab first evaluates it (`evaluate`) and
     then steps into slot 0, so no state is ever copied between slots and a
-    slab of one knot steps in place.  The tables the evaluation reads carry
-    their knots on a middle axis, so a slab takes a plain slice of them.
+    slab of one knot steps in place.  The evaluation's tables (among them
+    M = Q + F'RF for the centred cost) carry their knots on a middle axis,
+    so a slab takes a plain slice.
     """
 
     def __init__(self, spec, law, N, tgrid, coupling, cfg, m_thin, collect_agents, slab):
         n, r = spec.n, spec.r
         self.A, self.C, F, W, o = _loop_tables(spec, law, tgrid, coupling)
         self.N, self.S, self.r = N, slab, r
-        self.Q, self.R = spec.Q, spec.R
         self.steps, self.dt, self.th, self.m_thin = tgrid.size - 1, cfg.dt, cfg.thinning, m_thin
-        self.live = bool(np.any(W))
-        # the recursion forms the four w-terms knot by knot; a slab of one
-        # knot reads its control and cost-deviation rows in place, a longer
-        # one forms them again from its averages
-        self.W, self.o = W, o[:, :, None]
-        self.dxo, self.cxo = o[:, r:r + n, None, None], o[:, r + n:r + 2 * n, None, None]
-        self.Wu, self.We = (np.moveaxis(M, 0, 2)[..., None]      # (r or n, n, t, 1)
-                            for M in (W[:, :r], W[:, r + 2 * n:]))
-        self.ou_t, self.ex_t = o[:, :r].T[..., None], o[:, r + 2 * n:].T[..., None]
+        # the w-terms with their offsets as a last column: the step's dx, cx,
+        # then the evaluation's ou, ex, v, Rv and 2F'Rv, which a slab of one
+        # knot reads in place from the recursion and a longer one re-forms
+        Wo = np.concatenate((W, o[..., None]), axis=2)
+        v = F @ Wo[:, r + 2 * n:] + Wo[:, :r]
+        Rv = spec.R @ v
+        Wo = np.concatenate((Wo[:, r:r + 2 * n], Wo[:, :r], Wo[:, r + 2 * n:], v, Rv,
+                             2 * F.transpose(0, 2, 1) @ Rv), axis=1)
+        self.W, self.o = Wo[..., :n], Wo[..., n:]
+        self.live = bool(np.any(self.W))
+        self.dxo, self.cxo = self.o[:, :n, None], self.o[:, n:2 * n, None]
+        self.We = np.moveaxis(self.W[:, 2 * n:], 0, 2)[..., None]   # (rows, n, t, 1)
+        self.oe = self.o[:, 2 * n:].transpose(1, 0, 2)[..., None]   # (rows, t, 1, 1)
+        e = (0, r, r + n, 2 * r + n, 3 * r + n, None)     # ou, ex, v, Rv, 2F'Rv
+        self.cuts = [slice(a, b) for a, b in zip(e, e[1:])]
+        self.M = np.moveaxis(spec.Q + F.transpose(0, 2, 1) @ spec.R @ F, 0, 2)[..., None, None]
         self.F = np.moveaxis(F, 0, 2)[..., None, None]          # (r, n, t, 1, 1)
-        self.xb = law.xbar_at(tgrid)[:, :, None]                # (t, n, 1)
+        self.xb = law.xbar_at(tgrid).T[..., None]               # (n, t, 1)
         self.agent_cost = np.zeros(N)
-        self.rep_social = np.empty(cfg.replications)
-        self.rep_consist = np.empty(cfg.replications)
-        self.sm_state = np.zeros(m_thin)
-        self.sm_ctrl = np.zeros(m_thin)
+        self.rep_social, self.rep_consist = np.empty(cfg.replications), np.empty(cfg.replications)
+        self.sm_state, self.sm_ctrl = np.zeros(m_thin), np.zeros(m_thin)
         self.traj = np.zeros((collect_agents, m_thin, spec.n)) if collect_agents else None
         self.ctrls = np.zeros((collect_agents, m_thin, spec.r)) if collect_agents else None
-        self.end_integrand = 0.0
-        self.eval_s = 0.0
+        self.end_integrand = self.eval_s = 0.0
 
     def begin(self, X0, dws, bufs, collect):
         """Enter a chunk: slot 0 takes the first N agents of the shared
@@ -214,34 +217,29 @@ class _Run:
         self.xav = self.Xs[..., 0] if N == 1 else np.empty((S, n, B))
         self.dws = dws[:, :, :N]
         self.cerr = np.empty((S + 1, B))      # row 0: the previous slab's last knot
-        self.cost = np.zeros((B, N))
+        self.cost, self.l0 = np.zeros((B, N)), np.empty((B, N))
         self.consist = np.zeros(B)
-        self.l0 = np.empty((B, N))
+        self.csum = np.zeros((B, 1))          # the interior knots' v'Rv
         self.collect = collect
+        # the evaluation's dev, and M dev or U, share the step's scratch, as a
+        # closing knot evaluates before it steps; wt: the current knot's w-terms
         self.drift, self.diff = (buf[:n * B * N].reshape(n, B, N) for buf in bufs[:2])
-        # the four w-terms of the current knot (ou, dx, cx, ex), which a slab
-        # of that knot alone reads in place
-        self.wt = bufs[2][:(self.r + 3 * n) * B].reshape(self.r + 3 * n, B)
-        ou, self.dx, self.cx, ex = np.split(self.wt[:, :, None],
-                                            [self.r, self.r + n, self.r + 2 * n])
-        self.ou, self.ex = ou[:, None], ex[:, None]
-        self.bufs, self.views = bufs[3:], {}     # U, dev, lrun and tmp
+        self.wt = bufs[2][:self.W.shape[1] * B].reshape(-1, B)
+        self.dx, self.cx = self.wt[:n, :, None], self.wt[n:2 * n, :, None]
+        self.wk = [self.wt[2 * n:, None, :, None][c] for c in self.cuts]
+        self.bufs, self.views = bufs[:2], {}
 
     def slab_views(self, m):
-        """The states, averages and evaluation scratch of a slab of m knots,
-        each also with its knot axis second where matvec needs it, and the
-        consistency rows; kept for the chunk, whose slabs take few lengths.
-        The control-cost term shares the deviations' buffer, which is free
-        by then."""
+        """A slab of m knots' states, averages, scratch (the controls take M
+        dev's buffer once the cost is read), each also with its knot axis
+        second, and consistency rows; kept for the chunk's few slab lengths."""
         if m not in self.views:
             _, n, B, N = self.Xs.shape
-            U, dev, lrun, tmp, quad = (buf[:k * m * B * N].reshape(m, k, B, N)
-                                       for buf, k in zip(self.bufs + self.bufs[1:2],
-                                                         (self.r, n, 1, 1, 1)))
+            dev, Md, U = (buf[:k * m * B * N].reshape(m, k, B, N)
+                          for buf, k in zip(self.bufs + self.bufs[1:], (n, n, self.r)))
             Xs, xav, c = self.Xs[:m], self.xav[:m], self.cerr
-            self.views[m] = (Xs, Xs.transpose(1, 0, 2, 3), xav, xav.transpose(1, 0, 2),
-                             U, U.transpose(1, 0, 2, 3), dev, dev.transpose(1, 0, 2, 3),
-                             lrun[:, 0], tmp[:, 0], quad[:, 0], c[:m], c[1:m + 1])
+            self.views[m] = (Xs, xav, dev, U, *(a.swapaxes(0, 1) for a in (Xs, xav, dev, Md)),
+                             c[:m], c[1:m + 1])
         return self.views[m]
 
     def knot(self, k, g, closes):
@@ -283,48 +281,58 @@ class _Run:
 
     def evaluate(self, k1):
         """Everything read off the states of knots k0 .. k1 - 1: the
-        divergence test first (True if it fails), then the controls, the
-        running cost, the consistency error and the thinned records."""
+        divergence test first (True if it fails), then the running cost, the
+        consistency error and the thinned records with their controls."""
         k0, m, N, steps, dt = self.k0, k1 - self.k0, self.N, self.steps, self.dt
-        Xs, XT, xav, xavT, U, UT, dev, devT, lrun, tmp, quad, cprev, cnew = (
+        Xs, xav, dev, U, XT, xavT, devT, MdT, cprev, cnew = (
             self.views.get(m) or self.slab_views(m))
         first = 1 if k0 == 0 else 0       # the initial draw is not tested
         tested = Xs[first:]
         if tested.size and not (_max(tested, None) <= _DIVERGE
                                 and _min(tested, None) >= -_DIVERGE):
             return True                       # also catches NaN
-        if not self.live:
-            if N > 1:
-                np.add.reduce(Xs, axis=3, out=xav)
-                xav /= N
-            ou, ex = self.ou_t[:, k0:k1, :, None], self.ex_t[:, k0:k1, :, None]
-        elif m == 1:
-            ou, ex = self.ou, self.ex
-        else:
-            ou, ex = (matvec(M[:, :, k0:k1], xavT)[..., None] for M in (self.Wu, self.We))
-            ou += self.ou_t[:, k0:k1, :, None]
-            ex += self.ex_t[:, k0:k1, :, None]
-        matvec(self.F[:, :, k0:k1], XT, UT)
-        UT += ou
+        if not self.live and N > 1:
+            np.add.reduce(Xs, axis=3, out=xav)
+            xav /= N
+        inplace = self.live and m == 1       # the recursion formed this knot's w-terms
+        w = self.wk if inplace else self.oe[:, k0:k1]
+        if self.live and m > 1:
+            w = matvec(self.We[:, :, k0:k1], xavT)[..., None] + w
+        ou, ex, v, Rv, b2 = w if inplace else (w[c] for c in self.cuts)
         np.subtract(XT, ex, out=devT)
-        _quad(self.Q, devT, lrun, tmp)
-        lrun += _quad(self.R, UT, quad, tmp)
+        matvec(self.M[:, :, k0:k1], devT, MdT)
+        MdT += b2
+        lrun = _dot(MdT, devT, MdT[0])    # (m, B, N)
+        c = _dot(v, Rv)                   # (m, B or 1, 1)
         if k0 == 0:
-            self.l0[...] = lrun[0]
+            np.add(lrun[0], c[0], out=self.l0)
         # the knots between the endpoints are a plain sum; the trapezoid's
         # endpoint halves are added at the last knot
-        for row in lrun[first:min(k1, steps) - k0]:
+        for row, cr in zip(lrun[first:min(k1, steps) - k0], c[first:min(k1, steps) - k0]):
             self.cost += row
+            self.csum += cr
         # the consistency error's trapezoid pairs each knot from knot 1 on with
         # the one before; row 0 of cerr holds the previous slab's last knot
-        np.add.reduce((xav - self.xb[k0:k1]) ** 2, axis=1, out=cnew)
+        d = np.subtract(xavT, self.xb[:, k0:k1])
+        _dot(d, d, cnew)
         pairs = cprev + cnew if k0 else cprev[1:] + cnew[1:]
         pairs *= 0.5 * dt
         for row in pairs:
             self.consist += row
         self.cerr[0] = cnew[-1]
+        if k1 > steps:                    # before the controls take lrun's buffer
+            lT = lrun[steps - k0]
+            lT += c[steps - k0]
+            self.end_integrand += float(np.mean(np.abs(lT))) * lT.shape[0]
+            self.cost += self.csum
+            self.cost *= dt
+            lT += self.l0
+            lT *= 0.5 * dt
+            self.cost += lT
         for slots, rows in self.thinned(k0, k1):
             Xt, Ut = Xs[slots], U[slots]
+            UtT = matvec(self.F[:, :, k0:k1][:, :, slots], XT[:, slots], Ut.swapaxes(0, 1))
+            UtT += ou[:, slots]
             if self.collect:
                 self.traj[:, rows] = Xt[:, :, 0, :self.collect].transpose(2, 0, 1)
                 self.ctrls[:, rows] = Ut[:, :, 0, :self.collect].transpose(2, 0, 1)
@@ -332,13 +340,6 @@ class _Run:
             self.sm_state[rows] += np.add.reduce(sq.reshape(len(Xt), -1), axis=1) / N
             Ut *= Ut
             self.sm_ctrl[rows] += np.add.reduce(Ut.reshape(len(Ut), -1), axis=1) / N
-        if k1 > steps:
-            lT = lrun[steps - k0]
-            self.end_integrand += float(np.mean(np.abs(lT))) * lT.shape[0]
-            self.cost *= dt
-            lT += self.l0
-            lT *= 0.5 * dt
-            self.cost += lT
         return False
 
     def thinned(self, k0, k1):
@@ -431,9 +432,8 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
                  max(1, min(steps + 1, _SLAB_STATES // (chunk * N))))
             for law, N in checked]
     E = max(run.S * chunk * run.N for run in runs)
-    W = chunk * N_max
-    bufs = [np.empty(k) for k in (n * W, n * W, (r + 3 * n) * chunk, r * E, n * E, E, E)]
-    dws = np.empty(seg * W)
+    bufs = [np.empty(k) for k in (n * E, max(n, r) * E, (3 * r + 4 * n) * chunk)]
+    dws = np.empty(seg * chunk * N_max)
     noise_s = loop_s = tail_s = 0.0
 
     done = 0
@@ -494,10 +494,9 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
             cost = run.cost
             if finite:
                 X = run.Xs[steps - run.k0]
-                xT = X.mean(axis=2) if coupling == "empirical" else run.xb[-1]
+                xT = X.mean(axis=2) if coupling == "empirical" else run.xb[:, -1]
                 devT = X - (matvec(spec.Gamma0, xT) + spec.eta0[:, None])[:, :, None]
-                lrun, tmp = run.slab_views(1)[8:10]
-                cost += _quad(spec.H, devT, lrun[0], tmp[0])
+                cost += _dot(matvec(spec.H, devT), devT)
             run.agent_cost += cost.sum(axis=0)
             run.rep_social[done:done + B] = cost.sum(axis=1)
             run.rep_consist[done:done + B] = run.consist

@@ -108,6 +108,44 @@ def test_past_escape_is_refused_at_every_step(step):
             solve(spec, tol)
 
 
+def offset_spec(T, f):
+    """wellposed with terminal weight 0.4, forcing f and finite horizon T."""
+    base = ProblemSpec.load(pathlib.Path(__file__).resolve().parent.parent
+                            / "problems" / "wellposed.json").to_json()
+    return ProblemSpec.from_json({**base, "H": [[0.4]], "f": f, "horizon": {"finite": T}})
+
+
+def test_large_offset_is_no_escape():
+    # f = e^t drives |s| to 9e9 at horizon 25 and 3e16 at 40, while the pair
+    # (P, K) is autonomous and stays in [0.4, 0.44]: both horizons solve, the
+    # longer one's pair is the shorter one's shifted by 15 on the shared
+    # knots, and both are uniformly convex
+    from mfsoc.stability import check_uniform_convexity
+    grow, tol = {"kind": "exponential", "a": [1.0], "b": 1.0}, Tolerance(ode_step=5e-3)
+    short, long = (solve_finite_limit(offset_spec(T, grow), tol) for T in (25.0, 40.0))
+    m = short.grid.size
+    np.testing.assert_allclose(long.grid[-m:] - 15.0, short.grid, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(long.P[-m:], short.P, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(long.K[-m:], short.K, rtol=1e-13, atol=1e-15)
+    assert np.abs(long.s).max() > 1e16 and np.abs(short.s).max() > 1e9
+    for T in (25.0, 40.0):
+        assert check_uniform_convexity(offset_spec(T, grow), tol=tol)[0] == "uniformly_convex"
+
+
+def test_overflowing_offset_is_its_own_failure():
+    # a forcing of 1e308 overflows s within a step; the pair does not see it,
+    # so the solve names the offset and the forcing, reports no escape, and the
+    # convexity verdict still reads the pair
+    from mfsoc.stability import check_uniform_convexity
+    spec, tol = offset_spec(10.0, {"kind": "constant", "value": [1e308]}), Tolerance(ode_step=5e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="offset s .* forcing") as exc:
+            solve_finite_limit(spec, tol)
+        assert exc.value.escape_time is None
+        assert check_uniform_convexity(spec, tol=tol)[0] == "uniformly_convex"
+
+
 def test_scalar_branch_matches_matrix_branch(spec_sec6_finite, sol_sec6_finite):
     # embed the scalar benchmark in a 2x2 block-diagonal problem; block (0,0)
     # must reproduce the n=1 solve (guards the scalar fast path)

@@ -271,6 +271,95 @@ def test_noisy_coupled_costs_match_standalone_evaluator(spec_sec6_finite, form):
     np.testing.assert_allclose(out.individual_costs, costs, rtol=1e-12, atol=0.0)
 
 
+def random_case(n, r, finite, mf_source, seed):
+    """A noisy spec with indefinite Q, R and H, and a random law on it."""
+    rng = np.random.default_rng(seed)
+    T = 0.1
+
+    def sym(k):
+        # eigenvalues of both signs, so the weight is indefinite
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        return V @ np.diag(np.linspace(-1.0, 1.5, k)) @ V.T
+
+    mat = lambda *shape: 0.3 * rng.standard_normal(shape)
+    vec = lambda k: {"kind": "constant", "value": list(rng.standard_normal(k))}
+    spec = ProblemSpec(
+        n=n, r=r, A=mat(n, n) - 0.5 * np.eye(n), B=mat(n, r), C=mat(n, n), D=mat(n, r),
+        G=mat(n, n), Q=sym(n), R=sym(r), Gamma=mat(n, n), f=vec(n), sigma=vec(n), eta=vec(n),
+        x0_mean=rng.standard_normal(n), x0_cov=0.1 * np.eye(n), N=4,
+        horizon=T if finite else None, H=sym(n), Gamma0=mat(n, n), eta0=rng.standard_normal(n))
+    m = 11
+    law = ControlLaw(grid=np.linspace(0.0, T, m), F_self=mat(m, r, n), F_mf=mat(m, r, n),
+                     g=mat(m, r), xbar=mat(m, n) if mf_source == "xbar" else np.zeros((m, n)),
+                     mf_source=mf_source, horizon="finite" if finite else "infinite")
+    return spec, law
+
+
+@pytest.mark.parametrize("slab_states", [1, 12, None], ids=["one-knot", "3-knot", "whole"])
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "infinite"])
+@pytest.mark.parametrize("n, r", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_random_costs_match_standalone_evaluator(monkeypatch, n, r, finite, slab_states):
+    # the centred running cost (and the terminal cost) against the trapezoid
+    # evaluation of the recorded paths and controls, on random specs with
+    # indefinite weights: decentralized and centralized laws on the live
+    # average, and the decentralized one on its stored mean field; slabs of
+    # one knot, of 3 knots (the last partial) and of the whole horizon
+    import mfsoc.simulator as sim
+    if slab_states is not None:
+        monkeypatch.setattr(sim, "_SLAB_STATES", slab_states)
+    cfg = SimConfig(dt=1e-3, T_sim=None if finite else 0.1, replications=1, thinning=1,
+                    seed=n + 10 * r)
+    for seed, (mf_source, coupling) in enumerate([("xbar", "empirical"), ("empirical", "empirical"),
+                                                  ("xbar", "xbar")]):
+        spec, law = random_case(n, r, finite, mf_source, 100 * n + 10 * r + seed)
+        out = simulate_population(spec, law, cfg, N=4, coupling=coupling, collect_agents=4)
+        assert out.diagnostics["slab_knots"] == (101 if slab_states is None else
+                                                 max(1, slab_states // 4))
+        X, U = np.swapaxes(out.trajectories, 0, 1), np.swapaxes(out.controls, 0, 1)
+        ref = X.mean(axis=1) if coupling == "empirical" else law.xbar_at(out.grid)
+        costs = evaluate_cost(out.grid, X, U, ref, spec)
+        np.testing.assert_allclose(out.individual_costs, costs, rtol=1e-12, atol=0.0,
+                                   err_msg=f"{mf_source} law, {coupling} coupling")
+
+
+COST_FIELDS = ("individual_costs", "social_cost", "social_se", "rep_social", "tail_bound")
+
+
+@pytest.mark.parametrize("problem", ["sec6_finite", "wellposed"])
+def test_cost_scale_scales_every_cost(problem):
+    # (Q, R, H) -> c (Q, R, H) leaves the law and the paths alone and scales
+    # every cost by c: exactly for c = 2, whose products round as the
+    # unscaled ones do, and for c = 3 to 1e-14 of the cost scale, the sum of
+    # the agents' |cost| (a cost, and so the social sum, may be near zero
+    # under indefinite weights)
+    import pathlib
+
+    from mfsoc.riccati import solve_are
+    spec = ProblemSpec.load(pathlib.Path(__file__).resolve().parent.parent
+                            / "problems" / f"{problem}.json")
+    sol = solve_finite_limit(spec) if problem == "sec6_finite" else solve_are(spec, t_sim=2.0)
+    law = build_law(sol, spec)
+    cfg = SimConfig(dt=1e-3, T_sim=None if problem == "sec6_finite" else 2.0, replications=6,
+                    seed=8, thinning=7)
+    base = simulate_population(spec, law, cfg, N=5, collect_agents=5)
+    for c in (2.0, 3.0):
+        scale = c * np.abs(base.individual_costs).sum()
+        scaled = ProblemSpec.from_json({**spec.to_json(), **{
+            k: (c * getattr(spec, k)).tolist() for k in ("Q", "R", "H")}})
+        out = simulate_population(scaled, law, cfg, N=5, collect_agents=5)
+        for field in ("trajectories", "controls", "state_second_moment",
+                      "control_second_moment", "rep_consistency"):
+            np.testing.assert_array_equal(getattr(out, field), getattr(base, field))
+        for field in COST_FIELDS:
+            got, want = getattr(out, field), c * np.asarray(getattr(base, field))
+            if c == 2.0:
+                np.testing.assert_array_equal(got, want, err_msg=field)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, err_msg=field,
+                                           atol=1e-14 * max(scale, np.max(np.abs(want))))
+    assert (base.tail_bound > 0.0) == (problem == "wellposed")
+
+
 def _traced_peak(spec, pairs, cfg):
     """tracemalloc peak of one `_simulate` batch, and its outputs."""
     import tracemalloc
