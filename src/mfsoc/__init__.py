@@ -7,7 +7,7 @@ quadratic weights.
 
 __version__ = "0.1.0"
 
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, BlowUpError, Tolerance
 from .model import ProblemSpec, Signal, derive_weights, validate
 from .riccati import (
     RiccatiFiniteSolution,

@@ -11,8 +11,9 @@ the deterministic mean-field trajectory it induces.  Infinite horizon: the
 algebraic pair in either form (each stabilizing root is the maximal point
 of its Riccati LMI, found by phase I, the barrier path and a Newton polish;
 the limit form solves P, then Pi), the L2 offset s(t), and the mean-field
-ODE.  Only the nonlinear triple runs ``linalg.integrate_ode``'s step loop;
-the linear offset and mean fields (``_Pair.mean_path``) go through
+ODE.  The nonlinear triple runs ``linalg.integrate_ode``'s step loop, or
+at n = r = 1 ``_scalar_rk4``, the same RK4 stages over three Python
+floats; the linear offset and mean fields (``_Pair.mean_path``) go through
 ``linalg.affine_rk4``.  Every integration's time dependence (the signals,
 the interpolated triple, the offset forcing) is tabulated once on
 ``linalg.rk4_grid``'s stage grid and read by stage index.  All solvers use
@@ -317,46 +318,73 @@ def _unpack(y, n):
     return P, K, s
 
 
+def _scalar_rate(spec: ProblemSpec, dw: DerivedWeights, N: int | None, times):
+    """The backward triple's rate at n = r = 1 in Python floats: rate(j, P,
+    K, s) = (dP, dK, ds) at times[j].  It writes out the K equation, which
+    the matrix branch forms as the aggregate equation minus the P equation."""
+    a, b, c, d, gc, q, rw, qg = (float(X[0, 0]) for X in (
+        spec.A, spec.B, spec.C, spec.D, spec.G, spec.Q, spec.R, dw.Q_Gamma))
+    ag = a + gc
+    fv, sv, ev = (X[:, 0].tolist() for X in (spec.f(times), spec.sigma(times), dw.eta_bar(times)))
+
+    def rate(j, P, K, s):
+        M = P + K / N if N is not None else P
+        ups = rw + d * d * M
+        ui = 1.0 / ups if ups != 0.0 else 0.0   # Ups^+; a float 1/0 raises
+        psi = b * P + d * M * c
+        theta = psi + b * K
+        quadP = psi * psi * ui
+        dP = -(2.0 * a * P + c * c * M + q - quadP)
+        dK = -(2.0 * ag * K + 2.0 * gc * P - theta * theta * ui + quadP - qg)
+        acl = ag - b * ui * theta
+        ccl = c - d * ui * theta
+        ds = -(acl * s + (P + K) * fv[j] + ccl * M * sv[j] - ev[j])
+        return dP, dK, ds
+
+    return rate
+
+
 def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | None,
                 times):
     """Backward rate(j, y) = d/dt [P, K, s] at times[j], for the limit
-    (N=None) or population-N form; f, sigma and eta_bar are tabulated once."""
+    (N=None) or population-N form; f, sigma and eta_bar are tabulated once.
+    At n = r = 1 it wraps ``_scalar_rate``, which the solver itself steps
+    with ``_scalar_rk4``."""
+    if spec.n == 1 and spec.r == 1:
+        scalar = _scalar_rate(spec, dw, N, times)
+        return lambda j, y: np.array(scalar(j, *y.tolist()))
+
     F, S, E = spec.f(times), spec.sigma(times), dw.eta_bar(times)
-    n = spec.n
-
-    if n == 1 and spec.r == 1:
-        # scalar specialization: plain float arithmetic is ~10x faster; it
-        # writes out the K equation, which the matrix branch forms as the
-        # aggregate equation minus the P equation
-        a, b, c, d = spec.A[0, 0], spec.B[0, 0], spec.C[0, 0], spec.D[0, 0]
-        gc, q, rw, qg = spec.G[0, 0], spec.Q[0, 0], spec.R[0, 0], dw.Q_Gamma[0, 0]
-        ag = a + gc
-        fv, sv, ev = F[:, 0].tolist(), S[:, 0].tolist(), E[:, 0].tolist()
-
-        def rate_scalar(j, y):
-            P, K, s = y[0], y[1], y[2]
-            M = P + K / N if N is not None else P
-            ups = rw + d * d * M
-            ui = 1.0 / ups if ups != 0.0 else 0.0
-            psi = b * P + d * M * c
-            theta = psi + b * K
-            quadP = psi * psi * ui
-            dP = -(2.0 * a * P + c * c * M + q - quadP)
-            dK = -(2.0 * ag * K + 2.0 * gc * P - theta * theta * ui + quadP - qg)
-            acl = ag - b * ui * theta
-            ccl = c - d * ui * theta
-            ds = -(acl * s + (P + K) * fv[j] + ccl * M * sv[j] - ev[j])
-            return np.array([dP, dK, ds])
-
-        return rate_scalar
-
-    plant = _plant(spec, dw)
+    n, plant = spec.n, _plant(spec, dw)
 
     def rate(j, y):
         P, K, s = _unpack(y, n)
         return _pack(*_Pair(plant, P, P + K, N, tol).triple_rate(s, F[j], S[j], E[j]))
 
     return rate
+
+
+def _scalar_rk4(rate, ts, P, K, s):
+    """``integrate_ode``'s RK4 over three floats (P, K, s) on the stage grid
+    ts, in ``_rk4_step``'s operation order and with its blow-up test on (P,
+    K); symmetrizing a 1x1 matrix is exact, so nothing is projected.
+    Returns the (steps + 1, 3) states."""
+    steps = ts.size // 2
+    h = float(ts[-1] - ts[0]) / max(steps, 1)
+    h2, h6 = h / 2, h / 6
+    ys = [(P, K, s)]
+    for j in range(0, 2 * steps, 2):
+        p1, k1, s1 = rate(j, P, K, s)
+        p2, k2, s2 = rate(j + 1, P + h2 * p1, K + h2 * k1, s + h2 * s1)
+        p3, k3, s3 = rate(j + 1, P + h2 * p2, K + h2 * k2, s + h2 * s2)
+        p4, k4, s4 = rate(j + 2, P + h * p3, K + h * k3, s + h * s3)
+        P = P + h6 * (p1 + 2 * p2 + 2 * p3 + p4)
+        K = K + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = s + h6 * (s1 + 2 * s2 + 2 * s3 + s4)
+        if not P * P + K * K <= 1e24:  # also true for NaN and inf
+            raise BlowUpError(ts[j + 2])
+        ys.append((P, K, s))
+    return np.array(ys)
 
 
 def _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N):
@@ -404,11 +432,16 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
         P, K, s = _unpack(y, n)
         return _pack(symmetrize(P), symmetrize(K), s)
 
-    rate = _finite_rhs(spec, dw, tol, N, rk4_grid(T, 0.0, tol.ode_step))
+    ts = rk4_grid(T, 0.0, tol.ode_step)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):   # s is tested below
-            ts, ys = integrate_ode(rate, T, 0.0, y_T, tol.ode_step, project=project,
-                                   bounded=2 * n * n)
+        if n == 1 and spec.r == 1:
+            # floats, not 3-entry arrays: sec6_finite's 200 steps take about
+            # 1 ms against integrate_ode's 6-9 ms (shared 2-core Xeon)
+            ys = _scalar_rk4(_scalar_rate(spec, dw, N, ts), ts, *y_T.tolist())
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):   # s is tested below
+                ys = integrate_ode(_finite_rhs(spec, dw, tol, N, ts), T, 0.0, y_T,
+                                   tol.ode_step, project=project, bounded=2 * n * n)[1]
     except BlowUpError as exc:
         raise SolverError(
             f"backward Riccati integration blew up at t={exc.time:.6g} "
@@ -417,7 +450,7 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
             escape_time=exc.time,
         ) from exc
     # the knots run from T down to 0: reverse them to ascending time
-    grid = ts[::-1]
+    grid = ts[::-2]
     Ps, Ks, ss = _unpack(ys[::-1], n)
     bad = np.flatnonzero(~np.isfinite(ss).all(axis=1))
     if require_convex and bad.size:

@@ -215,7 +215,8 @@ def expected_social_cost(spec: ProblemSpec, law, N: int, step: float = 2e-4) -> 
     (x_i, x^(N)), so the cost has no Monte Carlo error.  Finite horizon
     only; the law may feed back on the live empirical average or on its
     stored mean-field trajectory.  N must be an integer >= 1 and step a
-    positive finite number (ValueError otherwise).
+    positive finite number (ValueError otherwise).  Moments that explode
+    raise ``BlowUpError`` with the time they left the finite range.
     """
     return float(_closure_costs(spec, [law], [N], step)[0])
 
@@ -227,6 +228,8 @@ def gap_curve_exact(spec: ProblemSpec, N_values, step: float = 2e-4,
     Same pairing as gap_curve but every cost is an exact expectation, so
     the standard-error fields are identically zero.  All 2 len(N_values)
     costs come from one batched closure pass.  Finite horizon only.
+    Moments that explode raise ``BlowUpError`` with the time they left the
+    finite range; a failed Riccati solve raises SolverError.
     """
     Ns = list(N_values)
     dec_law = build_law(solve_finite_limit(spec, tol), spec, tol)

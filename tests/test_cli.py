@@ -1,6 +1,7 @@
 import json
 import pathlib
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,46 @@ def test_finite_mean_field_blow_up_exits_3_with_one_line(tmp_path, capsys):
     assert err.startswith("solver failure: ") and "t=0.165" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+_SCALAR_TRIPLES = {
+    # name: (base file, changes, command, exit code)
+    # the pair grows steeply and escapes at t = 5.34; check records it as its
+    # convexity witness
+    "steep_check": (WELL, {"A": [[3.0]], "G": [[3.0]], "horizon": {"finite": 8.0}}, "check", 0),
+    # the solution escapes inside the horizon and the triple is refused
+    "escape": (EX1_LONG, {}, "solve-finite", 3),
+    # D = R = 0: Upsilon is 0 on every knot, and its pseudoinverse is 0
+    "zero_upsilon": (SEC6_FIN, {"D": [[0.0]], "R": [[0.0]]}, "solve-finite", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALAR_TRIPLES))
+def test_scalar_triple_warns_nothing(tmp_path, capsys, case):
+    # the scalar triple steps Python floats, which raise ZeroDivisionError
+    # where numpy returns inf and warn of nothing: with warnings as errors
+    # every run ends without a traceback, and stderr is empty on success and
+    # one line on a refusal.  Decision: a warning on stderr breaks the
+    # one-line contract, as a traceback does
+    base, changes, command, code = _SCALAR_TRIPLES[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps({**json.loads(pathlib.Path(base).read_text()), **changes}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, str(path), "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    if code:
+        assert err.startswith("solver failure: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+    else:
+        assert err == ""
+    if case == "steep_check":
+        assert json.loads((out / "check.json").read_text())["convexity"] == ["indeterminate", 5.34]
+    if case == "zero_upsilon":
+        csv = (out / "riccati_finite.csv").read_text().splitlines()
+        assert {row.split(",")[-1] for row in csv[2:]} == {"0"}
 
 
 def test_solve_infinite_and_pin(tmp_path):

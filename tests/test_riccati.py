@@ -17,8 +17,10 @@ from mfsoc.riccati import (
     _Plant,
     _finite_rhs,
     _lmi_phase_one,
+    _pack,
     _pair_root,
     _plant,
+    _unpack,
     check_ranges,
     grid_interp,
     meanfield_path,
@@ -915,6 +917,73 @@ def test_finite_residual_matches_sample_by_sample(spec_sec6_finite, sol_sec6_fin
               (spec2, solve_finite_limit(spec2), Tolerance())]
     for spec, sol, tol in cases:
         assert sol.residual == pytest.approx(residual_by_sample(sol, spec, tol), rel=0.0, abs=1e-14)
+
+
+def random_scalar_spec(seed):
+    """A scalar finite problem with noise, forcing, an indefinite (negative)
+    R and a horizon in [0.1, 1]; some of these escape inside it."""
+    rng = np.random.default_rng(seed)
+    a, b, c, g, gam, gam0, eta0 = rng.standard_normal(7)
+
+    def one(x):
+        return [[float(x)]]
+
+    def exponential():
+        return {"kind": "exponential", "a": [float(rng.normal())], "b": float(rng.normal())}
+
+    return ProblemSpec.from_json({
+        "n": 1, "r": 1, "A": one(a), "B": one(0.5 * b), "C": one(0.5 * c),
+        "D": one(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)), "G": one(0.5 * g),
+        "Q": one(rng.uniform(0.0, 2.0)), "R": one(-rng.uniform(0.05, 0.5)),
+        "Gamma": one(0.5 * gam), "Gamma0": one(0.5 * gam0), "H": one(rng.uniform(0.5, 2.0)),
+        "f": exponential(), "sigma": {"kind": "constant", "value": [0.3 * float(rng.normal())]},
+        "eta": exponential(), "eta0": [float(eta0)], "x0_mean": [1.0], "x0_cov": [[0.1]],
+        "N": 10, "horizon": {"finite": float(rng.uniform(0.1, 1.0))}})
+
+
+def _finite_outcome(spec, tol, N):
+    """A finite solve's arrays, or its refusal's message and escape time."""
+    try:
+        sol = solve_finite_limit(spec, tol) if N is None else solve_finite_N(spec, tol, N=N)
+    except SolverError as exc:
+        return str(exc), exc.escape_time
+    return sol.grid, sol.P, sol.K, sol.s, sol.residual, sol.min_upsilon_eig
+
+
+def test_scalar_loop_matches_integrate_ode_oracle(monkeypatch, spec_sec6_finite, spec_example1):
+    # the float RK4 loop of n = r = 1 against integrate_ode driven by
+    # _finite_rhs's rate with the matrix branch's projection: every solve is
+    # array-equal, and every refusal has the same message and escape time
+    import mfsoc.riccati as riccati
+
+    long = ProblemSpec.load(pathlib.Path(__file__).resolve().parent.parent
+                            / "problems" / "example1_long.json")
+    specs = [spec_sec6_finite, spec_example1, long] + [random_scalar_spec(s) for s in range(12)]
+    refusals = 0
+    for spec in specs:
+        dw = derive_weights(spec)
+        for step in (1e-3, 1e-4):
+            tol = Tolerance(ode_step=step)
+            for N in (None, 1, 3, 50):
+                got = _finite_outcome(spec, tol, N)
+
+                def oracle(rate, ts, P, K, s):
+                    def project(y):
+                        P, K, s = _unpack(y, 1)
+                        return _pack(symmetrize(P), symmetrize(K), s)
+
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        return integrate_ode(_finite_rhs(spec, dw, tol, N, ts), ts[0], ts[-1],
+                                             [P, K, s], step, project=project, bounded=2)[1]
+
+                with monkeypatch.context() as m:
+                    m.setattr(riccati, "_scalar_rk4", oracle)
+                    want = _finite_outcome(spec, tol, N)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+                refusals += len(got) == 2
+    assert 0 < refusals < 60
 
 
 # -- the closure-driven offset and mean integrations, kept as the oracle of
