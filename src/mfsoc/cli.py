@@ -130,6 +130,11 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows(size: int, max_rows: int) -> range:
+    """The knots kept by the least uniform stride that keeps at most max_rows."""
+    return range(0, size, -(-size // max_rows))
+
+
 def _gap_csv(curve) -> str:
     return _csv(["N", "decentralized", "centralized", "epsilon", "stderr"],
                 zip(curve.N_values, curve.decentralized, curve.centralized,
@@ -230,7 +235,7 @@ def _cmd_solve_finite(args):
     rows = (
         [sol.grid[k]] + list(sol.P[k].ravel()) + list(sol.K[k].ravel())
         + list(sol.s[k]) + list(np.sort(np.linalg.eigvalsh(sol.Upsilon[k])))
-        for k in range(0, sol.grid.size, max(1, sol.grid.size // args.max_rows))
+        for k in _rows(sol.grid.size, args.max_rows)
     )
     return ({"population": bool(args.population)},
             {"riccati_finite.csv": _csv(header, rows)},
@@ -245,7 +250,7 @@ def _cmd_solve_infinite(args):
     header = ["t"] + [f"s_{i}" for i in range(spec.n)] + [f"xbar_{i}" for i in range(spec.n)]
     rows = (
         [sol.grid[k]] + list(sol.s[k]) + list(sol.xbar[k])
-        for k in range(0, sol.grid.size, max(1, sol.grid.size // args.max_rows))
+        for k in _rows(sol.grid.size, args.max_rows)
     )
     return {"pin_P": args.pin_P}, {
         "riccati.json": {

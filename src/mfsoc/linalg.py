@@ -8,7 +8,8 @@ and dual certificate of infeasibility (``lmi_phase_one``) and phase II
 on ``rk4_grid`` by stage index) run by a step loop for nonlinear ODEs
 (``integrate_ode``) and, for linear ones, as per-step affine maps applied
 by a doubling scan (``affine_rk4``), broadcast matrix-vector products
-(``matvec``), and trapezoidal quadrature.
+(``matvec``), and the symmetric unit basis that defines svec coordinates
+(``sym_basis``).
 All functions are pure and deterministic; everything operates on plain
 numpy arrays.
 """
@@ -91,6 +92,15 @@ def kron(a, b) -> np.ndarray:
     finder."""
     (p, q), (r, s) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
+def sym_basis(n: int) -> np.ndarray:
+    """Symmetric unit matrices E_k (ones at (i, j) and (j, i)) over
+    ``triu_indices(n)``: X = sum_k X[i_k, j_k] E_k, the svec coordinates."""
+    i, j = np.triu_indices(n)
+    E = np.zeros((i.size, n, n))
+    E[np.arange(i.size), i, j] = E[np.arange(i.size), j, i] = 1.0
+    return E
 
 
 def lift_msq(A, C) -> np.ndarray:
@@ -345,14 +355,6 @@ def affine_rk4(rate, t0: float, t1: float, y0, step: float):
             raise BlowUpError(ts[2 * (k0 + int(np.argmax(bad)) + 1)])
         ys[k0 + 1:k0 + S + 1] = np.moveaxis(z, 0, -1)
     return ts[::2].copy(), ys
-
-
-def quadrature(values, grid) -> float:
-    """Composite trapezoid on a grid (exact for linear integrands)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] < 2:
-        raise LinalgError("quadrature: need at least 2 samples")
-    return float(np.trapezoid(values, x=np.asarray(grid, dtype=float), axis=0))
 
 
 def symmetrize(M) -> np.ndarray:

@@ -44,6 +44,7 @@ from .linalg import (
     lmi_phase_two,
     pinv,
     rk4_grid,
+    sym_basis,
     symmetrize,
 )
 from .model import (ProblemSpec, DerivedWeights, _check_population, _check_positive, derive_weights,
@@ -523,15 +524,13 @@ def _riccati_lmi(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True):
     At population N the stacked N-agent LMI at I (x) P + (11'/N) (x) K is
     orthogonally similar to diag(I_(N-1) (x) L_P, L_Pi), so its maximal
     point maximizes tr P + tr Pi too.  In coordinates x over each unknown's
-    symmetric unit directions it is L0 + sum_k x_k G_k.  Returns (L0, G, c,
+    svec coordinates (``sym_basis``) it is L0 + sum_k x_k G_k.  Returns (L0, G, c,
     pair, basis): c'x is the unknowns' trace, pair(x) the _Pair at x, and
     basis maps x to the stacked vecs ``_Pair.jacobian`` acts on.
     """
     free_P, n = P is None, plant.A.shape[0]
     k = free_P + with_Pi
-    i, j = np.triu_indices(n)
-    E = np.zeros((i.size, n, n))
-    E[np.arange(i.size), i, j] = E[np.arange(i.size), j, i] = 1.0
+    E = sym_basis(n)
 
     def pair(x):
         Y = np.tensordot(x.reshape(k, -1), E, 1)
@@ -542,11 +541,11 @@ def _riccati_lmi(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True):
         L = [X for X, f in zip(pair(x).lmi_blocks(), (free_P, with_Pi)) if f]
         return L[0] if k == 1 else np.block([[L[0], 0 * L[1]], [0 * L[0], L[1]]])
 
-    units = np.eye(k * i.size)
+    units = np.eye(k * len(E))
     L0 = lmi(np.zeros(len(units)))
     G = np.stack([lmi(e) - L0 for e in units])
-    basis = np.kron(np.eye(k), E.reshape(i.size, -1).T)
-    return L0, G, np.tile(i == j, k).astype(float), pair, basis
+    basis = np.kron(np.eye(k), E.reshape(len(E), -1).T)
+    return L0, G, np.tile(np.trace(E, axis1=1, axis2=2), k), pair, basis
 
 
 def _lmi_phase_one(plant: _Plant, tol: Tolerance):

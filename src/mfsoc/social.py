@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, affine_rk4, quadrature, rk4_grid
+from .linalg import DEFAULT_TOL, Tolerance, affine_rk4, rk4_grid
 from .model import ProblemSpec, _check_population, _check_positive
 from .riccati import (
     RiccatiInfiniteSolution,
@@ -117,10 +117,6 @@ def gap_curve(spec: ProblemSpec, N_values, cfg: SimConfig,
     return GapCurve(np.asarray(Ns), dec, cen, dec_se, cen_se, eps, eps_se)
 
 
-def _T(M):
-    return M.swapaxes(-1, -2)
-
-
 def _outer(u, v):
     return u[..., :, None] * v[..., None, :]
 
@@ -133,9 +129,9 @@ def _moment2(P1, P2, c, m, S, Y):
     """E z z' for z = P1 x_i + P2 x^(N) + c, from the exchangeable moments.
 
     Every argument may carry leading batch axes; they broadcast."""
-    cross = P1 @ Y @ _T(P2)
+    cross = P1 @ Y @ P2.mT
     mc = _outer(_mv(P1 + P2, m), c)
-    return P1 @ S @ _T(P1) + cross + _T(cross) + P2 @ Y @ _T(P2) + mc + _T(mc) + _outer(c, c)
+    return P1 @ S @ P1.mT + cross + cross.mT + P2 @ Y @ P2.mT + mc + mc.mT + _outer(c, c)
 
 
 def _trace_dot(W, M):
@@ -188,10 +184,10 @@ def _closure_costs(spec: ProblemSpec, laws, Ns, step: float) -> np.ndarray:
         A, Aw, b = cl.A[k], cl.Aw[k], cl.b[k]
         Y = S / N + (1.0 - 1.0 / N) * O
         mY, bm = Aw @ Y, _outer(b, m)
-        common = mY + _T(mY) + bm + _T(bm)
+        common = mY + mY.mT + bm + bm.mT
         dm = _mv(A + Aw, m) + b
-        dS = A @ S + S @ _T(A) + common + _moment2(cl.C[k], cl.Cw[k], cl.c[k], m, S, Y)
-        dO = A @ O + O @ _T(A) + common
+        dS = A @ S + S @ A.mT + common + _moment2(cl.C[k], cl.Cw[k], cl.c[k], m, S, Y)
+        dO = A @ O + O @ A.mT + common
         cost = (_trace_dot(spec.Q, _moment2(I_n, -cl.Gw[k], -cl.e[k], m, S, Y))
                 + _trace_dot(spec.R, _moment2(cl.F[k], cl.Fw[k], cl.u[k], m, S, Y)))
         lead = dm.shape[:-1]
@@ -275,7 +271,7 @@ def asymptotic_value(spec: ProblemSpec, sol: RiccatiInfiniteSolution,
             f"(end level {end_level:.3g} vs peak {peak:.3g}); the forcing "
             f"signals are not square-integrable on this horizon"
         )
-    m = quadrature(integrand, grid=grid)
+    m = float(np.trapezoid(integrand, x=grid))
     tail_bound = end_level * max(grid[-1], 1.0)
     quad_spread = float(np.trace(P @ spec.x0_cov))
     quad_mean = float(spec.x0_mean @ Pi @ spec.x0_mean)

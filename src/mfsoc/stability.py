@@ -3,13 +3,12 @@
 Mean-square stability is decided on the lifted second-moment operator.
 Stabilizability is decided constructively through a definite-weight
 algebraic Riccati solve, which accepts only a gain verified on the lift.
-Exact detectability of a state-dependent-noise pair is decided by a spectral
-surrogate on the forward second-moment operator (eigenvectors with
-non-negative real part must be visible through the output map); for zero
-diffusion it reduces to the deterministic PBH test.  Uniform convexity of
-the social cost is certified at any population size from the
-population-N Riccati pair, whose control weight is the block of the
-stacked N*n-dimensional equation's symmetric solution.
+Exact observability and detectability of a noisy pair (A, C | F) are the
+PBH rank tests of its symmetric lift, X -> AX + XA' + CXC' observed
+through X -> FX; for zero diffusion they are the deterministic PBH tests.
+Uniform convexity of the social cost is certified at any population size
+from the population-N Riccati pair, whose control weight is the block of
+the stacked N*n-dimensional equation's symmetric solution.
 
 ``stability_report`` is the one battery: it runs each of these checks
 once, plus, on an infinite horizon, one unpinned algebraic solve, which it
@@ -24,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, spectral_abscissa, sym_sqrt_psd,
-                     symmetrize)
+from .linalg import (DEFAULT_TOL, Tolerance, is_hurwitz, lift_msq, pinv, spectral_abscissa,
+                     sym_basis, sym_sqrt_psd, symmetrize)
 from .model import ProblemSpec, _check_population
 from .riccati import (RiccatiInfiniteSolution, SolverError, _Pair, _plant, _range_report,
                       _solution_pair, _solve_finite, _stochastic_are_root, solve_are)
@@ -54,7 +53,9 @@ def check_stabilizable(A, B, C, D, tol: Tolerance = DEFAULT_TOL):
 
 
 def pbh_observable(A, F, tol: Tolerance = DEFAULT_TOL, detect_only=False):
-    """Deterministic PBH rank test for (A, F) observability (or detectability)."""
+    """PBH rank test for (A, F) observability (or detectability): the witness
+    is an eigenvalue lam of A where [lam I - A; F] loses rank.  A and F may
+    be a noisy pair's lifted operators (``_lifted_pair``)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     F = np.atleast_2d(np.asarray(F, dtype=float))
     n = A.shape[0]
@@ -76,35 +77,23 @@ def pbh_stabilizable(A, B, tol: Tolerance = DEFAULT_TOL):
     return pbh_observable(A.T, B.T, tol, detect_only=True)
 
 
-def exact_detectable(A, C, F, tol: Tolerance = DEFAULT_TOL):
-    """Spectral surrogate for exact detectability of the noisy pair with output F.
+def _lifted_pair(A, C, F):
+    """(L_s, F_s): ``lift_msq(A, C)`` restricted to symmetric matrices in
+    svec coordinates (``sym_basis``), and X -> FX on them."""
+    A, C, F = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, C, F))
+    E = sym_basis(A.shape[0])
+    vec = E.reshape(len(E), -1).T   # svec coordinates -> vec
+    return pinv(vec) @ lift_msq(A, C) @ vec, (F @ E).reshape(len(E), -1).T
 
-    Works on the forward second-moment operator X -> AX + XA' + CXC' acting
-    on symmetric matrices, as in the stochastic PBH test (Zhang and Chen,
-    Automatica 2004): the pair is declared detectable iff every
-    eigenvector X (symmetrized, unit norm) whose eigenvalue has real part
-    >= -residual_tol satisfies ||F X|| > residual_tol.  A mode with Ax = ax,
-    Cx = cx, Fx = 0 and 2a + c^2 >= 0 gives such an X = xx'.  With C = 0
-    this coincides with the deterministic PBH verdict.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    n = A.shape[0]
-    L = lift_msq(A, C)
-    evals, evecs = np.linalg.eig(L)
-    for k in range(evals.size):
-        if evals[k].real < -tol.residual_tol:
-            continue
-        X = evecs[:, k].reshape(n, n)
-        X = 0.5 * (X + X.T)
-        norm = np.linalg.norm(X)
-        if norm <= tol.rank_cutoff:
-            continue  # anti-symmetric eigenvector; irrelevant to moments
-        X = X / norm
-        if np.linalg.norm(F @ X) <= tol.residual_tol:
-            return False, complex(evals[k])
-    return True, None
+
+def exact_detectable(A, C, F, tol: Tolerance = DEFAULT_TOL):
+    """Exact detectability of the noisy pair (A, C | F) by the stochastic PBH
+    test (Zhang and Chen, Automatica 40(1), 2004; Zhang, Zhang and Chen, IEEE
+    TAC 53(7), 2008): no symmetric X != 0 with L_s X = lam X, Re lam >= 0 and
+    FX = 0, i.e. PBH detectability of ``_lifted_pair``.  The rank test reads
+    whole eigenspaces, so a mode xx' (Ax = ax, Cx = cx, Fx = 0, 2a + c^2 >= 0)
+    mixed into a repeated one is caught.  The witness is lam."""
+    return pbh_observable(*_lifted_pair(A, C, F), tol, detect_only=True)
 
 
 @dataclass
@@ -132,8 +121,8 @@ class StabilityReport:
 
 def check_detectability_suite(spec: ProblemSpec, P_candidate=None, Pi_candidate=None,
                               tol: Tolerance = DEFAULT_TOL):
-    """Observability/detectability battery: PBH tests, stochastic surrogate,
-    and set-membership of the supplied candidates.
+    """Observability/detectability battery: deterministic and stochastic
+    (lifted) PBH tests, and set-membership of the supplied candidates.
 
     The S1 and S2 blocks are the Riccati LMI blocks of the limit-form pair
     at (P, Pi).  Returns (a5prime: dict, membership: dict).
@@ -147,8 +136,7 @@ def check_detectability_suite(spec: ProblemSpec, P_candidate=None, Pi_candidate=
     a5p["Q_psd"] = (q_min >= -tol.residual_tol, q_min)
     a5p["R_pd"] = (r_min > tol.residual_tol, r_min)
     sqQ = sym_sqrt_psd(Q)
-    det_ok, wit = exact_detectable(A, C, sqQ, tol)
-    a5p["A_C_sqrtQ_exactly_observable"] = (det_ok, wit)
+    a5p["A_C_sqrtQ_exactly_observable"] = pbh_observable(*_lifted_pair(A, C, sqQ), tol)
     obs_ok, wit2 = pbh_observable(A + G, sqQ @ (np.eye(n) - Gam), tol)
     a5p["AG_sqrtQ_IminusGamma_observable"] = (obs_ok, wit2)
 

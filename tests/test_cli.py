@@ -171,6 +171,21 @@ def test_solve_finite_outputs(tmp_path):
     assert len(man["spec_sha256"]) == 64
 
 
+@pytest.mark.parametrize("argv, max_rows", [
+    (["solve-finite", SEC6_FIN], 7), (["solve-finite", SEC6_FIN], 100),
+    (["solve-infinite", WELL, "--T", "10"], 300)])
+def test_max_rows_is_a_maximum(tmp_path, argv, max_rows):
+    # 201 and 10,001 knots, which none of these row bounds divides: every
+    # stride-th knot from the first, and no more than max_rows of them
+    out = tmp_path / "o"
+    assert main(argv + ["--outdir", str(out), "--max-rows", str(max_rows)]) == 0
+    name = "riccati_finite.csv" if argv[0] == "solve-finite" else "offset_meanfield.csv"
+    ts = np.array([float(row.split(",")[0])
+                   for row in (out / name).read_text().splitlines()[2:]])
+    assert 1 < ts.size <= max_rows and ts[0] == 0.0
+    np.testing.assert_allclose(np.diff(ts), ts[1], rtol=1e-9)
+
+
 def test_solve_finite_escape_exits_3(tmp_path):
     assert main(["solve-finite", EX1_LONG, "--outdir", str(tmp_path / "o")]) == 3
 

@@ -13,9 +13,9 @@ from mfsoc.linalg import (
     lift_msq,
     lmi_phase_one,
     pinv,
-    quadrature,
     rk4_grid,
     spectral_abscissa,
+    sym_basis,
     sym_sqrt_psd,
     symmetrize,
 )
@@ -318,11 +318,16 @@ def test_affine_rk4_batch_rows_equal_batches_of_one(monkeypatch):
         np.testing.assert_array_equal(ys[:, b], row)
 
 
-def test_quadrature_linear_exact():
-    grid = np.linspace(0.0, 2.0, 41)
-    assert quadrature(3.0 * grid + 1.0, grid=grid) == pytest.approx(8.0)
-    with pytest.raises(LinalgError):
-        quadrature(np.array([1.0]), grid=[0.0])
+def test_sym_basis_svec_coordinates():
+    # the unit matrices span the symmetric ones, and X = sum_k X[i_k, j_k] E_k
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3):
+        E = sym_basis(n)
+        assert E.shape == (n * (n + 1) // 2, n, n)
+        np.testing.assert_array_equal(E, E.mT)
+        X = symmetrize(rng.standard_normal((n, n)))
+        i, j = np.triu_indices(n)
+        np.testing.assert_array_equal(np.tensordot(X[i, j], E, 1), X)
 
 
 def test_symmetrize_and_sqrt():

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from mfsoc.linalg import Tolerance, is_hurwitz, lift_msq
 from mfsoc.model import ProblemSpec, constant_signal, zero_signal
@@ -113,6 +116,84 @@ def test_exact_detectable_blind_output():
     assert not ok
 
 
+def test_exact_detectable_repeated_eigenspace_counterexamples():
+    # A = 0.1 I and C = 0.3 I: every X is an eigenvector of the lift with
+    # eigenvalue 2a + c^2 = 0.29, and X = (1, 1)(1, 1)' is unseen by F
+    F = np.array([[1.0, -1.0]])
+    ok, wit = exact_detectable(0.1 * np.eye(2), 0.3 * np.eye(2), F)
+    assert not ok and wit == pytest.approx(0.29)
+    # A = C = 0: the noise-free verdict, which is the deterministic one
+    assert exact_detectable(np.zeros((2, 2)), np.zeros((2, 2)), F) == (False, 0)
+    assert pbh_observable(np.zeros((2, 2)), F, detect_only=True) == (False, 0)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_exact_detectable_planted_mode_in_repeated_eigenspace(noisy):
+    # A = aI + u w' with w orthogonal to x and z, so a is a double
+    # eigenvalue of A and 2a + c^2 a triple one of the lift with C = cI;
+    # F x = 0 plants the mode xx' somewhere inside that eigenspace
+    rng = np.random.default_rng(41 + noisy)
+    for _ in range(20):
+        n = int(rng.integers(3, 5))
+        x, z, w = np.linalg.qr(rng.standard_normal((n, n)))[0].T[:3]
+        c = rng.uniform(-1.5, 1.5) if noisy else 0.0
+        a = -c * c / 2 + rng.uniform(0.05, 1.0)
+        A = a * np.eye(n) + np.outer(rng.standard_normal(n), w)
+        F = rng.standard_normal((1, n)) @ (np.eye(n) - np.outer(x, x))
+        ok, wit = exact_detectable(A, c * np.eye(n), F)
+        assert not ok and wit == pytest.approx(2 * a + c * c, abs=1e-6)
+
+
+_LAM_MU = [(0.5, -1.0), (-0.5, 1.0), (0.5, 0.7), (-0.5, -1.0)]
+
+
+@pytest.mark.parametrize("jordan", [False, True])
+@pytest.mark.parametrize("lam, mu", _LAM_MU)
+def test_exact_detectable_without_noise_is_pbh_on_repeated_eigenvalues(lam, mu, jordan):
+    # diag(lam, lam, mu) and a 2x2 Jordan block at lam beside mu
+    A = np.array([[lam, float(jordan), 0.0], [0.0, lam, 0.0], [0.0, 0.0, mu]])
+    rng = np.random.default_rng(53)
+    outputs = list(np.eye(3)[:, None, :]) + [rng.standard_normal((1, 3)),
+                                            rng.standard_normal((2, 3)), np.eye(3)[1:]]
+    for F in outputs:
+        want, _ = pbh_observable(A, F, detect_only=True)
+        got, _ = exact_detectable(A, np.zeros((3, 3)), F)
+        assert got == want, F
+
+
+def test_exact_detectable_invariant_under_state_similarity():
+    # x -> Tx maps (A, C | F) to (TAT^-1, TCT^-1 | FT^-1) and the lift to a
+    # similar operator, so the verdict must not move
+    rng = np.random.default_rng(61)
+    verdicts = []
+    for k in range(60):
+        n = int(rng.integers(1, 4))
+        A, C = rng.standard_normal((n, n)), rng.standard_normal((n, n)) * (k % 2)
+        F = rng.standard_normal((1, n))
+        if k % 3 and n > 1:   # plant an undetectable mode
+            x = rng.standard_normal(n)
+            x /= np.linalg.norm(x)
+            c = rng.uniform(-1.0, 1.0) * (k % 2)
+            a = -c * c / 2 + rng.uniform(0.05, 1.0)
+            A += np.outer(a * x - A @ x, x)
+            C += np.outer(c * x - C @ x, x)
+            F -= np.outer(F @ x, x)
+        U, _, Vt = np.linalg.svd(rng.standard_normal((n, n)))
+        T = U @ np.diag(rng.uniform(0.5, 2.0, n)) @ Vt
+        Ti = np.linalg.inv(T)
+        ok, _ = exact_detectable(A, C, F)
+        assert exact_detectable(T @ A @ Ti, T @ C @ Ti, F @ Ti)[0] == ok
+        verdicts.append(ok)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_detectability_suite_blind_weight(spec_wellposed):
+    # Q = 0: nothing is observable through Q^1/2, even the stable lifted mode
+    a5p, _ = check_detectability_suite(replace(spec_wellposed, Q=np.zeros((1, 1))))
+    ok, wit = a5p["A_C_sqrtQ_exactly_observable"]
+    assert not ok and wit.real < 0.0
+
+
 def test_detectability_suite(spec_wellposed, sol_wellposed):
     a5p, member = check_detectability_suite(
         spec_wellposed, sol_wellposed.P, sol_wellposed.Pi
@@ -176,6 +257,28 @@ def test_theorem_verdicts_agree_unsolvable(spec_sec6):
     # no algebraic solution exists; both sides of the equivalence must fail
     (ok_ii, _), (ok_iii, _) = theorem_verdicts(spec_sec6, FAST, t_sim=10.0)
     assert ok_ii == ok_iii == False
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_theorem_verdicts_agree_on_indefinite_specs(n, seed):
+    # (ii) <=> (iii) with Q and R of either sign, A not shifted stable and
+    # multiplicative noise in both the state and the control channel
+    rng = np.random.default_rng(seed)
+
+    def mat(rows, cols):
+        return rng.standard_normal((rows, cols))
+
+    S = mat(n, n)
+    spec = ProblemSpec(
+        n=n, r=1, A=mat(n, n), B=mat(n, 1), C=0.5 * mat(n, n), D=0.5 * mat(n, 1),
+        G=0.3 * mat(n, n), Q=S + S.T, R=mat(1, 1), Gamma=0.3 * mat(n, n),
+        f=zero_signal(n), sigma=zero_signal(n), eta=zero_signal(n),
+        x0_mean=np.zeros(n), x0_cov=np.eye(n), N=10, horizon=None,
+    )
+    (ok_ii, d2), (ok_iii, d3) = theorem_verdicts(spec, FAST, t_sim=8.0)
+    event(f"(ii) = (iii) = {ok_ii}" if ok_ii == ok_iii else "disagree")
+    assert ok_ii == ok_iii, (d2, d3)
 
 
 def test_theorem_verdicts_refuse_a_finite_horizon(spec_sec6_finite):
