@@ -523,8 +523,8 @@ def _riccati_lmi(plant: _Plant, N, tol: Tolerance, P=None, with_Pi=True):
     diagonal of their ``_Pair.lmi_blocks``, affine as M = P + (Pi - P)/N.
     At population N the stacked N-agent LMI at I (x) P + (11'/N) (x) K is
     orthogonally similar to diag(I_(N-1) (x) L_P, L_Pi), so its maximal
-    point maximizes tr P + tr Pi too.  In coordinates x over each unknown's
-    svec coordinates (``sym_basis``) it is L0 + sum_k x_k G_k.  Returns (L0, G, c,
+    point maximizes tr P + tr Pi too.  In x, the unknowns' svec coordinates
+    (``sym_basis``), it is L0 + sum_k x_k G_k.  Returns (L0, G, c,
     pair, basis): c'x is the unknowns' trace, pair(x) the _Pair at x, and
     basis maps x to the stacked vecs ``_Pair.jacobian`` acts on.
     """
