@@ -20,7 +20,7 @@ flag's name before anything runs, or a value the library refuses with
 Ranges: --N, --reps, --thinning, --max-rows (solve-finite and
 solve-infinite only) and every --N-list entry are integers >= 1; --seed
 and --agents integers >= 0; --step, --dt, --T and --fig3-T positive finite
-numbers; --pin-P a finite number.
+numbers, and --dt a divisor of the simulated horizon; --pin-P a finite number.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def _add_common(p, sim=False):
     p.add_argument("--outdir", default=None, help="output directory (default $MFSOC_OUTDIR or ./out)")
     p.add_argument("--step", type=_POSITIVE, default=None, help="Riccati/ODE integration step")
     if sim:
-        p.add_argument("--dt", type=_POSITIVE, default=1e-3)
+        p.add_argument("--dt", type=_POSITIVE, default=1e-3, help="Euler step; must divide the horizon")
         p.add_argument("--T", type=_POSITIVE, default=20.0, help="simulation/truncation horizon")
         p.add_argument("--reps", type=_COUNT, default=100)
         p.add_argument("--seed", type=_NATURAL, default=0)

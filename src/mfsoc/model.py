@@ -497,15 +497,38 @@ def agent_rngs(seed: int, replications, agents) -> list[np.random.Generator]:
     from one vectorized pass of the SeedSequence hash (``_philox_keys``)
     instead of one SeedSequence object per stream.  Indices must be below
     2**32; the seed is any integer >= 0.  Each stream stays open, about
-    780 bytes of heap: the simulator draws from these only when a chunk's
-    horizon is too long for ``agent_normals``'s one buffer.
+    780 bytes of heap: the simulator draws from these, a time block at a
+    time through ``_draw_rows``, only when a chunk's horizon is too long to
+    fill whole with ``agent_normals``.
     """
     keys = _stream_keys(seed, replications, agents)
     Generator, Philox = _philox()
     return [Generator(Philox(_StreamKey(key))) for key in keys]
 
 
-def agent_normals(seed: int, replications, agents, count: int) -> np.ndarray:
+def _draw_rows(gens, out, tile):
+    """Fill row w of out, a view that need not be contiguous, with the next
+    normals of stream w of gens (which may yield one re-keyed generator
+    again and again) through the flat scratch tile: as many whole rows at a
+    time as it holds, or a row longer than it in pieces, the same normals."""
+    count, gens = out.shape[1], iter(gens)
+    if count > tile.size:
+        for row, gen in zip(out, gens):
+            for c0 in range(0, count, tile.size):
+                piece = tile[:min(tile.size, count - c0)]
+                gen.standard_normal(out=piece)
+                row[c0:c0 + piece.size] = piece
+        return
+    tile = tile[:tile.size // count * count].reshape(-1, count)
+    views = list(tile)
+    for w0 in range(0, len(out), len(tile)):
+        m = min(len(tile), len(out) - w0)
+        for view, gen in zip(views[:m], gens):
+            gen.standard_normal(out=view)
+        out[w0:w0 + m] = tile[:m]
+
+
+def agent_normals(seed: int, replications, agents, count: int, out=None, tile=None) -> np.ndarray:
     """The first count standard normals of every stream of ``agent_rngs``.
 
     Row b * len(agents) + i of the (streams, count) result is what stream
@@ -513,22 +536,30 @@ def agent_normals(seed: int, replications, agents, count: int) -> np.ndarray:
     is kept open: one Generator(Philox) is re-keyed per stream through the
     public ``bit_generator.state`` setter, with the counter and buffer
     zeroed as in a fresh Philox, which costs a fraction of constructing
-    one.  The simulator fills a chunk's whole horizon this way when it fits
-    in its noise bound.  Same refusals as ``agent_rngs``.
+    one.  The result goes into ``out`` if given, which may be a
+    non-contiguous view (the simulator's knot-major noise table,
+    transposed), through the flat float scratch ``tile`` (one row by
+    default) as ``_draw_rows`` fills it.  Same refusals as ``agent_rngs``.
     """
     keys = _stream_keys(seed, replications, agents)
-    out = np.empty((keys.shape[0], operator.index(count)))
-    if not keys.size:
+    if out is None:
+        out = np.empty((keys.shape[0], operator.index(count)))
+    if out.shape != (keys.shape[0], count):
+        raise ValueError(f"out has shape {out.shape}, not {(keys.shape[0], count)}")
+    if not out.size:
         return out
     Generator, Philox = _philox()
     bitgen = Philox(_StreamKey(keys[0]))
     gen = Generator(bitgen)
     state = bitgen.state      # a fresh Philox's; as Python ints it sets faster
     state["state"]["counter"] = state["buffer"] = [0] * 4
-    for key, row in zip(keys, out):
+
+    def rekeyed(key):
         state["state"]["key"] = key.tolist()
         bitgen.state = state
-        gen.standard_normal(out=row)
+        return gen
+
+    _draw_rows(map(rekeyed, keys), out, np.empty(count) if tile is None else tile)
     return out
 
 

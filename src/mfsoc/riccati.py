@@ -388,23 +388,6 @@ def _scalar_rk4(rate, ts, P, K, s):
     return np.array(ys)
 
 
-def _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N):
-    """Max defining-equation residuals of P, K and s over every interior knot
-    via 5-point stencils, with the pair formulas (not the scalar fork)
-    batched over the knots."""
-    m = grid.size
-    if m < 5:
-        return 0.0, 0.0, 0.0
-    h = grid[1] - grid[0]
-    k = np.arange(2, m - 2)
-    t = grid[k]
-    pair = _Pair(_plant(spec, dw), Ps[k], Ps[k] + Ks[k], N, tol)
-    rates = pair.triple_rate(ss[k], spec.f(t), spec.sigma(t), dw.eta_bar(t))
-    return tuple(float(np.max(np.abs(
-        (-X[k + 2] + 8 * X[k + 1] - 8 * X[k - 1] + X[k - 2]) / (12 * h) - rate)))
-        for X, rate in zip((Ps, Ks, ss), rates))
-
-
 # relative residual (each of P, K and s over 1 + its largest entry, so a
 # large offset does not mask the pair's) above which a finite-horizon triple
 # is refused: healthy solves read at most 3e-4 (1e-10 at the default step),
@@ -457,7 +440,15 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
     if require_convex and bad.size:
         raise SolverError(f"the offset s overflows at t={grid[bad[-1]]:.6g} while the pair "
                           f"(P, K) stays finite: the forcing f, sigma or eta grows too fast")
-    residuals = _finite_residual(grid, Ps, Ks, ss, spec, dw, tol, N)
+    # the max residual of each of P, K and s over the interior knots: 5-point
+    # stencils against the rates of the pair formulas (not the scalar fork),
+    # from one pair batched over every knot, which also gives Upsilon
+    pair = _Pair(_plant(spec, dw), Ps, Ps + Ks, N, tol)
+    rates = pair.triple_rate(ss, spec.f(grid), spec.sigma(grid), dw.eta_bar(grid))
+    k, h = np.arange(2, grid.size - 2), grid[1] - grid[0]
+    residuals = [float(np.max(np.abs((-X[k + 2] + 8 * X[k + 1] - 8 * X[k - 1] + X[k - 2])
+                                     / (12 * h) - rate[k]))) if k.size else 0.0
+                 for X, rate in zip((Ps, Ks, ss), rates)]
     residual = float(np.max(residuals))          # NaN if s is not finite
     relative = max(r / (1.0 + float(np.max(np.abs(X)))) for r, X in zip(residuals, (Ps, Ks, ss)))
     if require_convex and relative > _FINITE_RESIDUAL_BOUND:
@@ -466,7 +457,7 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
             f"(relative {relative:.3g} > {_FINITE_RESIDUAL_BOUND:g}) and is no solution; "
             f"the horizon likely exceeds the solvable interval, or the step is too coarse"
         )
-    Ups = _Pair(_plant(spec, dw), Ps, Ps + Ks, N, tol).Ups
+    Ups = pair.Ups
     min_eig = float(np.linalg.eigvalsh(Ups).min())
     if require_convex and min_eig < -tol.residual_tol:
         raise SolverError(

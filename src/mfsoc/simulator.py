@@ -13,18 +13,19 @@ an oracle test, rather than building one SeedSequence per stream.
 
 The simulator runs a batch of (law, N) pairs, and `simulate_population` is
 a batch of one.  Replications are stepped in chunks of at most _MAX_WIDTH
-agents of the widest pair.  A chunk holds its noise in one buffer, a row
-per stream: each stream's n initial normals, then its increments in order.
-If the whole horizon fits twice _BLOCK_ELEMS floats, the buffer holds all
-of it and `model.agent_normals` fills each row from one re-keyed Philox,
-so no stream stays open.  A longer horizon builds the max(N) streams of
-each replication once (`model.agent_rngs`), keeps them open and draws one
-time block at a time into a reused buffer, so its width does not depend
-on the horizon.  A stream drawn in pieces yields the same normals as one
-draw, so the two draws are bit-identical.  A segment of knots scales its
-columns of the buffer, in place of a transposed copy of the block, into
-one increment row per knot, and every pair steps on its first N columns,
-so a gap curve draws each shared stream once, in one pass.
+agents of the widest pair.  A chunk holds its noise in one knot-major
+table, a column per stream: rows 0 .. n-1 hold its n initial normals and
+row n + k % block knot k's increment, scaled by sqrt(dt) once per fill,
+drawn into the step scratch (free between knots) a tile of whole streams
+at a time.  If the whole horizon fits twice _BLOCK_ELEMS floats, the table
+holds all of it and `model.agent_normals` fills it from one re-keyed
+Philox, so no stream stays open.  A longer horizon builds the max(N)
+streams of each replication once (`model.agent_rngs`), keeps them open and
+refills the increment rows a time block at a time, so the table's size
+does not depend on the horizon.  A stream drawn in pieces yields the same
+normals as one draw, so the two draws are bit-identical.  Every pair steps
+on the first N columns of each replication, so a gap curve draws each
+shared stream once, in one pass.
 
 Each knot runs only the state recursion: the live average (N > 1), the
 drift and diffusion terms it drives and the Euler step, as broadcast
@@ -56,7 +57,7 @@ import numpy as np
 
 from .linalg import lift_msq, matvec, spectral_abscissa
 from .model import (ProblemSpec, _check_count, _check_natural, _check_population,
-                    _check_positive, _is_integer, agent_normals, agent_rngs,
+                    _check_positive, _draw_rows, _is_integer, agent_normals, agent_rngs,
                     initial_chol)
 from .synthesis import ControlLaw, _loop_tables
 
@@ -67,11 +68,11 @@ _MAX_WIDTH = 20000      # replications x agents stepped together
 # streams (about 780 B each) take about one block buffer, so the factor 2
 # keeps the widest chunks' noise memory where it was
 _BLOCK_ELEMS = 1 << 21
-# agent-states in one pair's slab of knots, and in a segment of scaled
-# increments.  The slab's evaluation costs a few dozen numpy calls whatever
-# its length, so a narrow run (50 agents) pays them once per 163 knots; the
-# shared scratch, 4 floats per state and the segment's increments, stays a
-# small fraction of one block buffer
+# agent-states in one pair's slab of knots.  The slab's evaluation costs a
+# few dozen numpy calls whatever its length, so a narrow run (50 agents)
+# pays them once per 163 knots; the shared step scratch, 4 floats per state
+# of the widest slab, stays a small fraction of one block buffer, and is
+# also the tile through which a chunk's noise is drawn
 _SLAB_STATES = _BLOCK_ELEMS >> 8
 _DIVERGE = 1e12
 _max, _min = np.maximum.reduce, np.minimum.reduce
@@ -104,11 +105,14 @@ class SimConfig:
         _check_count(self.thinning, "thinning")
 
     def horizon_for(self, spec: ProblemSpec) -> float:
-        if self.T_sim is not None:
-            return float(self.T_sim)
-        if spec.infinite_horizon:
+        """The simulated horizon, which dt must divide into whole steps."""
+        if self.T_sim is None and spec.infinite_horizon:
             raise ValueError("T_sim required for infinite-horizon simulation")
-        return float(spec.horizon)
+        T = float(spec.horizon if self.T_sim is None else self.T_sim)
+        if abs(round(T / self.dt) * self.dt - T) > 1e-9 * T:
+            raise ValueError(f"dt = {self.dt:g} does not divide the horizon T = {T:g} "
+                             "into whole steps")
+        return T
 
 
 @dataclass
@@ -129,7 +133,7 @@ class SimulationOutput:
     # how the run was stepped: chunk_width (replications per chunk), chunks,
     # slab_knots (this pair's slab length), draw ("whole" or "open streams")
     # and the seconds of the whole batch spent on noise (stream set-up, draws
-    # and column scaling), on the recursion and on slab evaluation
+    # and scaling), on the recursion and on slab evaluation
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -139,18 +143,6 @@ def _dot(a, b, out=None):
     for i in range(1, len(a)):
         out += a[i] * b[i]
     return out
-
-
-def _segments(steps, block, seg):
-    """The segments [k, e) of knots 0 .. steps, each with the end e2 of the
-    next: at most seg knots within one time block, and the last knot alone."""
-    def end(k):
-        return steps + 1 if k >= steps else min(k + seg, (k // block + 1) * block, steps)
-    k, e = 0, end(0)
-    while k <= steps:
-        e2 = end(e)
-        yield k, e, e2
-        k, e = e, e2
 
 
 def _tail_bound(spec, run, integrand_end):
@@ -167,9 +159,9 @@ class _Run:
     over replications and, within a chunk, its slab of states.
 
     Slot s of the slab holds the state at knot k0 + s.  `knot` steps one
-    knot; the knot that closes a slab first evaluates it (`evaluate`) and
-    then steps into slot 0, so no state is ever copied between slots and a
-    slab of one knot steps in place.  The evaluation's tables (among them
+    knot; the knot that closes a slab, its S-th or the last, first
+    evaluates it (`evaluate`) and then steps into slot 0, so no state is
+    ever copied between slots and a slab of one knot steps in place.  The evaluation's tables (among them
     M = Q + F'RF for the centred cost) carry their knots on a middle axis,
     so a slab takes a plain slice.
     """
@@ -206,9 +198,9 @@ class _Run:
 
     def begin(self, X0, dws, bufs, collect):
         """Enter a chunk: slot 0 takes the first N agents of the shared
-        (n, B, max N) initial state, the step reads its columns of the
-        (segment, B, max N) increments dws, and the step and evaluation
-        scratch are leading slices of the shared flat buffers."""
+        (n, B, max N) initial state, the step reads its columns of the noise
+        table's (block, B, max N) increment rows dws, and the step and
+        evaluation scratch are leading slices of the shared flat buffers."""
         n, B, _ = X0.shape
         N, S = self.N, self.S
         self.Xs = np.empty((S, n, B, N))
@@ -242,10 +234,10 @@ class _Run:
                              c[:m], c[1:m + 1])
         return self.views[m]
 
-    def knot(self, k, g, closes):
+    def knot(self, k, g):
         """Knot k: the live average and the step's w-terms, the slab's
         evaluation if k closes it, then the Euler step on the increments of
-        segment row g.  Returns True if the evaluated slab diverged."""
+        row g of dws.  Returns True if the evaluated slab diverged."""
         s = k - self.k0
         X = self.Xs[s]
         if self.live:
@@ -258,7 +250,7 @@ class _Run:
             dx, cx = self.dx, self.cx
         else:
             dx, cx = self.dxo[k], self.cxo[k]
-        if closes:
+        if s + 1 == self.S or k == self.steps:
             t = time.perf_counter()
             diverged = self.evaluate(k + 1)
             self.eval_s += time.perf_counter() - t
@@ -410,7 +402,7 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
     n, r = spec.n, spec.r
     T = cfg.horizon_for(spec)
     dt = cfg.dt
-    steps = max(1, int(round(T / dt)))
+    steps = int(round(T / dt))
     tgrid = dt * np.arange(steps + 1)
     tgrid[-1] = T
     finite = not spec.infinite_horizon and abs(T - spec.horizon) <= 1e-9
@@ -418,10 +410,8 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
     reps = cfg.replications
     N_max = max(N for _, N in checked)
     chunk = max(1, min(reps, _MAX_WIDTH // N_max))
-    # a segment of knots shares one (segment, W) block of scaled increments;
-    # a pair's slab holds its share of _SLAB_STATES, at least one segment
-    seg = max(1, min(steps, _SLAB_STATES // (chunk * N_max)))
     whole = chunk * N_max * (n + steps) <= 2 * _BLOCK_ELEMS
+    block = steps if whole else max(1, min(steps, _BLOCK_ELEMS // (chunk * N_max)))
     L0 = initial_chol(spec)
     sqdt = np.sqrt(dt)
 
@@ -432,63 +422,49 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
                  max(1, min(steps + 1, _SLAB_STATES // (chunk * N))))
             for law, N in checked]
     E = max(run.S * chunk * run.N for run in runs)
-    bufs = [np.empty(k) for k in (n * E, max(n, r) * E, (3 * r + 4 * n) * chunk)]
-    dws = np.empty(seg * chunk * N_max)
+    scratch = np.empty((n + max(n, r)) * E)          # the step's, and the noise tile
+    bufs = [scratch[:n * E], scratch[n * E:], np.empty((3 * r + 4 * n) * chunk)]
+    table = np.empty((n + block) * chunk * N_max)     # a narrower last chunk takes a slice
     noise_s = loop_s = tail_s = 0.0
 
     done = 0
     while done < reps:
         B = min(chunk, reps - done)
         W = B * N_max
-        t0 = time.perf_counter()
-        # one stream per (replication, agent), row w = b max(N) + i; each
-        # stream gives its n initial normals first, then its increments in
-        # order, and a segment of knots scales its columns n + k % block.  A
-        # horizon that fits the bound is drawn whole, one row per stream, and
-        # no stream stays open; a longer one is drawn a block at a time from
-        # open streams: the first draw fills the whole row, later ones
-        # raw[:, n:]
-        raw = gens = tails = None           # the last chunk's noise goes first
+        t0 = time.perf_counter()               # the chunk's noise and loop
+        # one stream per (replication, agent), column w = b max(N) + i; the
+        # first fill takes every row, a later one (open streams only) the
+        # next block's increment rows
+        noise = table[:(n + block) * W].reshape(n + block, W)
         if whole:
-            raw = agent_normals(cfg.seed, range(done, done + B), range(N_max), n + steps)
-            block = steps
+            agent_normals(cfg.seed, range(done, done + B), range(N_max), n + steps,
+                          noise.T, scratch)
         else:
+            gens = None                     # the last chunk's streams go first
             gens = agent_rngs(cfg.seed, range(done, done + B), range(N_max))
-            block = max(1, min(steps, _BLOCK_ELEMS // W))
-            raw = np.empty((W, n + block))
-            for gen, row in zip(gens, raw):
-                gen.standard_normal(out=row)
-            tails = [row[n:] for row in raw]
+            _draw_rows(gens, noise.T, scratch)
+        noise[n:] *= sqdt
         noise_s += time.perf_counter() - t0
-        X0 = (spec.x0_mean[:, None] + matvec(L0, raw[:, :n].T)).reshape(n, B, N_max)
-        dw = dws[:seg * W].reshape(seg, W)
+        X0 = (spec.x0_mean[:, None] + matvec(L0, noise[:n])).reshape(n, B, N_max)
+        dws = noise[n:].reshape(block, B, N_max)
         for run in runs:
-            run.begin(X0, dw.reshape(seg, B, N_max), bufs, collect_agents if done == 0 else 0)
+            run.begin(X0, dws, bufs, collect_agents if done == 0 else 0)
 
         with np.errstate(over="ignore", invalid="ignore"):   # a divergence raises below
-            for k, e, e2 in _segments(steps, block, seg):
-                t0 = time.perf_counter()
-                if k < steps:
-                    if k and k % block == 0:
-                        if steps - k < block:   # the last block is partial; no second list
-                            tails = (row[n:n + steps - k] for row in raw)
-                        for gen, tail in zip(gens, tails):
-                            gen.standard_normal(out=tail)
-                    for g, col in enumerate(range(n + k % block, n + k % block + e - k)):
-                        np.multiply(raw[:, col], sqdt, out=dw[g])
-                t1 = time.perf_counter()
-                for kk in range(k, e - 1):
-                    for run in runs:
-                        run.knot(kk, kk - k, False)
-                # a slab closes when the next segment would overflow it
+            for k in range(steps + 1):
+                if k % block == 0 and 0 < k < steps:
+                    t1 = time.perf_counter()
+                    rows = noise[n:n + min(block, steps - k)]
+                    _draw_rows(gens, rows.T, scratch)
+                    rows *= sqdt
+                    noise_s += time.perf_counter() - t1
                 for run in runs:
-                    if run.knot(e - 1, e - 1 - k, e > steps or e2 - run.k0 > run.S):
+                    if run.knot(k, k % block):
                         found = [(d[0], j, d) for j, other in enumerate(runs)
                                  if (d := other.first_divergence()) is not None]
                         knot, _, (_, b, i) = min(found)
                         raise DivergenceError(tgrid[knot], i, done + b)
-                noise_s += t1 - t0
-                loop_s += time.perf_counter() - t1
+        loop_s += time.perf_counter() - t0
         t0 = time.perf_counter()
         for run in runs:
             cost = run.cost
@@ -506,7 +482,7 @@ def _simulate(spec: ProblemSpec, pairs, cfg: SimConfig, coupling: str = "empiric
     eval_s = sum(run.eval_s for run in runs)
     diagnostics = {"chunk_width": chunk, "chunks": math.ceil(reps / chunk),
                    "draw": "whole" if whole else "open streams", "noise_s": noise_s,
-                   "recursion_s": loop_s - eval_s, "evaluation_s": eval_s + tail_s}
+                   "recursion_s": loop_s - noise_s - eval_s, "evaluation_s": eval_s + tail_s}
     outs = []
     for run in runs:
         run.agent_cost /= reps

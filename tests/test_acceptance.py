@@ -110,6 +110,7 @@ def test_criterion_4_gap_curve(capsys, spec_sec6_finite):
            + ", ".join(f"{e:.3e}" for e in exact.epsilon) + ")")
 
 
+@pytest.mark.slow
 def test_criterion_5_value_vs_monte_carlo(capsys, spec_wellposed, sol_wellposed):
     val = asymptotic_value(spec_wellposed, sol_wellposed)
     law = build_law(sol_wellposed, spec_wellposed)

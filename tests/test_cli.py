@@ -334,6 +334,9 @@ def test_simulate_summary(tmp_path):
     ("simulate", SEC6_FIN, ["--step", "0"]), ("simulate", SEC6_FIN, ["--step", "-0.001"]),
     ("simulate", SEC6_FIN, ["--step", "nan"]),
     ("simulate", SEC6_FIN, ["--dt", "nan"]), ("simulate", SEC6_FIN, ["--dt", "0"]),
+    # the horizon 0.2 is not a whole number of steps of 0.5 or 0.03
+    ("simulate", SEC6_FIN, ["--dt", "0.5"]), ("simulate", SEC6_FIN, ["--dt", "0.03"]),
+    ("gap", SEC6_FIN, ["--dt", "0.03"]), ("simulate", WELL, ["--T", "1.001"]),
     ("simulate", SEC6_FIN, ["--reps", "0"]), ("simulate", SEC6_FIN, ["--thinning", "0"]),
     ("simulate", WELL, ["--T", "-1"]),
     ("solve-infinite", WELL, ["--T", "0"]),

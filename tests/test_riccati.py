@@ -447,6 +447,7 @@ def _flow_oracle_counts(plant, tol):
     return found, newton_alone_fails
 
 
+@pytest.mark.slow
 def test_continuation_matches_flow_oracle():
     # noisy plants with R of either sign, half of them with A shifted toward
     # instability; unshifted plant 56 and shifted plants 4 and 17 lose roots
@@ -950,6 +951,7 @@ def _finite_outcome(spec, tol, N):
     return sol.grid, sol.P, sol.K, sol.s, sol.residual, sol.min_upsilon_eig
 
 
+@pytest.mark.slow
 def test_scalar_loop_matches_integrate_ode_oracle(monkeypatch, spec_sec6_finite, spec_example1):
     # the float RK4 loop of n = r = 1 against integrate_ode driven by
     # _finite_rhs's rate with the matrix branch's projection: every solve is

@@ -47,6 +47,16 @@ def test_config_validation():
     assert cfg.horizon_for(spec) == 1.0
     with pytest.raises(ValueError):
         cfg.horizon_for(ProblemSpec.from_json({**spec.to_json(), "horizon": "infinite"}))
+    # dt must divide the horizon into whole steps: a 0.3 step would stop at
+    # 0.9 or 1.2, and a step longer than the horizon would take one step of dt
+    assert SimConfig(dt=0.1).horizon_for(spec) == 1.0
+    assert SimConfig(dt=0.5, T_sim=1.5).horizon_for(spec) == 1.5
+    for dt, T_sim in ((0.3, None), (2.0, None), (0.5, 1.2)):
+        cfg = SimConfig(dt=dt, T_sim=T_sim)
+        with pytest.raises(ValueError, match=f"dt = {dt:g} does not divide the horizon"):
+            cfg.horizon_for(spec)
+        with pytest.raises(ValueError, match="whole steps"):
+            simulate_population(spec, zero_law(1.0), cfg, N=2)
 
 
 def test_noise_free_reduces_to_ode():
@@ -534,6 +544,55 @@ def test_slab_length_leaves_outputs_unchanged(monkeypatch, spec_sec6_finite, sol
             for field in FIELDS:
                 np.testing.assert_array_equal(getattr(g, field), getattr(w, field),
                                               err_msg=f"{field}, N={N}, {c}")
+
+
+@pytest.mark.parametrize("draw", ["whole", "open streams"])
+@pytest.mark.parametrize("cut", ["pieces", "rows"])
+def test_noise_tiles_leave_outputs_unchanged(monkeypatch, spec_sec6_finite, sol_sec6_finite,
+                                             cut, draw):
+    # a chunk's noise table is filled through the step scratch, 2 E floats
+    # here with E the widest slab's agent-states, a tile of whole stream rows
+    # at a time.  pieces: one-replication chunks (7 agents) and one-knot
+    # slabs make the tile 14 floats, shorter than a stream's 51 normals (or
+    # its blocks of 21 and 20), so rows are drawn in pieces.  rows: a budget
+    # of 90 slab agent-states makes the tile 180 floats, 3 rows of 51 (25 of
+    # 7, 30 of 6), so tiles cut across a replication's 7 agents and the last
+    # is partial.  Open streams draw blocks of 20 (6) knots of the 50, the
+    # last partial
+    import mfsoc.model as model
+    import mfsoc.simulator as sim
+    cfg = SimConfig(dt=4e-3, replications=5, seed=3, thinning=3)
+    pairs = mixed_pairs(spec_sec6_finite, sol_sec6_finite)
+    width, slab_states, block = {"pieces": (7, 1, 20), "rows": (35, 90, 6)}[cut]
+    monkeypatch.setattr(sim, "_MAX_WIDTH", width)   # the default run's chunks too
+    want = sim._simulate(spec_sec6_finite, pairs, cfg, collect_agents=1)
+    monkeypatch.setattr(sim, "_SLAB_STATES", slab_states)
+    if draw == "open streams":
+        monkeypatch.setattr(sim, "_BLOCK_ELEMS", block * width)
+    fills, draw_rows = [], model._draw_rows
+
+    def spy(gens, out, tile):
+        fills.append((len(out), out.shape[1], tile.size))
+        return draw_rows(gens, out, tile)
+
+    monkeypatch.setattr(model, "_draw_rows", spy)
+    monkeypatch.setattr(sim, "_draw_rows", spy)
+    got = sim._simulate(spec_sec6_finite, pairs, cfg, collect_agents=1)
+    for (law, N), g, w in zip(pairs, got, want):
+        assert g.diagnostics["draw"] == draw
+        for field in FIELDS:
+            np.testing.assert_array_equal(getattr(g, field), getattr(w, field),
+                                          err_msg=f"{field}, N={N}")
+    if cut == "pieces":
+        assert any(tile < count for _, count, tile in fills)
+    else:
+        assert all(tile >= count for _, count, tile in fills)
+        assert all((tile // count) % 7 and streams % (tile // count)
+                   for streams, count, tile in fills)
+    if draw == "open streams":
+        assert fills[-1][1] == 50 % block
+    else:
+        assert {count for _, count, _ in fills} == {51}
 
 
 def test_diagnostics_record_the_stepping(spec_sec6_finite, sol_sec6_finite):
