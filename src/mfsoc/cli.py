@@ -20,7 +20,8 @@ flag's name before anything runs, or a value the library refuses with
 Ranges: --N, --reps, --thinning, --max-rows (solve-finite and
 solve-infinite only) and every --N-list entry are integers >= 1; --seed
 and --agents integers >= 0; --step, --dt, --T and --fig3-T positive finite
-numbers, and --dt a divisor of the simulated horizon; --pin-P a finite number.
+numbers, and --dt a divisor of the simulated horizon; --pin-P a finite number,
+accepted for a 1-state problem only.
 """
 
 from __future__ import annotations
@@ -204,6 +205,9 @@ def _tol(args):
 
 def _solve_are(spec, tol, args):
     """The algebraic solve over [0, --T], with P pinned to --pin-P if given."""
+    if args.pin_P is not None and spec.n != 1:
+        raise ValueError(f"--pin-P is one number, P of a 1-state problem; this problem has "
+                         f"{spec.n} states")
     pin = None if args.pin_P is None else np.atleast_2d(args.pin_P)
     return solve_are(spec, tol, t_sim=args.T, pin_P=pin)
 
@@ -385,7 +389,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-rows", dest="max_rows", type=_COUNT, default=2000)
     p.add_argument("--T", type=_POSITIVE, default=20.0)
     p.add_argument("--pin-P", dest="pin_P", type=_FINITE, default=None,
-                   help="bypass the first equation with a given scalar value")
+                   help="pin P of a 1-state problem to this value, bypassing its equation")
     p.set_defaults(func=_cmd_solve_infinite)
 
     p = sub.add_parser("check", help="stability/convexity battery")

@@ -5,11 +5,11 @@ lift used for mean-square stability tests, Hurwitz tests, the log-barrier
 method for linear matrix inequalities (``central_path``) with its phase I
 and dual certificate of infeasibility (``lmi_phase_one``) and phase II
 (``lmi_phase_two``), one RK4 step (``_rk4_step``, whose rate reads tables
-on ``rk4_grid`` by stage index) run by a step loop for nonlinear ODEs
-(``integrate_ode``) and, for linear ones, as per-step affine maps applied
-by a doubling scan (``affine_rk4``), broadcast matrix-vector products
-(``matvec``), and the symmetric unit basis that defines svec coordinates
-(``sym_basis``).
+on ``rk4_grid`` by stage index) run by a plain step loop (``integrate_ode``,
+the reference the tests hold the library's integrators to) and, for linear
+ODEs, as per-step affine maps applied by a doubling scan (``affine_rk4``),
+broadcast matrix-vector products (``matvec``), and the symmetric unit basis
+that defines svec coordinates (``sym_basis``).
 All functions are pure and deterministic; everything operates on plain
 numpy arrays.
 """
@@ -271,8 +271,7 @@ def integrate_ode(rate, t0: float, t1: float, y0, step: float, project=None, bou
     tables tabulated once on that grid.  Reversed integration (``t1 < t0``)
     is supported for backward equations; the returned knots always run from
     t0 to t1 in step order.  ``project``, if given, is applied to the state
-    after every accepted step (used by the Riccati solvers to
-    re-symmetrize).
+    after every accepted step (to re-symmetrize a matrix state, say).
 
     Raises :class:`BlowUpError` as soon as the state's first ``bounded``
     entries (all by default) become non-finite or their norm exceeds 1e12,

@@ -11,9 +11,9 @@ the deterministic mean-field trajectory it induces.  Infinite horizon: the
 algebraic pair in either form (each stabilizing root is the maximal point
 of its Riccati LMI, found by phase I, the barrier path and a Newton polish;
 the limit form solves P, then Pi), the L2 offset s(t), and the mean-field
-ODE.  The nonlinear triple runs ``linalg.integrate_ode``'s step loop, or
-at n = r = 1 ``_scalar_rk4``, the same RK4 stages over three Python
-floats; the linear offset and mean fields (``_Pair.mean_path``) go through
+ODE.  One RK4 loop, ``_triple_rk4``, steps the nonlinear triple at every
+n: over three Python floats at n = r = 1, over arrays otherwise; the linear
+offset and mean fields (``_Pair.mean_path``) go through
 ``linalg.affine_rk4``.  Every integration's time dependence (the signals,
 the interpolated triple, the offset forcing) is tabulated once on
 ``linalg.rk4_grid``'s stage grid and read by stage index.  All solvers use
@@ -25,6 +25,7 @@ require (``check_ranges``, at every knot) are each one batched evaluation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -36,7 +37,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     affine_rk4,
-    integrate_ode,
     is_hurwitz,
     kron,
     lift_msq,
@@ -62,6 +62,16 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.escape_time = escape_time
         self.certificate = certificate
+
+
+@contextmanager
+def _escapes(what: str, why: str):
+    """Turn a BlowUpError inside into SolverError: what blew up at its time (why)."""
+    try:
+        yield
+    except BlowUpError as exc:
+        raise SolverError(f"{what} blew up at t={exc.time:.6g} ({why})",
+                          escape_time=exc.time) from exc
 
 
 def grid_interp(grid, values, t):
@@ -306,23 +316,10 @@ class _Pair:
 # ---------------------------------------------------------------------------
 
 
-def _pack(P, K, s):
-    return np.concatenate([P.ravel(), K.ravel(), s.ravel()])
-
-
-def _unpack(y, n):
-    """P, K, s of a packed state; y may carry leading axes."""
-    lead = y.shape[:-1]
-    P = y[..., : n * n].reshape(lead + (n, n))
-    K = y[..., n * n : 2 * n * n].reshape(lead + (n, n))
-    s = y[..., 2 * n * n :]
-    return P, K, s
-
-
 def _scalar_rate(spec: ProblemSpec, dw: DerivedWeights, N: int | None, times):
     """The backward triple's rate at n = r = 1 in Python floats: rate(j, P,
     K, s) = (dP, dK, ds) at times[j].  It writes out the K equation, which
-    the matrix branch forms as the aggregate equation minus the P equation."""
+    ``_pair_rate`` forms as the aggregate equation minus the P equation."""
     a, b, c, d, gc, q, rw, qg = (float(X[0, 0]) for X in (
         spec.A, spec.B, spec.C, spec.D, spec.G, spec.Q, spec.R, dw.Q_Gamma))
     ag = a + gc
@@ -345,31 +342,23 @@ def _scalar_rate(spec: ProblemSpec, dw: DerivedWeights, N: int | None, times):
     return rate
 
 
-def _finite_rhs(spec: ProblemSpec, dw: DerivedWeights, tol: Tolerance, N: int | None,
-                times):
-    """Backward rate(j, y) = d/dt [P, K, s] at times[j], for the limit
-    (N=None) or population-N form; f, sigma and eta_bar are tabulated once.
-    At n = r = 1 it wraps ``_scalar_rate``, which the solver itself steps
-    with ``_scalar_rk4``."""
-    if spec.n == 1 and spec.r == 1:
-        scalar = _scalar_rate(spec, dw, N, times)
-        return lambda j, y: np.array(scalar(j, *y.tolist()))
-
+def _pair_rate(spec: ProblemSpec, dw: DerivedWeights, N: int | None, times, tol: Tolerance):
+    """The backward triple's rate at any n: rate(j, P, K, s) = (dP, dK, ds)
+    at times[j] from ``_Pair.triple_rate``, in the limit (N None) or
+    population-N form; f, sigma and eta_bar are tabulated once."""
     F, S, E = spec.f(times), spec.sigma(times), dw.eta_bar(times)
-    n, plant = spec.n, _plant(spec, dw)
-
-    def rate(j, y):
-        P, K, s = _unpack(y, n)
-        return _pack(*_Pair(plant, P, P + K, N, tol).triple_rate(s, F[j], S[j], E[j]))
-
-    return rate
+    plant = _plant(spec, dw)
+    return lambda j, P, K, s: _Pair(plant, P, P + K, N, tol).triple_rate(s, F[j], S[j], E[j])
 
 
-def _scalar_rk4(rate, ts, P, K, s):
-    """``integrate_ode``'s RK4 over three floats (P, K, s) on the stage grid
-    ts, in ``_rk4_step``'s operation order and with its blow-up test on (P,
-    K); symmetrizing a 1x1 matrix is exact, so nothing is projected.
-    Returns the (steps + 1, 3) states."""
+def _triple_rk4(rate, ts, P, K, s):
+    """Classical RK4 of the triple (P, K, s) on the stage grid ts, in
+    ``linalg._rk4_step``'s operation order over each part: Python floats
+    (``_scalar_rate``) or arrays (``_pair_rate``).  After every step the
+    arrays' P and K are symmetrized (a 1x1 matrix already is), and the sum of
+    P's and then K's squared entries must stay within 1e24, else BlowUpError.
+    Returns the knots' P, K and s, each stacked along a leading axis."""
+    matrix = isinstance(P, np.ndarray)
     steps = ts.size // 2
     h = float(ts[-1] - ts[0]) / max(steps, 1)
     h2, h6 = h / 2, h / 6
@@ -382,10 +371,16 @@ def _scalar_rk4(rate, ts, P, K, s):
         P = P + h6 * (p1 + 2 * p2 + 2 * p3 + p4)
         K = K + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         s = s + h6 * (s1 + 2 * s2 + 2 * s3 + s4)
-        if not P * P + K * K <= 1e24:  # also true for NaN and inf
+        if matrix:
+            P, K = symmetrize(P), symmetrize(K)
+            PK = np.concatenate((P, K), axis=None)
+            size = PK @ PK
+        else:
+            size = P * P + K * K
+        if not size <= 1e24:  # also true for NaN and inf
             raise BlowUpError(ts[j + 2])
         ys.append((P, K, s))
-    return np.array(ys)
+    return [np.array(X) for X in zip(*ys)]
 
 
 # relative residual (each of P, K and s over 1 + its largest entry, so a
@@ -409,39 +404,25 @@ def _solve_finite(spec: ProblemSpec, tol: Tolerance, N: int | None,
         raise SolverError("finite-horizon solver called on an infinite-horizon problem")
     dw = derive_weights(spec)
     n = spec.n
-    T = spec.horizon
-    y_T = _pack(spec.H.copy(), -dw.H_Gamma0, -dw.eta0_bar)
-
-    def project(y):
-        P, K, s = _unpack(y, n)
-        return _pack(symmetrize(P), symmetrize(K), s)
-
-    ts = rk4_grid(T, 0.0, tol.ode_step)
-    try:
-        if n == 1 and spec.r == 1:
-            # floats, not 3-entry arrays: sec6_finite's 200 steps take about
-            # 1 ms against integrate_ode's 6-9 ms (shared 2-core Xeon)
-            ys = _scalar_rk4(_scalar_rate(spec, dw, N, ts), ts, *y_T.tolist())
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):   # s is tested below
-                ys = integrate_ode(_finite_rhs(spec, dw, tol, N, ts), T, 0.0, y_T,
-                                   tol.ode_step, project=project, bounded=2 * n * n)[1]
-    except BlowUpError as exc:
-        raise SolverError(
-            f"backward Riccati integration blew up at t={exc.time:.6g} "
-            f"(solution escapes before reaching t=0; the horizon exceeds the "
-            f"solvable interval)",
-            escape_time=exc.time,
-        ) from exc
+    ts = rk4_grid(spec.horizon, 0.0, tol.ode_step)
+    # floats, not 1x1 arrays: sec6_finite's 200 steps take about 1.2 ms
+    # against 88 ms through the pair algebra (shared 2-core Xeon)
+    floats = n == 1 and spec.r == 1
+    rate = _scalar_rate(spec, dw, N, ts) if floats else _pair_rate(spec, dw, N, ts, tol)
+    y_T = [X.item() if floats else X for X in (spec.H, -dw.H_Gamma0, -dw.eta0_bar)]
+    with (_escapes("backward Riccati integration", "solution escapes before reaching t=0; "
+                   "the horizon exceeds the solvable interval"),
+          np.errstate(over="ignore", invalid="ignore")):   # s is tested below
+        Ps, Ks, ss = _triple_rk4(rate, ts, *y_T)
     # the knots run from T down to 0: reverse them to ascending time
     grid = ts[::-2]
-    Ps, Ks, ss = _unpack(ys[::-1], n)
+    Ps, Ks, ss = Ps[::-1].reshape(-1, n, n), Ks[::-1].reshape(-1, n, n), ss[::-1].reshape(-1, n)
     bad = np.flatnonzero(~np.isfinite(ss).all(axis=1))
     if require_convex and bad.size:
         raise SolverError(f"the offset s overflows at t={grid[bad[-1]]:.6g} while the pair "
                           f"(P, K) stays finite: the forcing f, sigma or eta grows too fast")
     # the max residual of each of P, K and s over the interior knots: 5-point
-    # stencils against the rates of the pair formulas (not the scalar fork),
+    # stencils against the rates of the pair formulas (not ``_scalar_rate``),
     # from one pair batched over every knot, which also gives Upsilon
     pair = _Pair(_plant(spec, dw), Ps, Ps + Ks, N, tol)
     rates = pair.triple_rate(ss, spec.f(grid), spec.sigma(grid), dw.eta_bar(grid))
@@ -489,15 +470,10 @@ def meanfield_path(spec: ProblemSpec, sol: RiccatiFiniteSolution, tol: Tolerance
     """
     ts = rk4_grid(0.0, spec.horizon, tol.ode_step)
     P, K, s, _ = sol.at(ts)
-    try:
+    with _escapes("mean-field integration", "the forcing f, sigma or eta drives the mean "
+                  "out of range before the horizon"):
         return _Pair(_plant(spec), P, P + K, sol.population, tol).mean_path(
             spec, s, ts, tol.ode_step)
-    except BlowUpError as exc:
-        raise SolverError(
-            f"mean-field integration blew up at t={exc.time:.6g} (the forcing f, "
-            f"sigma or eta drives the mean out of range before the horizon)",
-            escape_time=exc.time,
-        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +628,8 @@ def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
     del tb
     s_far = -np.linalg.solve(Hcl.T, g[0])
     np.negative(g, out=g)   # ds/dt = -Hcl's - g
-    try:
+    with _escapes("offset/mean-field integration", "the forcing f, sigma or eta grows along "
+                  "the tail, so the offset has no bounded solution"):
         ts, ss = affine_rk4(lambda j, y: np.einsum("ji,...j->...i", -Hcl, y) + g[j],
                             t_far, 0.0, s_far, tol.ode_step)
         del g
@@ -662,13 +639,6 @@ def _offset_and_mean(spec, dw, pair: _Pair, tol, t_sim):
 
         tf = rk4_grid(0.0, t_sim, tol.ode_step)
         tx, xs = pair.mean_path(spec, grid_interp(grid, s_traj, tf), tf, tol.ode_step)
-    except BlowUpError as exc:
-        raise SolverError(
-            f"offset/mean-field integration blew up at t={exc.time:.6g} "
-            f"(the forcing f, sigma or eta grows along the tail, so the offset "
-            f"has no bounded solution)",
-            escape_time=exc.time,
-        ) from exc
     # resample s on the xbar grid so both live on one uniform grid
     s_on = grid_interp(grid, s_traj, tx)
     return tx, s_on, xs, absc
@@ -688,7 +658,13 @@ def _solve_steady(spec: ProblemSpec, tol: Tolerance, t_sim: float, N: int | None
     _check_positive(t_sim, "t_sim")
     dw = derive_weights(spec)
     plant = _plant(spec, dw)
-    P = None if pin_P is None else symmetrize(np.atleast_2d(np.asarray(pin_P, dtype=float)))
+    P = None if pin_P is None else np.atleast_2d(np.asarray(pin_P, dtype=float))
+    if P is not None:
+        finite = np.isfinite(P).all()
+        if P.shape != (spec.n, spec.n) or not finite:
+            raise ValueError(f"pin_P must be a finite {spec.n} x {spec.n} matrix, got shape "
+                             f"{P.shape}" + ("" if finite else " with non-finite entries"))
+        P = symmetrize(P)
     if P is None and N is None:
         P = _pair_root(plant, None, tol, with_Pi=False).P
     pair = _pair_root(plant, N, tol, P=P)
@@ -707,7 +683,8 @@ def solve_are(spec: ProblemSpec, tol: Tolerance = DEFAULT_TOL, t_sim: float = 20
 
     pin_P, when given, bypasses the P equation and uses the supplied matrix
     (its algebraic residual is still computed and reported); the Pi
-    equation, offset, and mean field are solved at that P.
+    equation, offset, and mean field are solved at that P.  A pin that is
+    not a finite n x n matrix raises ValueError.
     """
     return _solve_steady(spec, tol, t_sim, None, pin_P)
 

@@ -247,9 +247,14 @@ def asymptotic_value(spec: ProblemSpec, sol: RiccatiInfiniteSolution,
     The printed statement of this constant elsewhere carries an extra
     mean-trajectory noise term; the completion-of-squares derivation (and
     the Monte Carlo oracle) select the form above, which is what we
-    implement.  Refuses when the integrand has not decayed by the end of
-    the available grid (signals must be square-integrable).
+    implement.  sol must be the limit-form infinite-horizon solution
+    (``solve_are``), else ValueError.  Refuses when the integrand has not
+    decayed by the end of the available grid (signals must be
+    square-integrable).
     """
+    if not isinstance(sol, RiccatiInfiniteSolution) or sol.population is not None:
+        raise ValueError(f"asymptotic_value needs the limit-form infinite-horizon solution "
+                         f"(solve_are), got a {type(sol).__name__} at population {sol.population}")
     grid, P, Pi, s = sol.grid, sol.P, sol.Pi, sol.s
     pair = _Pair(_plant(spec), P, Pi, None, tol)   # the limit form, M = P
     sig = spec.sigma(grid)

@@ -363,6 +363,27 @@ def test_simulate_refuses_bad_numbers_with_usage_exit(tmp_path, capsys, probe):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("command", ["solve-infinite", "value", "simulate"])
+def test_pin_P_is_refused_on_a_two_state_problem(tmp_path, capsys, command):
+    # --pin-P is one number, P's value in a 1-state problem: on n = 2 the
+    # run says so in one line instead of failing inside the matrix algebra
+    problem = json.loads(pathlib.Path(WELL).read_text())   # two decoupled copies of it
+    zero = {"kind": "constant", "value": [0.0, 0.0]}
+    two = {k: np.kron(np.eye(2), problem[k]).tolist() for k in "A B C D G Q R Gamma x0_cov".split()}
+    two.update(n=2, r=2, f=zero, sigma=zero, eta=zero, x0_mean=[0.0, 0.0], N=50,
+               horizon="infinite")
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(two))
+    base = ["--reps", "2", "--dt", "0.01", "--T", "1"] if command == "simulate" else []
+    rc = main([command, str(path), "--outdir", str(tmp_path / "s"), "--pin-P", "0.5"] + base)
+    assert rc == 64
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --pin-P is one number, P of a 1-state problem; this problem has "
+                   "2 states"]
+    assert not (tmp_path / "s").exists()
+    assert main(["validate", str(path)]) == 0
+
+
 def test_check_encodes_a_complex_witness(tmp_path):
     # A has eigenvalues 0.5 +- i and B = 0, so (A + G, B) is not
     # stabilizable and its PBH witness is a complex eigenvalue

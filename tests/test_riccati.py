@@ -15,12 +15,11 @@ from mfsoc.riccati import (
     SolverError,
     _Pair,
     _Plant,
-    _finite_rhs,
     _lmi_phase_one,
-    _pack,
+    _pair_rate,
     _pair_root,
     _plant,
-    _unpack,
+    _scalar_rate,
     check_ranges,
     grid_interp,
     meanfield_path,
@@ -632,6 +631,16 @@ def test_pinned_solve_reports_residual(spec_sec6):
     assert sol.residual_Pi < 1e-8
 
 
+def test_pin_of_the_wrong_shape_is_refused(spec_sec6, spec_wellposed):
+    two = two_channel_spec(None)   # infinite horizon
+    for spec, pin, got in ((two, [[0.5]], "shape (1, 1)"), (two, np.ones(2), "shape (1, 2)"),
+                           (spec_sec6, np.eye(2), "shape (2, 2)"),
+                           (spec_wellposed, [[np.inf]], "shape (1, 1) with non-finite entries")):
+        want = f"pin_P must be a finite {spec.n} x {spec.n} matrix, got {got}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            solve_are(spec, t_sim=1.0, pin_P=pin)
+
+
 def test_unsolvable_equation_raises(spec_sec6):
     # the root routine refuses sec6's P equation with the LMI certificate,
     # and solve_are reports the same refusal
@@ -892,17 +901,23 @@ def test_pair_formulas_broadcast_over_knots(n, r, N):
 
 def residual_by_sample(sol, spec, tol):
     """The defining-equation residual at every interior knot, one knot at a
-    time through the integrator's own rate (the scalar fork at n = r = 1)."""
+    time through the integrator's own rate (the float one at n = r = 1)."""
     grid, Ps, Ks, ss = sol.grid, sol.P, sol.K, sol.s
     m, h = grid.size, grid[1] - grid[0]
     samples = list(range(2, m - 2))
-    rate = _finite_rhs(spec, derive_weights(spec), tol, sol.population, grid[samples])
+    dw = derive_weights(spec)
+    scalar = spec.n == 1 and spec.r == 1
+    rate = (_scalar_rate(spec, dw, sol.population, grid[samples]) if scalar
+            else _pair_rate(spec, dw, sol.population, grid[samples], tol))
     worst = 0.0
     for i, k in enumerate(samples):
         def d5(arr):
             return (-arr[k + 2] + 8 * arr[k + 1] - 8 * arr[k - 1] + arr[k - 2]) / (12 * h)
         dot = np.concatenate([d5(Ps).ravel(), d5(Ks).ravel(), d5(ss)])
-        model = rate(i, np.concatenate([Ps[k].ravel(), Ks[k].ravel(), ss[k]]))
+        state = [X[k] for X in (Ps, Ks, ss)]
+        if scalar:
+            state = [X.item() for X in state]
+        model = np.concatenate([np.ravel(X) for X in rate(i, *state)])
         worst = max(worst, float(np.max(np.abs(dot - model))))
     return worst
 
@@ -942,6 +957,32 @@ def random_scalar_spec(seed):
         "N": 10, "horizon": {"finite": float(rng.uniform(0.1, 1.0))}})
 
 
+def random_matrix_spec(seed, n, r, indefinite):
+    """A finite problem with n states and r controls, noise, forcing, an R
+    that is negative definite if indefinite, and a horizon in [0.1, 1.5];
+    some of these escape inside it."""
+    rng = np.random.default_rng(seed)
+
+    def mat(rows, cols, scale):
+        return (scale * rng.standard_normal((rows, cols))).tolist()
+
+    def exponential():
+        return {"kind": "exponential", "a": rng.normal(size=n).tolist(), "b": float(rng.normal())}
+
+    W = rng.standard_normal((n, n))
+    D = rng.standard_normal((n, r))
+    R = -np.diag(rng.uniform(0.05, 0.5, r)) if indefinite else np.diag(rng.uniform(0.1, 1.0, r))
+    return ProblemSpec.from_json({
+        "n": n, "r": r, "A": mat(n, n, 0.7), "B": mat(n, r, 0.5), "C": mat(n, n, 0.4),
+        "D": D.tolist(), "G": mat(n, n, 0.3), "Q": (W @ W.T + 0.1 * np.eye(n)).tolist(),
+        "R": R.tolist(), "Gamma": mat(n, n, 0.4), "Gamma0": mat(n, n, 0.4),
+        "H": (0.2 * W @ W.T + 2.0 * np.eye(n)).tolist(), "f": exponential(),
+        "sigma": {"kind": "constant", "value": (0.3 * rng.normal(size=n)).tolist()},
+        "eta": exponential(), "eta0": rng.normal(size=n).tolist(), "x0_mean": [1.0] * n,
+        "x0_cov": (0.1 * np.eye(n)).tolist(), "N": 10,
+        "horizon": {"finite": float(rng.uniform(0.1, 1.5))}})
+
+
 def _finite_outcome(spec, tol, N):
     """A finite solve's arrays, or its refusal's message and escape time."""
     try:
@@ -951,41 +992,79 @@ def _finite_outcome(spec, tol, N):
     return sol.grid, sol.P, sol.K, sol.s, sol.residual, sol.min_upsilon_eig
 
 
+# -- the triple as integrate_ode's one flat state [P, K, s], kept as the
+# -- oracle of the solver's RK4 loop over the parts
+
+def _pack(P, K, s):
+    return np.concatenate([np.ravel(P), np.ravel(K), np.ravel(s)])
+
+
+def _unpack(y, n):
+    """P, K, s of a packed state; y may carry leading axes."""
+    lead = y.shape[:-1]
+    P = y[..., : n * n].reshape(lead + (n, n))
+    K = y[..., n * n : 2 * n * n].reshape(lead + (n, n))
+    return P, K, y[..., 2 * n * n :]
+
+
+def _packed_rate(spec, dw, tol, N, times):
+    """Backward rate(j, y) = d/dt [P, K, s] at times[j] on the packed state:
+    ``_scalar_rate`` at n = r = 1, the pair algebra otherwise."""
+    if spec.n == 1 and spec.r == 1:
+        scalar = _scalar_rate(spec, dw, N, times)
+        return lambda j, y: np.array(scalar(j, *y.tolist()))
+
+    F, S, E = spec.f(times), spec.sigma(times), dw.eta_bar(times)
+    n, plant = spec.n, _plant(spec, dw)
+
+    def rate(j, y):
+        P, K, s = _unpack(y, n)
+        return _pack(*_Pair(plant, P, P + K, N, tol).triple_rate(s, F[j], S[j], E[j]))
+
+    return rate
+
+
 @pytest.mark.slow
 def test_scalar_loop_matches_integrate_ode_oracle(monkeypatch, spec_sec6_finite, spec_example1):
-    # the float RK4 loop of n = r = 1 against integrate_ode driven by
-    # _finite_rhs's rate with the matrix branch's projection: every solve is
-    # array-equal, and every refusal has the same message and escape time
+    # the triple's RK4 loop, over floats at n = r = 1 and over arrays at
+    # n = 2, 3, against integrate_ode driven by the packed rate with P and K
+    # symmetrized after every step: every solve is array-equal, and every
+    # refusal has the same message and escape time
     import mfsoc.riccati as riccati
 
     long = ProblemSpec.load(pathlib.Path(__file__).resolve().parent.parent
                             / "problems" / "example1_long.json")
-    specs = [spec_sec6_finite, spec_example1, long] + [random_scalar_spec(s) for s in range(12)]
-    refusals = 0
-    for spec in specs:
-        dw = derive_weights(spec)
-        for step in (1e-3, 1e-4):
-            tol = Tolerance(ode_step=step)
-            for N in (None, 1, 3, 50):
-                got = _finite_outcome(spec, tol, N)
+    scalar = [spec_sec6_finite, spec_example1, long] + [random_scalar_spec(s) for s in range(12)]
+    matrix = [random_matrix_spec(seed, n, r, indefinite) for seed, n, r, indefinite in
+              ((101, 3, 1, False), (102, 2, 2, True), (103, 3, 2, True), (114, 2, 2, True))]
+    refusals = {"scalar": 0, "matrix": 0}
+    for kind, specs, steps in (("scalar", scalar, (1e-3, 1e-4)), ("matrix", matrix, (1e-2,))):
+        for spec in specs:
+            dw, n = derive_weights(spec), spec.n
+            for step in steps:
+                tol = Tolerance(ode_step=step)
+                for N in (None, 1, 3, 50):
+                    got = _finite_outcome(spec, tol, N)
 
-                def oracle(rate, ts, P, K, s):
-                    def project(y):
-                        P, K, s = _unpack(y, 1)
-                        return _pack(symmetrize(P), symmetrize(K), s)
+                    def oracle(rate, ts, P, K, s):
+                        def project(y):
+                            P, K, s = _unpack(y, n)
+                            return _pack(symmetrize(P), symmetrize(K), s)
 
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        return integrate_ode(_finite_rhs(spec, dw, tol, N, ts), ts[0], ts[-1],
-                                             [P, K, s], step, project=project, bounded=2)[1]
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            return _unpack(integrate_ode(
+                                _packed_rate(spec, dw, tol, N, ts), ts[0], ts[-1],
+                                _pack(P, K, s), step, project=project, bounded=2 * n * n)[1], n)
 
-                with monkeypatch.context() as m:
-                    m.setattr(riccati, "_scalar_rk4", oracle)
-                    want = _finite_outcome(spec, tol, N)
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    np.testing.assert_array_equal(g, w)
-                refusals += len(got) == 2
-    assert 0 < refusals < 60
+                    with monkeypatch.context() as m:
+                        m.setattr(riccati, "_triple_rk4", oracle)
+                        want = _finite_outcome(spec, tol, N)
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        np.testing.assert_array_equal(g, w)
+                    refusals[kind] += len(got) == 2
+    assert 0 < refusals["scalar"] < 60
+    assert refusals["matrix"] > 0
 
 
 # -- the closure-driven offset and mean integrations, kept as the oracle of

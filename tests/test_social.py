@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +114,18 @@ def test_value_refuses_non_decaying_signals(spec_sec6):
     sol = solve_are(spec_sec6, t_sim=10.0, pin_P=[[0.6808]])
     with pytest.raises(SolverError):
         asymptotic_value(spec_sec6, sol)  # constant diffusion offset: no L2 limit
+
+
+def test_value_refuses_other_solutions(spec_wellposed, spec_sec6_finite, sol_sec6_finite):
+    # the closed form reads the limit-form pair (M = P): a population-N or a
+    # finite-horizon solution is refused, not evaluated as if it were one
+    for spec, sol, kind in ((spec_wellposed, solve_are_N(spec_wellposed, t_sim=15.0, N=2),
+                             "a RiccatiInfiniteSolution at population 2"),
+                            (spec_sec6_finite, sol_sec6_finite,
+                             "a RiccatiFiniteSolution at population None")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"needs the limit-form infinite-horizon solution (solve_are), got {kind}")):
+            asymptotic_value(spec, sol)
 
 
 def test_centralized_cost_runs(spec_sec6_finite):
